@@ -784,10 +784,14 @@ pub fn bench_scene() -> SceneTrace {
 }
 
 /// Expected relative cost of one cell, for LPT scheduling: pixel count
-/// scaled by a per-variant class weight seeded from measured
-/// `backend_wall_ms` classes (an a-tfim replay runs the per-corner
-/// parent probe machinery and costs roughly 1.5–2.3× a baseline replay
-/// of the same column; every other variant lands in one class). The
+/// scaled by a per-variant class weight. The a-tfim family keeps class
+/// 2 although it no longer costs twice a baseline replay: since the
+/// parent-value store became line-blocked, the traced `sweep-quick`
+/// `sim.replay_ms.a-tfim` is 0.67–1.02× `sim.replay_ms.baseline`
+/// (median 0.82 over 12 runs on a 2-vCPU Xeon host, 2 workers). Equal weights, which that
+/// ratio suggests, lowered `pool.utilization` in 5 of 6 same-seed
+/// pairs: ranking the a-tfim family first leaves the cheapest cells
+/// (aniso-off, b-pim, s-tfim at the small resolution) for the tail. The
 /// weight only orders the job hand-off — results are merged in sweep
 /// order regardless — so a misclassified cell costs wall time, never
 /// bytes.

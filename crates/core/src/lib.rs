@@ -49,6 +49,7 @@ pub mod fxhash;
 pub mod geometry;
 pub(crate) mod lanepre;
 pub mod overhead;
+pub(crate) mod parent_store;
 pub mod rop;
 pub mod sim;
 pub mod stats;

@@ -9,12 +9,10 @@
 //! traffic for overdraw.
 
 use crate::backend::MemoryBackend;
-use crate::fxhash::FxHashMap;
 use pimgfx_engine::trace::{stage, StageCounters, StageTrace};
 use pimgfx_engine::Cycle;
 use pimgfx_mem::{MemRequest, MemorySystem, TrafficClass};
 use pimgfx_raster::Fragment;
-use pimgfx_types::TileCoord;
 
 /// Base address of the simulated depth buffer.
 const Z_BASE: u64 = 0x0000_0000;
@@ -36,8 +34,12 @@ pub struct Rop {
     /// Pixels already written this frame (for overdraw RMW accounting).
     written: Vec<bool>,
     width: u32,
-    /// Per-tile: (fragments retired, overdraw rewrites).
-    tile_activity: FxHashMap<TileCoord, (u64, u64)>,
+    /// Per tile, by [`linear_index`]: (fragments retired,
+    /// overdraw rewrites) this frame. A tile with no retired fragment
+    /// was not touched.
+    ///
+    /// [`linear_index`]: pimgfx_types::TileCoord::linear_index
+    tile_activity: Vec<(u64, u64)>,
     first_writes: u64,
     rewrites: u64,
     /// Fragments retired over the whole trace (survives `begin_frame`).
@@ -63,7 +65,10 @@ impl Rop {
             tiles_x: width.div_ceil(tile_px),
             written: vec![false; (width * height) as usize],
             width,
-            tile_activity: FxHashMap::default(),
+            tile_activity: vec![
+                (0, 0);
+                (width.div_ceil(tile_px) * height.div_ceil(tile_px)) as usize
+            ],
             first_writes: 0,
             rewrites: 0,
             retired_total: 0,
@@ -75,8 +80,8 @@ impl Rop {
     pub fn retire(&mut self, frag: &Fragment) {
         self.retired_total += 1;
         let idx = (frag.y * self.width + frag.x) as usize;
-        let tile = frag.tile(self.tile_px);
-        let entry = self.tile_activity.entry(tile).or_insert((0, 0));
+        let tile = frag.tile(self.tile_px).linear_index(self.tiles_x) as usize;
+        let entry = &mut self.tile_activity[tile];
         entry.0 += 1;
         if self.written[idx] {
             entry.1 += 1;
@@ -94,10 +99,12 @@ impl Rop {
         let raw_block = u64::from(self.tile_px) * u64::from(self.tile_px) * SAMPLE_BYTES;
         let z_block = raw_block / Z_COMPRESSION;
         let c_block = raw_block / COLOR_COMPRESSION;
-        let mut tiles: Vec<_> = self.tile_activity.iter().collect();
-        tiles.sort_by_key(|(t, _)| (t.ty, t.tx));
-        for (tile, &(_, rewrites)) in tiles {
-            let tile_off = tile.linear_index(self.tiles_x) * raw_block;
+        // Linear order is row-major `(ty, tx)` order.
+        for (tile, &(retired, rewrites)) in self.tile_activity.iter().enumerate() {
+            if retired == 0 {
+                continue;
+            }
+            let tile_off = tile as u64 * raw_block;
             // Depth block: load + store once per touched tile (compressed).
             let z_read = MemRequest::read(TrafficClass::ZTest, Z_BASE + tile_off, z_block as u32);
             let z_write = MemRequest::write(TrafficClass::ZTest, Z_BASE + tile_off, z_block as u32);
@@ -147,7 +154,7 @@ impl Rop {
     /// Clears per-frame state.
     pub fn begin_frame(&mut self) {
         self.written.fill(false);
-        self.tile_activity.clear();
+        self.tile_activity.fill((0, 0));
         self.first_writes = 0;
         self.rewrites = 0;
     }

@@ -22,8 +22,8 @@
 use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
 use crate::design::Design;
-use crate::fxhash::FxHashMap;
 use crate::lanepre::{LaneCursor, LanePre};
+use crate::parent_store::ParentStore;
 use crate::stats::TextureStats;
 use crate::texunit::TextureUnits;
 use pimgfx_engine::trace::StageTrace;
@@ -41,9 +41,6 @@ use pimgfx_types::{Radians, Result, Rgba, Vec2};
 const L1_HIT_CYCLES: u64 = 1;
 /// Latency of an L2 texture-cache hit, cycles.
 const L2_HIT_CYCLES: u64 = 8;
-
-/// Key identifying one parent texel in the functional value store.
-type ParentKey = (u32, u8, u32, u32);
 
 /// Reusable per-path scratch buffers: cleared and refilled every quad so
 /// the steady-state sampling loop performs no heap allocation.
@@ -108,8 +105,8 @@ pub struct TexturePath {
     atfim: Option<Vec<AtfimLogicLayer>>,
     offload: OffloadUnit,
     /// A-TFIM functional store: last computed value and camera angle per
-    /// parent texel.
-    parent_values: FxHashMap<ParentKey, (Radians, Rgba)>,
+    /// parent texel, blocked by texture-cache line.
+    parents: ParentStore,
     /// Bytes per texel line on the wire (64 raw; 16 under block
     /// compression).
     line_bytes: u32,
@@ -138,6 +135,39 @@ struct AtfimFragment {
     plain_miss_lines: LineList,
     aniso_ratio: u32,
     major_axis_x: bool,
+}
+
+/// The distinct parent cache lines of one A-TFIM fragment, in probe
+/// order, with what each probe found.
+#[derive(Debug, Default)]
+struct ParentLines {
+    parents: LineList,
+    /// Misses that need the logic layer.
+    misses: LineList,
+    /// Misses of degenerate kernels: plain reads.
+    plain_misses: LineList,
+    /// Latest hit latency over the probed lines.
+    hit_ready: Duration,
+    /// Per entry of `parents`: the probe hit. Reuse of a stored parent
+    /// value is legal only on a hit — a capacity miss refetches and
+    /// recomputes in hardware, so the functional side must too.
+    hit: [bool; 8],
+    /// Per entry of `parents`: its parent-store block.
+    block: [u32; 8],
+}
+
+impl ParentLines {
+    fn finish(self, color: Rgba, aniso_ratio: u32, major_axis_x: bool) -> AtfimFragment {
+        AtfimFragment {
+            color,
+            parents: u32::from(self.parents.len),
+            hit_ready: self.hit_ready,
+            miss_lines: self.misses,
+            plain_miss_lines: self.plain_misses,
+            aniso_ratio,
+            major_axis_x,
+        }
+    }
 }
 
 impl TexturePath {
@@ -172,7 +202,7 @@ impl TexturePath {
                     .collect()
             }),
             offload: OffloadUnit::new(config.compress_offload),
-            parent_values: FxHashMap::default(),
+            parents: ParentStore::default(),
             line_bytes: if config.compressed_textures { 16 } else { 64 },
             scratch: PathScratch::default(),
             stats: TextureStats::default(),
@@ -337,7 +367,9 @@ impl TexturePath {
             Design::Baseline | Design::BPim => {
                 self.quad_conventional_pre(cluster, issue, frags.len(), mem, pre, cursor, out);
             }
-            Design::STfim => self.quad_stfim_pre(cluster, issue, frags.len(), mem, pre, cursor, out),
+            Design::STfim => {
+                self.quad_stfim_pre(cluster, issue, frags.len(), mem, pre, cursor, out)
+            }
             Design::ATfim => {
                 self.quad_atfim_pre(cluster, issue, frags.len(), tex, mem, pre, cursor, out);
             }
@@ -431,7 +463,7 @@ impl TexturePath {
         let mut parts = std::mem::take(&mut scratch.parts);
         parts.clear();
         for i in cursor.frag..cursor.frag + frag_count {
-            parts.push(self.atfim_fragment_pre(cluster, tex.id().raw(), pre, i));
+            parts.push(self.atfim_fragment_pre(cluster, tex, pre, i));
         }
         cursor.frag += frag_count;
         self.atfim_quad_tail(cluster, issue, &parts, mem, out, &mut scratch);
@@ -447,7 +479,7 @@ impl TexturePath {
     fn atfim_fragment_pre(
         &mut self,
         cluster: usize,
-        tex_id: u32,
+        tex: &MippedTexture,
         pre: &LanePre,
         idx: usize,
     ) -> AtfimFragment {
@@ -456,12 +488,7 @@ impl TexturePath {
         self.stats.conventional_texels += u64::from(at.conventional_texels);
         self.stats.record_aniso(at.aniso_ratio);
 
-        let mut parent_lines = LineList::default();
-        let mut miss_lines = LineList::default();
-        let mut plain_miss_lines = LineList::default();
-        let mut hit_ready = Duration::ZERO;
-        let mut line_hit = [false; 8];
-
+        let mut lines = ParentLines::default();
         let corner_base = pre.at_corner_start[idx] as usize;
         let mut level_colors = [Rgba::TRANSPARENT; 2];
         for (li, level_color) in level_colors
@@ -470,59 +497,26 @@ impl TexturePath {
             .take(usize::from(at.level_count))
         {
             let lv = at.levels[li];
-            let degenerate = lv.degenerate;
+            let level = usize::from(lv.level);
             let mut corners = [Rgba::TRANSPARENT; 4];
             for (ci, corner) in pre.corners[corner_base + li * 4..corner_base + li * 4 + 4]
                 .iter()
                 .enumerate()
             {
-                let line = corner.line;
-                let slot = match parent_lines.as_slice().iter().position(|&l| l == line) {
-                    Some(i) => i,
-                    None => {
-                        let i = usize::from(parent_lines.len);
-                        parent_lines.push(line);
-                        let outcome = if degenerate {
-                            self.probe_plain(cluster, line)
-                        } else {
-                            self.probe_with_angle(cluster, line, angle)
-                        };
-                        line_hit[i] = !matches!(outcome, ProbeOutcome::Miss);
-                        match outcome {
-                            ProbeOutcome::L1Hit => {
-                                hit_ready = hit_ready.max(Duration::new(L1_HIT_CYCLES));
-                            }
-                            ProbeOutcome::L2Hit => {
-                                hit_ready = hit_ready.max(Duration::new(L2_HIT_CYCLES));
-                            }
-                            ProbeOutcome::Miss if degenerate => plain_miss_lines.push(line),
-                            ProbeOutcome::Miss => miss_lines.push(line),
-                        }
-                        i
-                    }
-                };
-                // Same reuse rule as the serial path: the stored parent
-                // value is legal only on a hardware cache hit with a
-                // compatible angle; otherwise consume the speculative
-                // phase-1 recompute and store it.
-                let cached_in_hw = line_hit[slot];
-                let key: ParentKey = (tex_id, lv.level, corner.wx, corner.wy);
-                let reuse = match self.parent_values.get(&key) {
-                    Some((stored_angle, value))
-                        if cached_in_hw
-                            && stored_angle.abs_diff(angle) <= self.angle_threshold =>
-                    {
-                        Some(*value)
-                    }
-                    _ => None,
-                };
-                corners[ci] = match reuse {
-                    Some(v) => v,
-                    None => {
-                        self.parent_values.insert(key, (angle, corner.value));
-                        corner.value
-                    }
-                };
+                let (hit, block) = self.probe_parent_line(
+                    cluster,
+                    &mut lines,
+                    corner.line,
+                    lv.degenerate,
+                    angle,
+                    tex,
+                    level,
+                    (corner.wx, corner.wy),
+                );
+                // Same reuse rule as the serial path, but a recompute
+                // consumes the speculative phase-1 value.
+                corners[ci] =
+                    self.parent_value(block, corner.wx, corner.wy, hit, angle, || corner.value);
             }
             *level_color = corners[0]
                 .lerp(corners[1], lv.fx)
@@ -533,16 +527,7 @@ impl TexturePath {
         } else {
             level_colors[0].lerp(level_colors[1], at.w)
         };
-
-        AtfimFragment {
-            color,
-            parents: u32::from(parent_lines.len),
-            hit_ready,
-            miss_lines,
-            plain_miss_lines,
-            aniso_ratio: at.aniso_ratio,
-            major_axis_x: at.major_axis_x,
-        }
+        lines.finish(color, at.aniso_ratio, at.major_axis_x)
     }
 
     /// Baseline / B-PIM: full filtering on the GPU texture unit.
@@ -779,8 +764,10 @@ impl TexturePath {
             let pkg_bytes = self.offload.package_bytes(quad_miss);
             hmc.record_external_traffic(TrafficClass::TextureFetch, pkg_bytes);
             let at_cube = hmc.send_to_cube(addr_done, pkg_bytes);
+            // The batch borrows the quad's miss list and hands it back,
+            // so steady state stays allocation-free.
             let batch = ParentFetchBatch {
-                parent_line_addrs: quad_miss.clone(),
+                parent_line_addrs: std::mem::take(quad_miss),
                 aniso_ratio: ratio,
                 major_axis_x: axis_x,
                 line_bytes: self.line_bytes,
@@ -791,6 +778,7 @@ impl TexturePath {
                 // lint:allow(no-panic) — TexturePath::new allocates the logic layer whenever the design is A-TFIM; this branch is A-TFIM-only
                 .expect("A-TFIM path owns the logic layer")[cube]
                 .process(at_cube, &batch, hmc);
+            *quad_miss = batch.parent_line_addrs;
             let resp_bytes = self.offload.response_bytes(quad_miss.len());
             hmc.record_external_traffic(TrafficClass::TextureFetch, resp_bytes);
             miss_ready = hmc.send_to_host(resp.completion, resp_bytes);
@@ -842,104 +830,60 @@ impl TexturePath {
         self.stats.conventional_texels += u64::from(fp.conventional_texel_count());
         self.stats.record_aniso(fp.aniso_ratio);
 
-        let mut parent_lines = LineList::default();
-        let mut miss_lines = LineList::default();
-        let mut plain_miss_lines = LineList::default();
-        let mut hit_ready = Duration::ZERO;
-        // Cache outcome per probed line, parallel to `parent_lines`:
-        // reuse of the stored parent value is only legal on a cache *hit*
-        // — a capacity miss refetches and recomputes in hardware, so the
-        // functional side must too.
-        let mut line_hit = [false; 8];
-
-        let mut level_color = |path: &mut Self,
-                               scratch: &mut PathScratch,
-                               level: usize,
-                               div: i64|
-         -> Rgba {
-            let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
-            let img = tex.level(level);
-            let wrap = tex.wrap();
-            let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-            filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
-            if div != 1 {
-                for o in scratch.offsets.iter_mut() {
-                    *o = (o.0 / div, o.1 / div);
+        let lanes = self.sampler.config().kernels.is_lanes();
+        let mut lines = ParentLines::default();
+        let mut level_color =
+            |path: &mut Self, scratch: &mut PathScratch, level: usize, div: i64| -> Rgba {
+                let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
+                let img = tex.level(level);
+                let wrap = tex.wrap();
+                let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
+                if div != 1 {
+                    for o in scratch.offsets.iter_mut() {
+                        *o = (o.0 / div, o.1 / div);
+                    }
                 }
-            }
-            let offsets = &scratch.offsets;
-            // Degenerate kernel: every probe lands on the parent texel
-            // itself (common at the coarser of the two blended levels).
-            // The "average over children" is then exactly the texel — no
-            // child set exists, so there is nothing to offload and no
-            // camera angle to compare: it is an ordinary texel fetch.
-            let degenerate = offsets.iter().all(|&o| o == (0, 0));
-            let mut corners = [Rgba::TRANSPARENT; 4];
-            for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
-                .into_iter()
-                .enumerate()
-            {
-                let wx = wrap.wrap(x0 + cx, img.width());
-                let wy = wrap.wrap(y0 + cy, img.height());
-                let line = layout.texel_line_addr(wx, wy, level);
-                let slot = match parent_lines.as_slice().iter().position(|&l| l == line) {
-                    Some(i) => i,
-                    None => {
-                        let i = usize::from(parent_lines.len);
-                        parent_lines.push(line);
-                        let outcome = if degenerate {
-                            path.probe_plain(cluster, line)
-                        } else {
-                            path.probe_with_angle(cluster, line, angle)
-                        };
-                        line_hit[i] = !matches!(outcome, ProbeOutcome::Miss);
-                        match outcome {
-                            ProbeOutcome::L1Hit => {
-                                hit_ready = hit_ready.max(Duration::new(L1_HIT_CYCLES));
-                            }
-                            ProbeOutcome::L2Hit => {
-                                hit_ready = hit_ready.max(Duration::new(L2_HIT_CYCLES));
-                            }
-                            ProbeOutcome::Miss if degenerate => plain_miss_lines.push(line),
-                            ProbeOutcome::Miss => miss_lines.push(line),
-                        }
-                        i
-                    }
-                };
-                // Functional: reuse the stored parent value only when the
-                // cache actually hit (with a compatible angle); any miss —
-                // capacity or angle — recomputes with this fragment's own
-                // footprint, as the hardware would.
-                let cached_in_hw = line_hit[slot];
-                let key: ParentKey = (tex.id().raw(), level as u8, wx, wy);
-                let reuse = match path.parent_values.get(&key) {
-                    Some((stored_angle, value))
-                        if cached_in_hw && stored_angle.abs_diff(angle) <= path.angle_threshold =>
-                    {
-                        Some(*value)
-                    }
-                    _ => None,
-                };
-                corners[ci] = match reuse {
-                    Some(v) => v,
-                    None => {
+                let offsets = &scratch.offsets;
+                // Degenerate kernel: every probe lands on the parent texel
+                // itself (common at the coarser of the two blended levels).
+                // The "average over children" is then exactly the texel — no
+                // child set exists, so there is nothing to offload and no
+                // camera angle to compare: it is an ordinary texel fetch.
+                let degenerate = offsets.iter().all(|&o| o == (0, 0));
+                let mut corners = [Rgba::TRANSPARENT; 4];
+                for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let wx = wrap.wrap(x0 + cx, img.width());
+                    let wy = wrap.wrap(y0 + cy, img.height());
+                    let line = layout.texel_line_addr(wx, wy, level);
+                    let (hit, block) = path.probe_parent_line(
+                        cluster,
+                        &mut lines,
+                        line,
+                        degenerate,
+                        angle,
+                        tex,
+                        level,
+                        (wx, wy),
+                    );
+                    corners[ci] = path.parent_value(block, wx, wy, hit, angle, || {
                         // Bit-identical kernel pair; the lane variant
                         // accumulates channel-major (see
                         // `pimgfx_texture::filter` lane kernels).
-                        let v = if path.sampler.config().kernels.is_lanes() {
+                        if lanes {
                             filter::average_children_lanes(tex, x0 + cx, y0 + cy, level, offsets)
                         } else {
                             filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
-                        };
-                        path.parent_values.insert(key, (angle, v));
-                        v
-                    }
-                };
-            }
-            corners[0]
-                .lerp(corners[1], fx)
-                .lerp(corners[2].lerp(corners[3], fx), fy)
-        };
+                        }
+                    });
+                }
+                corners[0]
+                    .lerp(corners[1], fx)
+                    .lerp(corners[2].lerp(corners[3], fx), fy)
+            };
 
         let c_fine = level_color(self, scratch, fine, 1);
         let color = if coarse == fine || w == 0.0 {
@@ -948,16 +892,83 @@ impl TexturePath {
             let c_coarse = level_color(self, scratch, coarse, 2);
             c_fine.lerp(c_coarse, w)
         };
-
-        AtfimFragment {
+        lines.finish(
             color,
-            parents: u32::from(parent_lines.len),
-            hit_ready,
-            miss_lines,
-            plain_miss_lines,
-            aniso_ratio: fp.aniso_ratio,
-            major_axis_x: fp.major_axis.x.abs() >= fp.major_axis.y.abs(),
+            fp.aniso_ratio,
+            fp.major_axis.x.abs() >= fp.major_axis.y.abs(),
+        )
+    }
+
+    /// Resolves one parent corner's cache line, shared by the serial and
+    /// phase-2 A-TFIM passes. The first corner on a line probes the
+    /// caches (angle-tagged unless the kernel is degenerate), records a
+    /// miss for the offload or plain-read list, and resolves the line's
+    /// parent-store block; later corners on the same line reuse both.
+    /// Returns whether the line hit and its store block.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_parent_line(
+        &mut self,
+        cluster: usize,
+        lines: &mut ParentLines,
+        line: u64,
+        degenerate: bool,
+        angle: Radians,
+        tex: &MippedTexture,
+        level: usize,
+        (wx, wy): (u32, u32),
+    ) -> (bool, u32) {
+        if let Some(i) = lines.parents.as_slice().iter().position(|&l| l == line) {
+            return (lines.hit[i], lines.block[i]);
         }
+        let i = usize::from(lines.parents.len);
+        lines.parents.push(line);
+        let outcome = if degenerate {
+            self.probe_plain(cluster, line)
+        } else {
+            self.probe_with_angle(cluster, line, angle)
+        };
+        match outcome {
+            ProbeOutcome::L1Hit => {
+                lines.hit_ready = lines.hit_ready.max(Duration::new(L1_HIT_CYCLES));
+            }
+            ProbeOutcome::L2Hit => {
+                lines.hit_ready = lines.hit_ready.max(Duration::new(L2_HIT_CYCLES));
+            }
+            ProbeOutcome::Miss if degenerate => lines.plain_misses.push(line),
+            ProbeOutcome::Miss => lines.misses.push(line),
+        }
+        let img = tex.level(level);
+        lines.hit[i] = outcome != ProbeOutcome::Miss;
+        lines.block[i] =
+            self.parents
+                .block(tex.id().index(), level, (img.width(), img.height()), wx, wy);
+        (lines.hit[i], lines.block[i])
+    }
+
+    /// The A-TFIM functional reuse rule, shared by the serial and
+    /// phase-2 passes: the stored parent value is legal only when its
+    /// line hit in the caches and its angle is within the threshold. Any
+    /// miss — capacity or angle — recomputes with this fragment's own
+    /// footprint, as the hardware would: `fresh` is stored and returned.
+    fn parent_value(
+        &mut self,
+        block: u32,
+        wx: u32,
+        wy: u32,
+        hit: bool,
+        angle: Radians,
+        fresh: impl FnOnce() -> Rgba,
+    ) -> Rgba {
+        if hit {
+            if let Some((stored, value)) = self.parents.get(block, wx, wy) {
+                if stored.abs_diff(angle) <= self.angle_threshold {
+                    return value;
+                }
+            }
+        }
+        let value = fresh();
+        self.parents.insert(block, wx, wy, angle, value);
+        value
     }
 
     /// Probes L1 then L2 (without angle tags) and fetches from memory on
@@ -1074,7 +1085,7 @@ impl TexturePath {
             a.reset();
         }
         self.offload.reset();
-        self.parent_values.clear();
+        self.parents.clear();
         self.stats = TextureStats::default();
     }
 }
@@ -1270,6 +1281,50 @@ mod tests {
         let out = path.sample_quad(0, Cycle::ZERO, &quad, &tex, &layout, &mut mem);
         assert_eq!(out.len(), 4);
         assert_eq!(path.stats().offload_packages, 1);
+    }
+
+    /// `reset` empties the parent-value store: a reset path replays a
+    /// fragment sequence exactly like a fresh one. With recalculation
+    /// off, every cache hit reuses whatever value the store holds, so a
+    /// stale store would leak the pre-reset footprint into the colors.
+    #[test]
+    fn atfim_reset_forgets_stored_parents() {
+        let (tex, layout) = test_texture();
+        let config = SimConfig::builder()
+            .design(Design::ATfim)
+            .no_recalculation()
+            .build()
+            .expect("valid");
+        // A small grid of fragments whose corners share lines; the last
+        // row sits on the wrap edge.
+        let grid = |transposed: bool| -> Vec<Fragment> {
+            let mut out = Vec::new();
+            for j in [0.5, 0.52, 0.99] {
+                for i in 0..4 {
+                    let mut f = frag(Vec2::new(0.4 + i as f32 / 64.0, j), 0.5, 0.2);
+                    if transposed {
+                        (f.duv_dx, f.duv_dy) = (Vec2::new(f.duv_dy.y, 0.0), Vec2::new(0.0, 0.5));
+                    }
+                    out.push(f);
+                }
+            }
+            out
+        };
+        let run = |path: &mut TexturePath, frags: &[Fragment]| {
+            let mut mem = MemoryBackend::from_config(&config).expect("valid");
+            let colors: Vec<Rgba> = frags
+                .iter()
+                .map(|f| path.sample(0, Cycle::ZERO, f, &tex, &layout, &mut mem).0)
+                .collect();
+            (colors, *path.stats())
+        };
+        let mut fresh = TexturePath::new(&config).expect("valid");
+        let want = run(&mut fresh, &grid(false));
+        let mut used = TexturePath::new(&config).expect("valid");
+        run(&mut used, &grid(true));
+        used.reset();
+        let got = run(&mut used, &grid(false));
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

@@ -85,8 +85,22 @@ impl TexelGenerator {
     /// `ratio` children strided along the major axis in units of one
     /// tiling block (64-byte line). Returns `(ready_time, child_lines)`.
     pub fn generate(&mut self, arrival: Cycle, batch: &ParentFetchBatch) -> (Cycle, Vec<u64>) {
+        let mut children = Vec::new();
+        let ready = self.generate_into(arrival, batch, &mut children);
+        (ready, children)
+    }
+
+    /// [`TexelGenerator::generate`] into a caller-owned buffer (cleared
+    /// first), so the logic layer reuses one buffer across batches.
+    fn generate_into(
+        &mut self,
+        arrival: Cycle,
+        batch: &ParentFetchBatch,
+        children: &mut Vec<u64>,
+    ) -> Cycle {
         let ratio = u64::from(batch.aniso_ratio.max(1));
-        let mut children = Vec::with_capacity(batch.parent_line_addrs.len() * ratio as usize);
+        children.clear();
+        children.reserve(batch.parent_line_addrs.len() * ratio as usize);
         // Stride between successive children, in bytes of the block-tiled
         // layout: probes step 1–2 texels along the anisotropy line, and a
         // 64-byte block holds a 4×4 texel tile, so roughly four probes
@@ -111,8 +125,7 @@ impl TexelGenerator {
         let slots = (children.len() as u64)
             .div_ceil(u64::from(self.alus))
             .max(1);
-        let ready = self.pipe.issue_weighted(arrival, slots);
-        (ready, children)
+        self.pipe.issue_weighted(arrival, slots)
     }
 
     /// Child addresses generated so far.
@@ -190,6 +203,8 @@ pub struct AtfimLogicLayer {
     parent_buffer: ParentTexelBuffer,
     combiner: CombinationUnit,
     batches: u64,
+    /// Child-line buffer reused across batches.
+    children: Vec<u64>,
 }
 
 impl AtfimLogicLayer {
@@ -202,6 +217,7 @@ impl AtfimLogicLayer {
             combiner: CombinationUnit::new(config.combine_alus, config.stage_latency),
             config,
             batches: 0,
+            children: Vec::new(),
         }
     }
 
@@ -244,7 +260,10 @@ impl AtfimLogicLayer {
         };
 
         // 1. Texel Generator.
-        let (gen_done, children) = self.generator.generate(arrival + stall, batch);
+        let mut children = std::mem::take(&mut self.children);
+        let gen_done = self
+            .generator
+            .generate_into(arrival + stall, batch, &mut children);
 
         // 2. Child Texel Consolidation.
         let before = children.len() as u64;
@@ -264,9 +283,11 @@ impl AtfimLogicLayer {
         // Retire buffer entries.
         self.parent_buffer.release(granted);
 
+        let child_reads = unique.len() as u64;
+        self.children = unique;
         AtfimResponse {
             completion,
-            child_reads: unique.len() as u64,
+            child_reads,
             merged_reads: merged,
         }
     }

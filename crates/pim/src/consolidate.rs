@@ -7,7 +7,7 @@
 //! the anisotropy axis, the merge rate is substantial — it is one of the
 //! ablations DESIGN.md calls out.
 
-use pimgfx_types::fxhash::{FxBuildHasher, FxHashSet};
+use pimgfx_types::fxhash::FxHashSet;
 
 /// Deduplicates child-texel line addresses within one offload package.
 ///
@@ -25,6 +25,9 @@ pub struct ChildConsolidator {
     enabled: bool,
     seen_total: u64,
     merged: u64,
+    /// Lines already passed within the current package; cleared per
+    /// package, kept across packages so merging does not allocate.
+    seen: FxHashSet<u64>,
 }
 
 impl ChildConsolidator {
@@ -35,6 +38,7 @@ impl ChildConsolidator {
             enabled,
             seen_total: 0,
             merged: 0,
+            seen: FxHashSet::default(),
         }
     }
 
@@ -44,21 +48,17 @@ impl ChildConsolidator {
     }
 
     /// Merges duplicate line addresses, preserving first-seen order.
-    pub fn consolidate(&mut self, fetches: Vec<u64>) -> Vec<u64> {
+    /// The merge is in place: the returned vector is `fetches`.
+    pub fn consolidate(&mut self, mut fetches: Vec<u64>) -> Vec<u64> {
         self.seen_total += fetches.len() as u64;
         if !self.enabled {
             return fetches;
         }
-        let mut seen = FxHashSet::with_capacity_and_hasher(fetches.len(), FxBuildHasher::default());
-        let mut out = Vec::with_capacity(fetches.len());
-        for f in fetches {
-            if seen.insert(f) {
-                out.push(f);
-            } else {
-                self.merged += 1;
-            }
-        }
-        out
+        self.seen.clear();
+        let before = fetches.len();
+        fetches.retain(|&f| self.seen.insert(f));
+        self.merged += (before - fetches.len()) as u64;
+        fetches
     }
 
     /// Total child fetches presented.
@@ -99,6 +99,15 @@ mod tests {
         assert_eq!(c.merged(), 3);
         assert_eq!(c.seen(), 6);
         assert!((c.merge_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn packages_merge_independently() {
+        let mut c = ChildConsolidator::new(true);
+        assert_eq!(c.consolidate(vec![1, 2, 1]), vec![1, 2]);
+        // Lines of the previous package are not duplicates here.
+        assert_eq!(c.consolidate(vec![2, 3, 2]), vec![2, 3]);
+        assert_eq!(c.merged(), 2);
     }
 
     #[test]
