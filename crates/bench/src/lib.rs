@@ -591,11 +591,13 @@ impl Harness {
             });
         }
 
-        // Phase 1: build each unique scene — and its frontend fragment
-        // stream — once, in parallel. Pre-warming the stream cache here
+        // Phase 1: build each unique scene — in parallel — and then its
+        // frontend fragment stream. Pre-warming the stream cache here
         // means phase 2's workers all hit it, so no two workers ever
         // duplicate a column's rasterization work by racing on a cold
-        // entry.
+        // entry. Streams are built one column after another: each build
+        // already shades on the whole thread budget, so fanning columns
+        // over the pool as well would multiply threads.
         let mut columns: Vec<(Workload, Resolution)> = Vec::new();
         for &(w, r, _, _) in &todo {
             if !columns.contains(&(w, r)) {
@@ -604,12 +606,12 @@ impl Harness {
         }
         let scenes = &self.scenes;
         let streams = &self.streams;
-        let warmed: Vec<Result<()>> =
+        let column_scenes =
             pool::run_ordered(&columns, pool::worker_count(columns.len())?, |&(w, r)| {
-                streams.get(&scenes.get(w, r)).map(|_| ())
+                scenes.get(w, r)
             });
-        for w in warmed {
-            w?;
+        for scene in &column_scenes {
+            streams.get(scene)?;
         }
 
         // Phase 2: simulate all cells. Jobs are handed to the pool in
@@ -825,9 +827,8 @@ fn simulate_cell(
 ) -> HarnessResult<(RenderReport, WallSplit)> {
     let config = variant.config()?;
     let mut sim = Simulator::new(config)?;
-    // Mirror the simulator's internal clamp so the manifest records the
-    // lane count the replay actually ran with.
-    let lanes_eff = lanes.clamp(1, sim.config().shader.clusters.max(1));
+    // The manifest records the lane count the replay actually runs with.
+    let lanes_eff = sim.replay_lanes(lanes);
     if sim.config().tile_px != streams.tile_px() {
         // A variant binned at a different tile size cannot replay the
         // shared stream; render directly (no variant does this today).

@@ -37,11 +37,10 @@ use std::sync::mpsc;
 
 use pimgfx_types::{ConfigError, Result};
 
-/// Environment variable overriding the worker count (positive integer;
-/// `1` forces a degenerate single-worker pool, useful for determinism
-/// A/B checks; `0` or empty means "auto-detect"; anything else is a
-/// configuration error).
-pub const THREADS_ENV: &str = "PIMGFX_THREADS";
+/// The thread budget ([`THREADS_ENV`] or the host's parallelism),
+/// resolved in one place for the pool, the replay lanes, and the
+/// frontend build; see [`pimgfx::budget`].
+pub use pimgfx::budget::{configured_workers, parse_threads_override, THREADS_ENV};
 
 /// Environment variable overriding the per-cell replay lane count
 /// (positive integer; `1` forces fully serial replay; `0` or empty
@@ -55,50 +54,6 @@ pub const THREADS_ENV: &str = "PIMGFX_THREADS";
 /// [`configured_replay_lanes`]) so `PIMGFX_THREADS=N` never
 /// oversubscribes the machine.
 pub const REPLAY_LANES_ENV: &str = "PIMGFX_REPLAY_LANES";
-
-/// Interprets a [`THREADS_ENV`] value: `Ok(Some(n))` pins the pool to
-/// `n` workers, `Ok(None)` means "fall back to auto-detection" (the
-/// documented `> 0` filter, kept only for a literal `"0"` and for
-/// empty/whitespace values, which behave like an unset variable).
-///
-/// # Errors
-///
-/// Anything that does not parse as a non-negative integer (`"abc"`,
-/// `"-1"`, `"1.5"`) is rejected: a typo'd pin silently falling back to
-/// a machine-wide thread count is worse than stopping the run.
-pub fn parse_threads_override(raw: &str) -> Result<Option<usize>> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(0) => Ok(None),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(ConfigError::new(
-            "worker pool",
-            format!("{THREADS_ENV}={trimmed:?} is not a non-negative integer worker count"),
-        )),
-    }
-}
-
-/// The worker count the pool would use for an unbounded job list:
-/// [`THREADS_ENV`] when set to a positive integer, else
-/// [`std::thread::available_parallelism`] (1 if even that is unknown).
-///
-/// # Errors
-///
-/// Rejects a malformed [`THREADS_ENV`] value (see
-/// [`parse_threads_override`]).
-pub fn configured_workers() -> Result<usize> {
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        if let Some(n) = parse_threads_override(&raw)? {
-            return Ok(n);
-        }
-    }
-    Ok(std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1))
-}
 
 /// [`configured_workers`] clamped to the job count (never 0; a pool for
 /// an empty job list still reports 1 so rates stay well-defined).

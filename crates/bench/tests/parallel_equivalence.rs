@@ -213,12 +213,18 @@ fn replay_lanes_produce_byte_identical_manifest_cells() {
         let csv = csv_bytes(&laned, &dir);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(serial_csv, csv, "CSV bytes diverged at lanes={lanes}");
-        // The recorded lane count reflects the pin (modulo the
-        // simulator's cluster clamp — 16 clusters by default, so 2 and
-        // 4 pass through).
+        // The recorded lane count is the one the replay ran with: the
+        // pin (modulo the simulator's cluster clamp — 16 clusters by
+        // default, so 2 and 4 pass through), except for A-TFIM, which
+        // replays serially at any lane count.
         for (column, variant, _) in laned.report_cells() {
             let w = laned.wall_split(&column, &variant).expect("wall recorded");
-            assert_eq!(w.replay_lanes, lanes, "{column}/{variant}");
+            let expected = if variant.starts_with("a-tfim") {
+                1
+            } else {
+                lanes
+            };
+            assert_eq!(w.replay_lanes, expected, "{column}/{variant}");
         }
     }
 }

@@ -2,15 +2,13 @@
 //!
 //! The backend replay has two kinds of work per fragment quad:
 //!
-//! 1. **Pure functional work** — sampler filtering math, texel line
-//!    addressing, footprint/corner geometry, and (for A-TFIM) the
-//!    child-averaging kernels. These depend only on the fragment, the
-//!    texture, and the immutable layout: no caches, no servers, no
-//!    cross-quad order.
-//! 2. **Order-sensitive timing work** — L1/L2 probes, the A-TFIM
-//!    parent-value store, DRAM/HMC/MTU/logic-layer servers, and the
-//!    ROP. These mutate shared state whose evolution depends on the
-//!    exact global tile order.
+//! 1. **Pure functional work** — sampler filtering math and texel
+//!    line addressing. These depend only on the fragment, the texture,
+//!    and the immutable layout: no caches, no servers, no cross-quad
+//!    order.
+//! 2. **Order-sensitive timing work** — L1/L2 probes,
+//!    DRAM/HMC/MTU servers, and the ROP. These mutate shared state whose
+//!    evolution depends on the exact global tile order.
 //!
 //! Cluster-parallel replay splits the two into phases: phase 1 runs
 //! kind-1 work for every shader cluster's tile lane in parallel (the
@@ -24,72 +22,21 @@
 //! is byte-identical **by construction** — the property the
 //! `lane_equivalence` test suite pins for every design.
 //!
-//! For A-TFIM the phase-1 pass is *speculative*: it computes the
-//! child-averaged value of every parent corner even though phase 2 may
-//! reuse a stored value instead. Speculation trades redundant
-//! functional work for parallelism — the redundant values are
-//! bit-identical to what a phase-2 recompute would produce (same
-//! kernel, same operands), so consuming them never changes results.
+//! A-TFIM has no phase 1: whether a parent value is recomputed depends
+//! on live cache and parent-store state, so the only work it could move
+//! off the serial walk is a speculative recompute of every corner.
+//! Measured on a 1920x1080 synthetic cell, that speculation made a
+//! 2-lane A-TFIM replay slower than the serial one (docs/PARALLELISM.md),
+//! so A-TFIM always replays serially.
 
 use crate::config::SimConfig;
 use crate::design::Design;
-use crate::stream::StreamData;
+use crate::stream::{FrameEntry, StreamData};
 use crate::texpath;
 use pimgfx_raster::Fragment;
 use pimgfx_shader::TileScheduler;
-use pimgfx_texture::{filter, FetchSet, MippedTexture, Sampler, SamplerConfig, TextureLayout};
-use pimgfx_types::{Radians, Rgba};
-
-/// One precomputed A-TFIM parent corner: the wrapped texel coordinate
-/// (the functional-store key), its cache-line address, and the
-/// speculatively computed child-average value.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CornerPre {
-    /// Wrapped texel x (texture space).
-    pub wx: u32,
-    /// Wrapped texel y (texture space).
-    pub wy: u32,
-    /// Cache-line address of the parent texel.
-    pub line: u64,
-    /// `average_children` result for this corner, computed with the
-    /// fragment's own probe offsets — bit-identical to what the serial
-    /// path computes on a reuse miss.
-    pub value: Rgba,
-}
-
-/// Per-mip-level precomputed data for one A-TFIM fragment.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LevelPre {
-    /// Mip level index.
-    pub level: u8,
-    /// True when every probe offset collapsed onto the parent texel
-    /// (plain fetch, no offload, no angle tag).
-    pub degenerate: bool,
-    /// Bilinear x weight at this level.
-    pub fx: f32,
-    /// Bilinear y weight at this level.
-    pub fy: f32,
-}
-
-/// Phase-1 record for one A-TFIM fragment: everything the GPU-side pass
-/// derives from the footprint alone, before touching caches.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AtfimPre {
-    /// The angle tag (orientation-doubled plus camera angle).
-    pub angle: Radians,
-    /// Anisotropy ratio of the footprint.
-    pub aniso_ratio: u32,
-    /// Texel count an equivalent conventional filter would fetch.
-    pub conventional_texels: u32,
-    /// Whether the major anisotropy axis is x-dominant.
-    pub major_axis_x: bool,
-    /// Mip blend weight between the two contributing levels.
-    pub w: f32,
-    /// Per-level geometry; `[1]` is unused when `level_count == 1`.
-    pub levels: [LevelPre; 2],
-    /// 1 or 2 mip levels contribute.
-    pub level_count: u8,
-}
+use pimgfx_texture::{FetchSet, MippedTexture, Sampler, SamplerConfig, TextureLayout};
+use pimgfx_types::Rgba;
 
 /// Phase-1 output for one cluster lane, in lane-local consumption
 /// order (the serial tile order restricted to this cluster). Flat SoA
@@ -114,14 +61,6 @@ pub(crate) struct LanePre {
     /// Deduplicated per-quad request lines, first-occurrence order
     /// (S-TFIM).
     pub quad_lines: Vec<u64>,
-    /// Per-fragment A-TFIM records.
-    pub at: Vec<AtfimPre>,
-    /// Per-fragment start offset into [`LanePre::corners`] (A-TFIM);
-    /// each fragment owns `level_count * 4` consecutive corners.
-    pub at_corner_start: Vec<u32>,
-    /// Flat parent-corner records (A-TFIM), 4 per contributing level,
-    /// fine level first — the serial probe-discovery order.
-    pub corners: Vec<CornerPre>,
 }
 
 impl LanePre {
@@ -134,9 +73,6 @@ impl LanePre {
         self.lines.clear();
         self.quad_line_start.clear();
         self.quad_lines.clear();
-        self.at.clear();
-        self.at_corner_start.clear();
-        self.corners.clear();
     }
 }
 
@@ -152,7 +88,8 @@ pub(crate) struct LaneCursor {
 
 /// The phase-1 worker: a copy of the design's pure sampling
 /// configuration, safe to run on any thread against shared read-only
-/// stream/texture data.
+/// stream/texture data. Exists only for the designs with a phase 1
+/// (every design but A-TFIM).
 #[derive(Debug, Clone)]
 pub(crate) struct Precomputer {
     design: Design,
@@ -161,17 +98,21 @@ pub(crate) struct Precomputer {
 
 impl Precomputer {
     /// Builds a precomputer matching the texture path a simulator with
-    /// this configuration instantiates (same sampler, same reorder
-    /// flag), so phase-1 colors are bit-identical to serial ones.
-    pub fn new(config: &SimConfig) -> Self {
+    /// this configuration instantiates (same sampler; only A-TFIM
+    /// reorders, and it has no phase 1), so phase-1 colors are
+    /// bit-identical to serial ones. `None` for A-TFIM.
+    pub fn new(config: &SimConfig) -> Option<Self> {
+        if config.design == Design::ATfim {
+            return None;
+        }
         let sampler_config = SamplerConfig {
-            reordered: config.design == Design::ATfim,
+            reordered: false,
             ..config.sampler
         };
-        Self {
+        Some(Self {
             design: config.design,
             sampler: Sampler::new(sampler_config),
-        }
+        })
     }
 
     /// Fills `buf` with one frame's phase-1 records for cluster
@@ -182,7 +123,7 @@ impl Precomputer {
         &self,
         lane: usize,
         data: &StreamData,
-        tile_range: std::ops::Range<usize>,
+        frame: &FrameEntry,
         scheduler: &TileScheduler,
         textures: &[&MippedTexture],
         layouts: &[TextureLayout],
@@ -190,29 +131,23 @@ impl Precomputer {
         scratch: &mut PreScratch,
     ) {
         buf.clear();
-        if matches!(self.design, Design::Baseline | Design::BPim) {
+        let stfim = self.design == Design::STfim;
+        if stfim {
+            buf.quad_line_start.push(0);
+        } else {
             buf.line_start.push(0);
         }
-        if self.design == Design::STfim {
-            buf.quad_line_start.push(0);
-        }
-        for te in &data.tiles[tile_range] {
-            if scheduler.cluster_for(te.coord) != lane {
+        for tile in data.frame_tiles(frame) {
+            if scheduler.cluster_for(tile.coord) != lane {
                 continue;
             }
-            let mut offset = te.frag_start as usize;
-            let quad_end = (te.quad_start + te.quad_len) as usize;
-            for &len in &data.quad_lens[te.quad_start as usize..quad_end] {
-                let quad = &data.fragments[offset..offset + len as usize];
-                offset += len as usize;
+            for quad in tile.quads() {
                 let tex = textures[quad[0].texture.index()];
                 let layout = &layouts[quad[0].texture.index()];
-                match self.design {
-                    Design::Baseline | Design::BPim => {
-                        self.pre_conventional(quad, tex, layout, buf, scratch);
-                    }
-                    Design::STfim => self.pre_stfim(quad, tex, layout, buf, scratch),
-                    Design::ATfim => self.pre_atfim(quad, tex, layout, buf, scratch),
+                if stfim {
+                    self.pre_stfim(quad, tex, layout, buf, scratch);
+                } else {
+                    self.pre_conventional(quad, tex, layout, buf, scratch);
                 }
             }
         }
@@ -278,92 +213,6 @@ impl Precomputer {
         }
         buf.quad_line_start.push(buf.quad_lines.len() as u32);
     }
-
-    /// A-TFIM phase 1: footprint geometry, per-corner addressing, and
-    /// the speculative child-average value of every corner, computed
-    /// with the fragment's own probe offsets (the operands a serial
-    /// recompute uses).
-    fn pre_atfim(
-        &self,
-        quad: &[Fragment],
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        buf: &mut LanePre,
-        scratch: &mut PreScratch,
-    ) {
-        let lanes = self.sampler.config().kernels.is_lanes();
-        for frag in quad {
-            let (ddx, ddy) = texpath::texel_derivs(tex, frag);
-            let fp = self.sampler.footprint(ddx, ddy);
-            let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-            let orientation = fp.major_axis.y.atan2(fp.major_axis.x);
-            let angle = Radians::new(
-                2.0 * orientation.rem_euclid(std::f32::consts::PI) + frag.camera_angle.as_f32(),
-            );
-            let two_levels = !(coarse == fine || w == 0.0);
-            let mut pre = AtfimPre {
-                angle,
-                aniso_ratio: fp.aniso_ratio,
-                conventional_texels: fp.conventional_texel_count(),
-                major_axis_x: fp.major_axis.x.abs() >= fp.major_axis.y.abs(),
-                w,
-                levels: [LevelPre::default(); 2],
-                level_count: if two_levels { 2 } else { 1 },
-            };
-            buf.at_corner_start.push(buf.corners.len() as u32);
-            let level_divs = [(fine, 1i64), (coarse, 2)];
-            for (li, &(level, div)) in level_divs
-                .iter()
-                .take(usize::from(pre.level_count))
-                .enumerate()
-            {
-                let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
-                let img = tex.level(level);
-                let wrap = tex.wrap();
-                let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
-                if div != 1 {
-                    for o in scratch.offsets.iter_mut() {
-                        *o = (o.0 / div, o.1 / div);
-                    }
-                }
-                let degenerate = scratch.offsets.iter().all(|&o| o == (0, 0));
-                pre.levels[li] = LevelPre {
-                    level: level as u8,
-                    degenerate,
-                    fx,
-                    fy,
-                };
-                for (cx, cy) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)] {
-                    let wx = wrap.wrap(x0 + cx, img.width());
-                    let wy = wrap.wrap(y0 + cy, img.height());
-                    let line = layout.texel_line_addr(wx, wy, level);
-                    // Bit-identical kernel pair with the serial path's
-                    // reuse-miss recompute (same kernel, same operands;
-                    // the unwrapped coordinate is what the serial path
-                    // passes, so clamped wraps agree too).
-                    let value = if lanes {
-                        filter::average_children_lanes(
-                            tex,
-                            x0 + cx,
-                            y0 + cy,
-                            level,
-                            &scratch.offsets,
-                        )
-                    } else {
-                        filter::average_children(tex, x0 + cx, y0 + cy, level, &scratch.offsets)
-                    };
-                    buf.corners.push(CornerPre {
-                        wx,
-                        wy,
-                        line,
-                        value,
-                    });
-                }
-            }
-            buf.at.push(pre);
-        }
-    }
 }
 
 /// Per-worker scratch buffers for phase-1 fills (no steady-state
@@ -373,7 +222,6 @@ pub(crate) struct PreScratch {
     fetches: FetchSet,
     line_addrs: Vec<u64>,
     lines: Vec<u64>,
-    offsets: Vec<(i64, i64)>,
 }
 
 /// Resolves the phase-1 worker count for a replay: `lanes` capped to
@@ -391,7 +239,7 @@ pub(crate) fn lane_workers(lanes: usize, clusters: usize) -> usize {
 pub(crate) fn precompute_frame(
     pre: &Precomputer,
     data: &StreamData,
-    tile_range: std::ops::Range<usize>,
+    frame: &FrameEntry,
     scheduler: &TileScheduler,
     textures: &[&MippedTexture],
     layouts: &[TextureLayout],
@@ -406,7 +254,7 @@ pub(crate) fn precompute_frame(
             pre.fill_lane(
                 lane,
                 data,
-                tile_range.clone(),
+                frame,
                 scheduler,
                 textures,
                 layouts,
@@ -419,14 +267,13 @@ pub(crate) fn precompute_frame(
     let chunk = clusters.div_ceil(workers);
     std::thread::scope(|scope| {
         for (ci, bufs_chunk) in bufs.chunks_mut(chunk).enumerate() {
-            let tile_range = tile_range.clone();
             scope.spawn(move || {
                 let mut scratch = PreScratch::default();
                 for (bi, buf) in bufs_chunk.iter_mut().enumerate() {
                     pre.fill_lane(
                         ci * chunk + bi,
                         data,
-                        tile_range.clone(),
+                        frame,
                         scheduler,
                         textures,
                         layouts,
@@ -455,14 +302,7 @@ mod tests {
     #[test]
     fn lane_fill_is_worker_count_invariant() {
         let scene = tiny_scene();
-        let data = StreamData::build(&scene, SimConfig::default().tile_px).expect("stream");
-        let config = SimConfig::builder()
-            .design(Design::ATfim)
-            .build()
-            .expect("valid");
-        let pre = Precomputer::new(&config);
-        let clusters = config.shader.clusters;
-        let scheduler = TileScheduler::new(clusters, scene.width().div_ceil(config.tile_px));
+        let data = StreamData::build(&scene, SimConfig::default().tile_px, 1).expect("stream");
         let textures: Vec<&MippedTexture> = scene.textures.iter().collect();
         let layouts: Vec<TextureLayout> = scene
             .textures
@@ -476,48 +316,43 @@ mod tests {
             })
             .collect();
         let fe = &data.frames[0];
-        let range = fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize;
-        let mut serial: Vec<LanePre> = (0..clusters).map(|_| LanePre::default()).collect();
-        precompute_frame(
-            &pre,
-            &data,
-            range.clone(),
-            &scheduler,
-            &textures,
-            &layouts,
-            &mut serial,
-            1,
-        );
-        for workers in [2, 4, 16] {
-            let mut wide: Vec<LanePre> = (0..clusters).map(|_| LanePre::default()).collect();
-            precompute_frame(
-                &pre,
-                &data,
-                range.clone(),
-                &scheduler,
-                &textures,
-                &layouts,
-                &mut wide,
-                workers,
-            );
-            for (a, b) in serial.iter().zip(&wide) {
-                assert_eq!(a.at.len(), b.at.len());
-                assert_eq!(a.at_corner_start, b.at_corner_start);
-                assert!(a
-                    .corners
-                    .iter()
-                    .zip(&b.corners)
-                    .all(|(x, y)| x.line == y.line && x.value == y.value));
+        let expect: usize = data.frame_tiles(fe).map(|t| t.fragments.len()).sum();
+        for design in [Design::Baseline, Design::STfim] {
+            let config = SimConfig::builder().design(design).build().expect("valid");
+            let pre = Precomputer::new(&config).expect("a phase-1 design");
+            let clusters = config.shader.clusters;
+            let scheduler = TileScheduler::new(clusters, scene.width().div_ceil(config.tile_px));
+            let fill = |workers: usize| {
+                let mut bufs: Vec<LanePre> = (0..clusters).map(|_| LanePre::default()).collect();
+                precompute_frame(
+                    &pre, &data, fe, &scheduler, &textures, &layouts, &mut bufs, workers,
+                );
+                bufs
+            };
+            let serial = fill(1);
+            for workers in [2, 4, 16] {
+                for (a, b) in serial.iter().zip(&fill(workers)) {
+                    assert_eq!(a.colors, b.colors, "{design}");
+                    assert_eq!(a.texels, b.texels, "{design}");
+                    assert_eq!(a.line_start, b.line_start, "{design}");
+                    assert_eq!(a.lines, b.lines, "{design}");
+                    assert_eq!(a.quad_line_start, b.quad_line_start, "{design}");
+                    assert_eq!(a.quad_lines, b.quad_lines, "{design}");
+                }
             }
+            // Every fragment of the frame landed in exactly one lane.
+            let total: usize = serial.iter().map(|l| l.colors.len()).sum();
+            assert_eq!(total, expect, "{design}");
         }
-        // Every fragment of the frame landed in exactly one lane.
-        let total: usize = serial.iter().map(|l| l.at.len()).sum();
-        let expect: usize = data.tiles
-            [(fe.tile_start as usize)..(fe.tile_start + fe.tile_len) as usize]
-            .iter()
-            .map(|t| t.frag_len as usize)
-            .sum();
-        assert_eq!(total, expect);
+    }
+
+    #[test]
+    fn atfim_has_no_phase_one() {
+        let config = SimConfig::builder()
+            .design(Design::ATfim)
+            .build()
+            .expect("valid");
+        assert!(Precomputer::new(&config).is_none());
     }
 
     #[test]

@@ -43,6 +43,7 @@
 #![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod backend;
+pub mod budget;
 pub mod config;
 pub mod design;
 pub mod fxhash;
@@ -80,6 +81,6 @@ pub use overhead::{analyze as analyze_overhead, OverheadReport};
 pub use pimgfx_types::KernelMode;
 pub use sim::Simulator;
 pub use stats::{RenderReport, TextureStats};
-pub use stream::{FragmentStream, FragmentStreamCache, FrontendCacheStats};
+pub use stream::{FragmentStream, FragmentStreamCache, FrontendCacheStats, StreamTile};
 pub use texpath::TexturePath;
 pub use texunit::TextureUnits;

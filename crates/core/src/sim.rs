@@ -126,13 +126,15 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the scene is empty.
+    /// Returns [`ConfigError`] if the scene is empty or the thread
+    /// budget override is malformed.
     pub fn render_trace(&mut self, scene: &SceneTrace) -> Result<RenderReport> {
         // The variant-invariant frontend (rasterize, bin, quad-group)
         // followed immediately by the variant-specific backend — the
         // same two passes a cached replay runs, so a direct render and
         // a replay are byte-identical by construction.
-        let data = StreamData::build(scene, self.config.tile_px)?;
+        let workers = crate::budget::configured_workers()?;
+        let data = StreamData::build(scene, self.config.tile_px, workers)?;
         self.replay_impl(scene, &data, 1)
     }
 
@@ -159,17 +161,18 @@ impl Simulator {
     /// frame's tiles into per-shader-cluster lanes (the partition is
     /// `TileScheduler::cluster_for` — identical to the serial tile
     /// assignment) and precomputes every quad's order-independent work
-    /// in parallel: sampler filtering, texel addressing, and the
-    /// A-TFIM speculative parent recomputes. Phase 2 then walks the
-    /// tiles in the original serial order consuming those records, so
-    /// every cache probe, memory-server access, and stats increment
-    /// happens with the same operands in the same sequence as
+    /// in parallel: sampler filtering and texel addressing. Phase 2
+    /// then walks the tiles in the original serial order consuming
+    /// those records, so every cache probe, memory-server access, and
+    /// stats increment happens with the same operands in the same
+    /// sequence as
     /// [`render_replay`](Self::render_replay) — the returned
     /// [`RenderReport`] is byte-identical for any lane count.
     ///
     /// `lanes <= 1` runs the unchanged serial path (no extra threads,
-    /// no precompute buffers); lane counts above the cluster count are
-    /// clamped — one lane per cluster is the maximum useful width.
+    /// no precompute buffers), and so does A-TFIM at any lane count (see
+    /// [`Simulator::replay_lanes`]); lane counts above the cluster count
+    /// are clamped — one lane per cluster is the maximum useful width.
     ///
     /// # Errors
     ///
@@ -191,6 +194,18 @@ impl Simulator {
             ));
         }
         self.replay_impl(stream.scene(), stream.data(), lanes)
+    }
+
+    /// The lane count [`render_replay_lanes`](Self::render_replay_lanes)
+    /// actually runs with when asked for `lanes`: clamped to
+    /// `1..=clusters`, and 1 for A-TFIM, whose replay has no phase 1
+    /// (its parent-value reuse depends on live cache state).
+    pub fn replay_lanes(&self, lanes: usize) -> usize {
+        if self.config.design == Design::ATfim {
+            1
+        } else {
+            lanepre::lane_workers(lanes, self.config.shader.clusters)
+        }
     }
 
     /// The variant-specific backend: drives shading, texturing, ROP,
@@ -266,9 +281,13 @@ impl Simulator {
         // Cluster-parallel replay: phase-1 lane precompute state. With
         // one lane the serial path below runs unchanged and none of
         // this allocates.
-        let lanes = lanepre::lane_workers(lanes, self.config.shader.clusters);
-        let use_lanes = lanes > 1;
-        let precomputer = use_lanes.then(|| lanepre::Precomputer::new(&self.config));
+        let lanes = self.replay_lanes(lanes);
+        let precomputer = if lanes > 1 {
+            lanepre::Precomputer::new(&self.config)
+        } else {
+            None
+        };
+        let use_lanes = precomputer.is_some();
         let mut lane_bufs: Vec<LanePre> = if use_lanes {
             (0..self.config.shader.clusters)
                 .map(|_| LanePre::default())
@@ -304,7 +323,6 @@ impl Simulator {
             let mut windows: Vec<InFlightWindow> = (0..self.config.shader.clusters)
                 .map(|_| InFlightWindow::new(TILE_WINDOW, geom_done))
                 .collect();
-            let tile_end = (fe.tile_start + fe.tile_len) as usize;
             if let Some(pre) = &precomputer {
                 // Phase 1: precompute this frame's pure per-fragment
                 // work across lane worker threads; phase 2 (the serial
@@ -313,7 +331,7 @@ impl Simulator {
                 lanepre::precompute_frame(
                     pre,
                     data,
-                    fe.tile_start as usize..tile_end,
+                    fe,
                     &scheduler,
                     &lane_textures,
                     &layouts,
@@ -324,13 +342,13 @@ impl Simulator {
                     *c = LaneCursor::default();
                 }
             }
-            for te in &data.tiles[fe.tile_start as usize..tile_end] {
-                let cluster = scheduler.cluster_for(te.coord);
+            for tile in data.frame_tiles(fe) {
+                let cluster = scheduler.cluster_for(tile.coord);
                 let issue_at = windows[cluster].gate_from(geom_done);
                 let alu_done = self.cores.shade_fragments(
                     cluster,
                     issue_at,
-                    u64::from(te.frag_len),
+                    tile.fragments.len() as u64,
                     &fragment_program,
                 );
                 let mut tile_done = alu_done;
@@ -339,11 +357,7 @@ impl Simulator {
                 // stream stores each tile's fragments quad-contiguously,
                 // in the same first-occurrence quad order the simulator
                 // always issued.
-                let mut offset = te.frag_start as usize;
-                let quad_end = (te.quad_start + te.quad_len) as usize;
-                for &len in &data.quad_lens[te.quad_start as usize..quad_end] {
-                    let quad = &data.fragments[offset..offset + len as usize];
-                    offset += len as usize;
+                for quad in tile.quads() {
                     let tex = texture_of(quad[0].texture);
                     let layout = &layouts[quad[0].texture.index()];
                     if use_lanes {
@@ -352,6 +366,7 @@ impl Simulator {
                             issue_at,
                             quad,
                             tex,
+                            layout,
                             &mut self.mem,
                             &lane_bufs[cluster],
                             &mut lane_cursors[cluster],

@@ -13,6 +13,29 @@
 //! it, producing a report byte-identical to a direct
 //! [`render_trace`](crate::sim::Simulator::render_trace).
 //!
+//! The build runs two passes per frame, in the shape of a tile-based
+//! GPU (and of piet-gpu's binning pipeline):
+//!
+//! 1. **Coverage** (serial, draw order): [`Rasterizer::cover`] clips,
+//!    sets up, Hi-Z-tests, and depth-tests every triangle, and each
+//!    surviving pixel is appended as `(pixel, setup index)` to its
+//!    screen tile's bin. Depth testing is order-dependent, so this pass
+//!    is the serial floor; it stores 8 bytes per fragment and shades
+//!    nothing.
+//! 2. **Shade and group** (parallel): the frame's occupied tiles are cut
+//!    into contiguous ranges of near-equal fragment count, one per
+//!    worker of the thread budget ([`crate::budget`]). Each worker
+//!    recomputes barycentrics, depth, and perspective-correct attributes
+//!    for its recorded pixels — the same f32 operations on the same
+//!    operands as the coverage pass, hence the same bits — groups each
+//!    tile into 2x2 quads, and writes its own exactly-sized fragment
+//!    chunk.
+//!
+//! Tiles come out in row-major order and fragments keep their
+//! rasterization order within a quad, so the stream is identical at any
+//! worker count, and identical to shading in [`Rasterizer::rasterize`]
+//! and binning afterwards.
+//!
 //! What is deliberately **not** stored here:
 //!
 //! * texture layouts — byte addresses depend on the memory's cube
@@ -28,10 +51,10 @@
 //! misses for run-manifest reporting.
 
 use crate::fxhash::FxHashMap;
-use pimgfx_raster::{Fragment, FragmentTile, RasterStats, Rasterizer};
-use pimgfx_types::{ConfigError, Result, TileCoord};
+use pimgfx_raster::{CoverageSink, Fragment, RasterStats, Rasterizer, TriangleSetup};
+use pimgfx_types::{ConfigError, Result, TextureId, TileCoord};
 use pimgfx_workloads::{Resolution, SceneTrace, Workload};
-use std::collections::hash_map::Entry;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -78,17 +101,35 @@ const _: () = {
 
 impl FragmentStream {
     /// Runs the frontend (rasterize, bin, quad-group) for every frame
-    /// of `scene` at the given tile size.
+    /// of `scene` at the given tile size, shading tiles on the whole
+    /// thread budget ([`crate::budget::configured_workers`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when the scene has no frames, `tile_px`
+    /// is zero, or the thread budget override is malformed.
+    pub fn build(scene: Arc<SceneTrace>, tile_px: u32) -> Result<Self> {
+        let workers = crate::budget::configured_workers()?;
+        Self::build_with_workers(scene, tile_px, workers)
+    }
+
+    /// [`build`](Self::build) with the shading pass spread over exactly
+    /// `workers` threads (`0` counts as 1) instead of the budget. The
+    /// stream is identical for every worker count.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the scene has no frames or
     /// `tile_px` is zero.
-    pub fn build(scene: Arc<SceneTrace>, tile_px: u32) -> Result<Self> {
+    pub fn build_with_workers(
+        scene: Arc<SceneTrace>,
+        tile_px: u32,
+        workers: usize,
+    ) -> Result<Self> {
         // det:boundary — frontend build wall-time, reported in run
         // manifests only; never feeds cycle accounting or figure CSVs.
         let start = Instant::now();
-        let data = StreamData::build(&scene, tile_px)?;
+        let data = StreamData::build(&scene, tile_px, workers)?;
         Ok(Self {
             scene,
             tile_px,
@@ -120,12 +161,36 @@ impl FragmentStream {
 
     /// Total post-early-Z fragments across all frames.
     pub fn fragment_count(&self) -> u64 {
-        self.data.fragments.len() as u64
+        self.data
+            .chunks
+            .iter()
+            .map(|c| c.fragments.len() as u64)
+            .sum()
     }
 
     /// Total 2x2 texture quads across all frames.
     pub fn quad_count(&self) -> u64 {
-        self.data.quad_lens.len() as u64
+        self.data
+            .chunks
+            .iter()
+            .map(|c| c.quad_lens.len() as u64)
+            .sum()
+    }
+
+    /// The binned tiles of frame `frame` in row-major order (none for
+    /// a frame past the end).
+    pub fn frame_tiles(&self, frame: usize) -> impl Iterator<Item = StreamTile<'_>> {
+        self.data
+            .frames
+            .get(frame)
+            .into_iter()
+            .flat_map(|fe| self.data.frame_tiles(fe))
+    }
+
+    /// The rasterizer's counters for frame `frame`, or `None` past the
+    /// last frame.
+    pub fn frame_raster(&self, frame: usize) -> Option<RasterStats> {
+        self.data.frames.get(frame).map(|fe| fe.raster)
     }
 
     /// The raw index, for the replay loop.
@@ -134,76 +199,143 @@ impl FragmentStream {
     }
 }
 
-/// Structure-of-arrays fragment index: one flat fragment buffer (quads
-/// stored contiguously, in first-occurrence quad order within each
-/// tile), a parallel per-quad length array, and tile/frame directories
-/// of ranges into them.
+/// One binned tile of a [`FragmentStream`], as replay walks it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamTile<'a> {
+    /// The tile's coordinate in tile units.
+    pub coord: TileCoord,
+    /// The tile's fragments, each 2x2 quad contiguous, quads in
+    /// first-occurrence order, fragments of a quad in rasterization
+    /// order.
+    pub fragments: &'a [Fragment],
+    /// Fragment count of each quad, in order (a quad normally holds up
+    /// to 4 fragments, but overdraw across draw calls sharing a texture
+    /// can stack more).
+    pub quad_lens: &'a [u16],
+}
+
+impl<'a> StreamTile<'a> {
+    /// The tile's quads, in order.
+    pub fn quads(&self) -> impl Iterator<Item = &'a [Fragment]> {
+        let fragments = self.fragments;
+        let mut offset = 0usize;
+        self.quad_lens.iter().map(move |&len| {
+            let quad = &fragments[offset..offset + usize::from(len)];
+            offset += usize::from(len);
+            quad
+        })
+    }
+}
+
+/// Fragment index: exactly-sized fragment chunks (one per frame and
+/// shading worker), and tile/frame directories of ranges into them.
 #[derive(Debug, Default)]
 pub(crate) struct StreamData {
-    /// All fragments of all frames, grouped quad-contiguously per tile.
-    pub(crate) fragments: Vec<Fragment>,
-    /// Fragment count of each quad, in tile order (a 2x2 quad normally
-    /// holds up to 4 fragments, but overdraw across draw calls sharing
-    /// a texture can stack more, hence not a fixed 4).
-    pub(crate) quad_lens: Vec<u16>,
-    /// Per-tile ranges into `fragments` and `quad_lens`.
-    pub(crate) tiles: Vec<TileEntry>,
+    /// Shaded output, one chunk per (frame, worker range).
+    chunks: Vec<Chunk>,
+    /// Every binned tile of every frame, frame-major, row-major within
+    /// a frame.
+    tiles: Vec<TileEntry>,
     /// Per-frame ranges into `tiles`, plus that frame's raster stats.
     pub(crate) frames: Vec<FrameEntry>,
 }
 
-/// One binned tile: its coordinate plus its fragment and quad ranges.
+/// One shading worker's output for one frame.
+#[derive(Debug, Default)]
+struct Chunk {
+    /// Fragments of consecutive tiles, grouped quad-contiguously.
+    fragments: Vec<Fragment>,
+    /// Fragment count of each quad, in order.
+    quad_lens: Vec<u16>,
+}
+
+/// One binned tile: its coordinate, its chunk, and its fragment and
+/// quad ranges within that chunk.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TileEntry {
-    pub(crate) coord: TileCoord,
-    pub(crate) frag_start: u32,
-    pub(crate) frag_len: u32,
-    pub(crate) quad_start: u32,
-    pub(crate) quad_len: u32,
+struct TileEntry {
+    coord: TileCoord,
+    chunk: u32,
+    frag_start: u32,
+    frag_len: u32,
+    quad_start: u32,
+    quad_len: u32,
 }
 
 /// One frame: its tile range plus the rasterizer's per-frame counters.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameEntry {
-    pub(crate) tile_start: u32,
-    pub(crate) tile_len: u32,
+    tile_start: u32,
+    tile_len: u32,
     pub(crate) raster: RasterStats,
 }
 
 impl StreamData {
-    /// Runs the full frontend for every camera of `scene`.
-    pub(crate) fn build(scene: &SceneTrace, tile_px: u32) -> Result<Self> {
+    /// Runs the full frontend for every camera of `scene`, shading on
+    /// `workers` threads.
+    pub(crate) fn build(scene: &SceneTrace, tile_px: u32, workers: usize) -> Result<Self> {
         if scene.cameras.is_empty() {
             return Err(ConfigError::new("simulator", "scene has no frames"));
         }
         if tile_px == 0 {
             return Err(ConfigError::new("simulator", "tile size must be nonzero"));
         }
-        let mut raster = Rasterizer::with_tile_size(scene.width(), scene.height(), tile_px);
-        let mut grouper = QuadGrouper::default();
+        let width = scene.width();
+        let tiles_x = width.div_ceil(tile_px);
+        let tile_count = tiles_x as usize * scene.height().div_ceil(tile_px) as usize;
+        let mut raster = Rasterizer::with_tile_size(width, scene.height(), tile_px);
+        let mut binner = Binner {
+            setups: Vec::new(),
+            current: 0,
+            bins: vec![Vec::new(); tile_count],
+            tiles_x,
+            width,
+        };
         let mut data = Self::default();
         for camera in &scene.cameras {
+            // Pass 1: coverage, serial and in draw order.
             raster.begin_frame();
-            let mut fragments = Vec::new();
+            binner.setups.clear();
+            binner.bins.iter_mut().for_each(Vec::clear);
             for draw in &scene.draws {
                 raster.bind_texture(draw.texture);
                 for tri in &draw.triangles {
-                    fragments.extend(raster.rasterize(camera, tri));
+                    raster.cover(camera, tri, &mut binner);
                 }
             }
-            let tiles = FragmentTile::group(fragments, tile_px);
-            let tile_start = data.tiles.len() as u32;
-            for tile in &tiles {
-                let frag_start = data.fragments.len() as u32;
-                let quad_start = data.quad_lens.len() as u32;
-                grouper.group_into(&tile.fragments, &mut data.fragments, &mut data.quad_lens);
-                data.tiles.push(TileEntry {
-                    coord: tile.coord,
-                    frag_start,
-                    frag_len: data.fragments.len() as u32 - frag_start,
-                    quad_start,
-                    quad_len: data.quad_lens.len() as u32 - quad_start,
+
+            // Pass 2: shade and quad-group contiguous tile ranges, one
+            // per worker.
+            let frame = Frame {
+                bins: &binner.bins,
+                setups: &binner.setups,
+                tile_px,
+                tiles_x,
+                width,
+            };
+            let occupied: Vec<u32> = (0..tile_count as u32)
+                .filter(|&t| !frame.bins[t as usize].is_empty())
+                .collect();
+            let ranges = balance(
+                occupied.iter().map(|&t| frame.bins[t as usize].len()),
+                workers,
+            );
+            let mut outs: Vec<RangeOut> = ranges.iter().map(|_| RangeOut::default()).collect();
+            if let Some((first, rest)) = outs.split_first_mut() {
+                std::thread::scope(|scope| {
+                    for (out, range) in rest.iter_mut().zip(&ranges[1..]) {
+                        let tiles = &occupied[range.clone()];
+                        scope.spawn(move || frame.shade(tiles, out));
+                    }
+                    frame.shade(&occupied[ranges[0].clone()], first);
                 });
+            }
+
+            let tile_start = data.tiles.len() as u32;
+            for out in outs {
+                let chunk = data.chunks.len() as u32;
+                data.tiles
+                    .extend(out.tiles.into_iter().map(|te| TileEntry { chunk, ..te }));
+                data.chunks.push(out.chunk);
             }
             data.frames.push(FrameEntry {
                 tile_start,
@@ -213,69 +345,256 @@ impl StreamData {
         }
         Ok(data)
     }
+
+    /// One tile entry resolved against its chunk.
+    fn tile(&self, te: &TileEntry) -> StreamTile<'_> {
+        let chunk = &self.chunks[te.chunk as usize];
+        StreamTile {
+            coord: te.coord,
+            fragments: &chunk.fragments
+                [te.frag_start as usize..(te.frag_start + te.frag_len) as usize],
+            quad_lens: &chunk.quad_lens
+                [te.quad_start as usize..(te.quad_start + te.quad_len) as usize],
+        }
+    }
+
+    /// The binned tiles of one frame, in row-major order.
+    pub(crate) fn frame_tiles<'a>(
+        &'a self,
+        fe: &FrameEntry,
+    ) -> impl Iterator<Item = StreamTile<'a>> + 'a {
+        self.tiles[fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize]
+            .iter()
+            .map(|te| self.tile(te))
+    }
 }
 
-/// Reusable scratch for grouping a tile's fragments into 2x2 pixel
-/// quads sharing one texture (fragments of different textures in the
-/// same quad are split). Quads are emitted in first-occurrence order
-/// and fragments keep their rasterization order within a quad — exactly
-/// the grouping the simulator's fragment loop historically produced
-/// with per-quad `Vec`s, but scattered into one flat buffer with no
-/// steady-state allocation.
+/// A pixel that survived the coverage pass: its linear index
+/// `y * width + x` and the setup that covered it.
+#[derive(Debug, Clone, Copy)]
+struct Covered {
+    pixel: u32,
+    setup: u32,
+}
+
+/// The coverage-pass sink: keeps every scanned sub-triangle's setup and
+/// appends each covered pixel to its tile's bin.
+#[derive(Debug)]
+struct Binner {
+    /// This frame's scanned sub-triangles with their bound texture.
+    setups: Vec<(TriangleSetup, TextureId)>,
+    /// Index of the sub-triangle being scanned.
+    current: u32,
+    /// Covered pixels per tile (row-major linear tile index), in
+    /// rasterization order.
+    bins: Vec<Vec<Covered>>,
+    tiles_x: u32,
+    width: u32,
+}
+
+impl CoverageSink for Binner {
+    fn triangle(&mut self, setup: &TriangleSetup, texture: TextureId) {
+        self.current = self.setups.len() as u32;
+        self.setups.push((setup.clone(), texture));
+    }
+
+    fn pixel(
+        &mut self,
+        _setup: &TriangleSetup,
+        tile: TileCoord,
+        x: u32,
+        y: u32,
+        _b: (f32, f32, f32),
+        _depth: f32,
+    ) {
+        self.bins[(tile.ty * self.tiles_x + tile.tx) as usize].push(Covered {
+            pixel: y * self.width + x,
+            setup: self.current,
+        });
+    }
+}
+
+/// One frame's coverage-pass result, shared read-only by the shading
+/// workers.
+#[derive(Debug, Clone, Copy)]
+struct Frame<'a> {
+    bins: &'a [Vec<Covered>],
+    setups: &'a [(TriangleSetup, TextureId)],
+    tile_px: u32,
+    tiles_x: u32,
+    width: u32,
+}
+
+/// What one shading worker produced for its tile range: the chunk and
+/// the tiles' entries, whose `chunk` field the caller fills in.
 #[derive(Debug, Default)]
+struct RangeOut {
+    chunk: Chunk,
+    tiles: Vec<TileEntry>,
+}
+
+impl Frame<'_> {
+    /// Shades and quad-groups the tiles `tiles` (linear indices,
+    /// ascending) into `out`.
+    fn shade(&self, tiles: &[u32], out: &mut RangeOut) {
+        let total = tiles.iter().map(|&t| self.bins[t as usize].len()).sum();
+        out.chunk.fragments.reserve_exact(total);
+        let mut grouper = QuadGrouper::new(self.tile_px);
+        for &t in tiles {
+            let coord = TileCoord::new(t % self.tiles_x, t / self.tiles_x);
+            let frag_start = out.chunk.fragments.len() as u32;
+            let quad_start = out.chunk.quad_lens.len() as u32;
+            grouper.group(self, coord, &self.bins[t as usize], &mut out.chunk);
+            out.tiles.push(TileEntry {
+                coord,
+                chunk: 0,
+                frag_start,
+                frag_len: out.chunk.fragments.len() as u32 - frag_start,
+                quad_start,
+                quad_len: out.chunk.quad_lens.len() as u32 - quad_start,
+            });
+        }
+    }
+
+    /// The pixel coordinates of a covered pixel.
+    fn xy(&self, pixel: u32) -> (u32, u32) {
+        let y = pixel / self.width;
+        (pixel - y * self.width, y)
+    }
+
+    /// The texture bound when `c` was covered.
+    fn texture(&self, c: Covered) -> TextureId {
+        self.setups[c.setup as usize].1
+    }
+
+    /// Shades a covered pixel: the barycentrics and depth the coverage
+    /// pass computed, recomputed bit for bit, then the attributes.
+    fn fragment(&self, c: Covered) -> Fragment {
+        let (x, y) = self.xy(c.pixel);
+        let (setup, texture) = &self.setups[c.setup as usize];
+        let b = setup.barycentric(x as i32, y as i32);
+        setup.fragment(x, y, b, setup.depth(b), *texture)
+    }
+}
+
+/// Cuts a sequence of weights into at most `parts` contiguous, nonempty
+/// index ranges of near-equal total weight (a single empty range for an
+/// empty sequence).
+fn balance(
+    weights: impl ExactSizeIterator<Item = usize> + Clone,
+    parts: usize,
+) -> Vec<Range<usize>> {
+    let n = weights.len();
+    let parts = parts.clamp(1, n.max(1));
+    let total: usize = weights.clone().sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut start, mut acc) = (0, 0);
+    for (i, w) in weights.enumerate() {
+        acc += w;
+        let cut = ranges.len() + 1;
+        if cut < parts && acc * parts >= total * cut {
+            ranges.push(start..i + 1);
+            start = i + 1;
+        }
+    }
+    if start < n || ranges.is_empty() {
+        ranges.push(start..n);
+    }
+    ranges
+}
+
+/// Marks an empty quad-grid slot or the end of a slot's quad chain.
+const NO_QUAD: u32 = u32::MAX;
+
+/// Reusable scratch for grouping a tile's covered pixels into 2x2 pixel
+/// quads sharing one texture (pixels of different textures in the same
+/// quad are split). Quads are emitted in first-occurrence order and
+/// fragments keep their rasterization order within a quad.
+#[derive(Debug)]
 struct QuadGrouper {
-    /// Quad key → dense quad index (within the current tile).
-    map: FxHashMap<(u32, u32, u32), u32>,
-    /// Fragment count per quad (pass 1), then consumed as write cursors.
+    /// Quad positions per grid row: enough for any tile alignment.
+    side: u32,
+    /// Per quad position of the tile: the latest quad opened there.
+    grid: Vec<u32>,
+    /// Per quad: the previous quad opened at the same position (another
+    /// texture), or [`NO_QUAD`].
+    next: Vec<u32>,
+    /// Per quad: its texture.
+    textures: Vec<TextureId>,
+    /// Per quad: fragment count.
     counts: Vec<u32>,
-    /// Scatter cursor per quad: absolute index into the output buffer.
+    /// Per quad: scatter cursor into `order`.
     cursors: Vec<u32>,
+    /// Per covered pixel of the tile: its quad.
+    quad_of: Vec<u32>,
+    /// Covered-pixel indices in output (quad-contiguous) order.
+    order: Vec<u32>,
 }
 
 impl QuadGrouper {
-    /// Groups `frags`, appending fragments quad-contiguously to
-    /// `out_frags` and one length per quad to `out_lens`.
-    fn group_into(
-        &mut self,
-        frags: &[Fragment],
-        out_frags: &mut Vec<Fragment>,
-        out_lens: &mut Vec<u16>,
-    ) {
-        self.map.clear();
-        self.counts.clear();
-        // Pass 1: assign dense quad indices in first-occurrence order
-        // and count each quad's fragments.
-        for f in frags {
-            let key = (f.x / 2, f.y / 2, f.texture.raw());
-            match self.map.entry(key) {
-                Entry::Occupied(e) => {
-                    let quad = *e.get();
-                    self.counts[quad as usize] += 1;
-                }
-                Entry::Vacant(v) => {
-                    v.insert(self.counts.len() as u32);
-                    self.counts.push(1);
-                }
-            }
+    fn new(tile_px: u32) -> Self {
+        // A tile spans at most `tile_px / 2 + 1` quad columns (when it
+        // starts on an odd pixel).
+        let side = tile_px / 2 + 1;
+        Self {
+            side,
+            grid: vec![NO_QUAD; (side * side) as usize],
+            next: Vec::new(),
+            textures: Vec::new(),
+            counts: Vec::new(),
+            cursors: Vec::new(),
+            quad_of: Vec::new(),
+            order: Vec::new(),
         }
-        let Some(&first) = frags.first() else { return };
-        // Pass 2: prefix-sum the counts into scatter cursors, then
-        // place every fragment directly at its quad's next slot.
+    }
+
+    /// Groups the covered pixels `bin` of tile `coord`, appending their
+    /// fragments quad-contiguously and one length per quad to `out`.
+    fn group(&mut self, frame: &Frame<'_>, coord: TileCoord, bin: &[Covered], out: &mut Chunk) {
+        let qx0 = coord.tx * frame.tile_px / 2;
+        let qy0 = coord.ty * frame.tile_px / 2;
+        self.next.clear();
+        self.textures.clear();
+        self.counts.clear();
+        self.quad_of.clear();
+        // Assign dense quad indices in first-occurrence order and count
+        // each quad's fragments.
+        for &c in bin {
+            let (x, y) = frame.xy(c.pixel);
+            let texture = frame.texture(c);
+            let slot = ((y / 2 - qy0) * self.side + (x / 2 - qx0)) as usize;
+            let mut quad = self.grid[slot];
+            while quad != NO_QUAD && self.textures[quad as usize] != texture {
+                quad = self.next[quad as usize];
+            }
+            if quad == NO_QUAD {
+                quad = self.textures.len() as u32;
+                self.textures.push(texture);
+                self.next.push(self.grid[slot]);
+                self.grid[slot] = quad;
+                self.counts.push(0);
+            }
+            self.counts[quad as usize] += 1;
+            self.quad_of.push(quad);
+        }
+        self.grid.fill(NO_QUAD);
+        // Prefix-sum the counts into cursors, place every covered pixel
+        // at its quad's next slot, then shade in that order.
         self.cursors.clear();
-        let mut acc = out_frags.len() as u32;
+        let mut acc = 0u32;
         for &count in &self.counts {
             self.cursors.push(acc);
             acc += count;
         }
-        out_frags.resize(acc as usize, first);
-        for f in frags {
-            let key = (f.x / 2, f.y / 2, f.texture.raw());
-            // Every key was inserted in pass 1.
-            let quad = self.map[&key] as usize;
-            out_frags[self.cursors[quad] as usize] = *f;
-            self.cursors[quad] += 1;
+        self.order.resize(bin.len(), 0);
+        for (i, &quad) in self.quad_of.iter().enumerate() {
+            let cursor = &mut self.cursors[quad as usize];
+            self.order[*cursor as usize] = i as u32;
+            *cursor += 1;
         }
-        out_lens.extend(
+        out.fragments
+            .extend(self.order.iter().map(|&i| frame.fragment(bin[i as usize])));
+        out.quad_lens.extend(
             self.counts
                 .iter()
                 .map(|&c| c.min(u32::from(u16::MAX)) as u16),
@@ -440,97 +759,66 @@ mod tests {
         build_scene_unchecked(&profile, Resolution::R320x240, frames)
     }
 
-    /// The historical quad grouping: per-quad `Vec`s in first-occurrence
-    /// order, fragments in arrival order. The flat grouper must match it
-    /// exactly — quad order feeds the texture units and the image/ROP
-    /// retire order, so any deviation changes timing and pixels.
-    fn reference_quads(fragments: &[Fragment]) -> Vec<Vec<Fragment>> {
-        let mut map: std::collections::HashMap<(u32, u32, u32), usize> =
-            std::collections::HashMap::new();
-        let mut out: Vec<Vec<Fragment>> = Vec::new();
-        for f in fragments {
-            let key = (f.x / 2, f.y / 2, f.texture.raw());
-            let idx = *map.entry(key).or_insert_with(|| {
-                out.push(Vec::with_capacity(4));
-                out.len() - 1
-            });
-            out[idx].push(*f);
-        }
-        out
-    }
-
     #[test]
     fn grouper_matches_reference_on_real_tiles() {
         let scene = tiny_scene(1);
-        let data = StreamData::build(&scene, 32).expect("builds");
+        let data = StreamData::build(&scene, 32, 2).expect("builds");
         assert!(!data.tiles.is_empty());
         let mut checked_quads = 0usize;
-        for tile in &data.tiles {
-            let frags = &data.fragments
-                [tile.frag_start as usize..(tile.frag_start + tile.frag_len) as usize];
-            let lens = &data.quad_lens
-                [tile.quad_start as usize..(tile.quad_start + tile.quad_len) as usize];
+        for tile in data.frame_tiles(&data.frames[0]) {
             assert_eq!(
-                lens.iter().map(|&l| l as usize).sum::<usize>(),
-                frags.len(),
+                tile.quad_lens.iter().map(|&l| l as usize).sum::<usize>(),
+                tile.fragments.len(),
                 "quad lengths partition the tile's fragments"
             );
-            let mut offset = 0usize;
-            for &len in lens {
-                let quad = &frags[offset..offset + len as usize];
+            for quad in tile.quads() {
                 let key = (quad[0].x / 2, quad[0].y / 2, quad[0].texture.raw());
                 assert!(
                     quad.iter()
                         .all(|f| (f.x / 2, f.y / 2, f.texture.raw()) == key),
                     "a quad holds one 2x2 block of one texture"
                 );
-                offset += len as usize;
+                assert!(quad.iter().all(|f| f.tile(32) == tile.coord));
                 checked_quads += 1;
             }
         }
-        assert_eq!(checked_quads, data.quad_lens.len());
+        let total: usize = data.chunks.iter().map(|c| c.quad_lens.len()).sum();
+        assert_eq!(checked_quads, total);
     }
 
     #[test]
-    fn grouper_preserves_reference_order_exactly() {
-        let scene = tiny_scene(1);
-        let tile_px = 32;
-        // Rebuild the per-tile raster-order fragment lists independently.
-        let mut raster = Rasterizer::with_tile_size(scene.width(), scene.height(), tile_px);
-        raster.begin_frame();
-        let mut fragments = Vec::new();
-        for draw in &scene.draws {
-            raster.bind_texture(draw.texture);
-            for tri in &draw.triangles {
-                fragments.extend(raster.rasterize(&scene.cameras[0], tri));
+    fn balance_cuts_contiguous_nonempty_ranges() {
+        let cases: [(&[usize], usize); 6] = [
+            (&[], 4),
+            (&[5], 4),
+            (&[1, 1, 1, 1], 2),
+            (&[1, 100], 2),
+            (&[100, 1, 1, 1], 3),
+            (&[3, 3, 3, 3, 3, 3, 3], 3),
+        ];
+        for (weights, parts) in cases {
+            let ranges = balance(weights.iter().copied(), parts);
+            assert!(ranges.len() <= parts.max(1), "{weights:?}/{parts}");
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges.last().map(|r| r.end), Some(weights.len()));
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "{weights:?}/{parts}");
+            }
+            if !weights.is_empty() {
+                assert!(ranges.iter().all(|r| !r.is_empty()), "{weights:?}/{parts}");
             }
         }
-        let tiles = FragmentTile::group(fragments, tile_px);
-        let mut grouper = QuadGrouper::default();
-        for tile in &tiles {
-            let expected: Vec<Fragment> = reference_quads(&tile.fragments)
-                .into_iter()
-                .flatten()
-                .collect();
-            let expected_lens: Vec<u16> = reference_quads(&tile.fragments)
-                .iter()
-                .map(|q| q.len() as u16)
-                .collect();
-            let mut flat = Vec::new();
-            let mut lens = Vec::new();
-            grouper.group_into(&tile.fragments, &mut flat, &mut lens);
-            assert_eq!(flat, expected, "flat scatter must equal reference order");
-            assert_eq!(lens, expected_lens);
-        }
+        assert_eq!(balance([1, 1, 1, 1].into_iter(), 2), vec![0..2, 2..4]);
+        assert_eq!(balance([3; 7].into_iter(), 3), vec![0..3, 3..5, 5..7]);
     }
 
     #[test]
     fn stream_rejects_empty_scene_and_zero_tile() {
         let mut scene = tiny_scene(1);
         scene.cameras.clear();
-        assert!(StreamData::build(&scene, 32).is_err());
+        assert!(StreamData::build(&scene, 32, 1).is_err());
         let scene = tiny_scene(1);
-        assert!(StreamData::build(&scene, 0).is_err());
+        assert!(StreamData::build(&scene, 0, 1).is_err());
     }
 
     #[test]

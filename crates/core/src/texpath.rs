@@ -341,7 +341,8 @@ impl TexturePath {
     /// fragment from the quad's lane buffer instead of re-running the
     /// pure sampling math, then drives the identical order-sensitive
     /// tail (caches, servers, stats). Byte-identical to the serial
-    /// entry point by construction — see `crate::lanepre`.
+    /// entry point by construction — see `crate::lanepre`. A-TFIM has
+    /// no phase-1 records and runs its serial pass.
     ///
     /// # Panics
     ///
@@ -354,6 +355,7 @@ impl TexturePath {
         issue: Cycle,
         frags: &[Fragment],
         tex: &MippedTexture,
+        layout: &TextureLayout,
         mem: &mut MemoryBackend,
         pre: &LanePre,
         cursor: &mut LaneCursor,
@@ -370,9 +372,7 @@ impl TexturePath {
             Design::STfim => {
                 self.quad_stfim_pre(cluster, issue, frags.len(), mem, pre, cursor, out)
             }
-            Design::ATfim => {
-                self.quad_atfim_pre(cluster, issue, frags.len(), tex, mem, pre, cursor, out);
-            }
+            Design::ATfim => self.quad_atfim(cluster, issue, frags, tex, layout, mem, out),
         }
         for (_, done) in out.iter() {
             self.stats.samples += 1;
@@ -441,93 +441,6 @@ impl TexturePath {
         cursor.frag += frag_count;
         cursor.quad += 1;
         self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
-    }
-
-    /// A-TFIM phase-2 consume: probes and reuse decisions against live
-    /// cache/functional state, corner values from the speculative
-    /// phase-1 records, then the shared
-    /// [`TexturePath::atfim_quad_tail`].
-    #[allow(clippy::too_many_arguments)]
-    fn quad_atfim_pre(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frag_count: usize,
-        tex: &MippedTexture,
-        mem: &mut MemoryBackend,
-        pre: &LanePre,
-        cursor: &mut LaneCursor,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut parts = std::mem::take(&mut scratch.parts);
-        parts.clear();
-        for i in cursor.frag..cursor.frag + frag_count {
-            parts.push(self.atfim_fragment_pre(cluster, tex, pre, i));
-        }
-        cursor.frag += frag_count;
-        self.atfim_quad_tail(cluster, issue, &parts, mem, out, &mut scratch);
-        scratch.parts = parts;
-        self.scratch = scratch;
-    }
-
-    /// Phase-2 twin of [`TexturePath::atfim_fragment`]: identical probe
-    /// sequence, reuse rule, and store updates against the live caches
-    /// and functional store, but every corner's recompute value comes
-    /// from the speculative phase-1 record (bit-identical operands, so
-    /// bit-identical values).
-    fn atfim_fragment_pre(
-        &mut self,
-        cluster: usize,
-        tex: &MippedTexture,
-        pre: &LanePre,
-        idx: usize,
-    ) -> AtfimFragment {
-        let at = &pre.at[idx];
-        let angle = at.angle;
-        self.stats.conventional_texels += u64::from(at.conventional_texels);
-        self.stats.record_aniso(at.aniso_ratio);
-
-        let mut lines = ParentLines::default();
-        let corner_base = pre.at_corner_start[idx] as usize;
-        let mut level_colors = [Rgba::TRANSPARENT; 2];
-        for (li, level_color) in level_colors
-            .iter_mut()
-            .enumerate()
-            .take(usize::from(at.level_count))
-        {
-            let lv = at.levels[li];
-            let level = usize::from(lv.level);
-            let mut corners = [Rgba::TRANSPARENT; 4];
-            for (ci, corner) in pre.corners[corner_base + li * 4..corner_base + li * 4 + 4]
-                .iter()
-                .enumerate()
-            {
-                let (hit, block) = self.probe_parent_line(
-                    cluster,
-                    &mut lines,
-                    corner.line,
-                    lv.degenerate,
-                    angle,
-                    tex,
-                    level,
-                    (corner.wx, corner.wy),
-                );
-                // Same reuse rule as the serial path, but a recompute
-                // consumes the speculative phase-1 value.
-                corners[ci] =
-                    self.parent_value(block, corner.wx, corner.wy, hit, angle, || corner.value);
-            }
-            *level_color = corners[0]
-                .lerp(corners[1], lv.fx)
-                .lerp(corners[2].lerp(corners[3], lv.fx), lv.fy);
-        }
-        let color = if at.level_count == 1 {
-            level_colors[0]
-        } else {
-            level_colors[0].lerp(level_colors[1], at.w)
-        };
-        lines.finish(color, at.aniso_ratio, at.major_axis_x)
     }
 
     /// Baseline / B-PIM: full filtering on the GPU texture unit.
@@ -705,10 +618,8 @@ impl TexturePath {
         self.scratch = scratch;
     }
 
-    /// The order-sensitive A-TFIM quad tail — address generation, plain
-    /// reads, the offload package, per-fragment filtering — shared
-    /// verbatim by the serial path and the phase-2 consume path so both
-    /// drive the memory-side servers identically.
+    /// The order-sensitive A-TFIM quad tail: address generation, plain
+    /// reads, the offload package, per-fragment filtering.
     fn atfim_quad_tail(
         &mut self,
         cluster: usize,
@@ -899,8 +810,7 @@ impl TexturePath {
         )
     }
 
-    /// Resolves one parent corner's cache line, shared by the serial and
-    /// phase-2 A-TFIM passes. The first corner on a line probes the
+    /// Resolves one parent corner's cache line. The first corner on a line probes the
     /// caches (angle-tagged unless the kernel is degenerate), records a
     /// miss for the offload or plain-read list, and resolves the line's
     /// parent-store block; later corners on the same line reuse both.
@@ -945,8 +855,7 @@ impl TexturePath {
         (lines.hit[i], lines.block[i])
     }
 
-    /// The A-TFIM functional reuse rule, shared by the serial and
-    /// phase-2 passes: the stored parent value is legal only when its
+    /// The A-TFIM functional reuse rule: the stored parent value is legal only when its
     /// line hit in the caches and its angle is within the threshold. Any
     /// miss — capacity or angle — recomputes with this fragment's own
     /// footprint, as the hardware would: `fresh` is stored and returned.

@@ -49,7 +49,7 @@ pub mod zbuffer;
 pub use camera::Camera;
 pub use clip::clip_triangle;
 pub use fragment::{Fragment, FragmentTile};
-pub use raster::{RasterStats, Rasterizer};
+pub use raster::{CoverageSink, RasterStats, Rasterizer};
 pub use setup::TriangleSetup;
 pub use vertex::{ClipVertex, Vertex};
 pub use zbuffer::{DepthBuffer, ZOutcome};

@@ -6,7 +6,7 @@ use crate::fragment::Fragment;
 use crate::setup::TriangleSetup;
 use crate::vertex::Vertex;
 use crate::zbuffer::{DepthBuffer, ZOutcome};
-use pimgfx_types::{Radians, TextureId, TileCoord};
+use pimgfx_types::{TextureId, TileCoord};
 
 /// Counters produced while rasterizing (inputs to the timing layer and to
 /// the geometry/Z rows of the Fig. 2 traffic breakdown).
@@ -111,34 +111,42 @@ impl Rasterizer {
     /// Transforms, clips, and scans one triangle; returns the surviving
     /// fragments in tile-major order.
     pub fn rasterize(&mut self, camera: &Camera, tri: &[Vertex; 3]) -> Vec<Fragment> {
+        let mut shade = Shade {
+            out: Vec::new(),
+            texture: self.bound_texture,
+        };
+        self.cover(camera, tri, &mut shade);
+        shade.out
+    }
+
+    /// The coverage pass of [`rasterize`](Self::rasterize): transforms,
+    /// clips, and sets up one triangle, then Hi-Z-tests every surviving
+    /// sub-triangle and scans it tile by tile, depth-testing each pixel
+    /// inside it. Decisions and counters are exactly those of
+    /// `rasterize`; what survives goes to `sink` in scan order instead of
+    /// being shaded here.
+    pub fn cover(&mut self, camera: &Camera, tri: &[Vertex; 3], sink: &mut impl CoverageSink) {
         self.stats.triangles_in += 1;
-        let clipped = clip_triangle(camera.transform_triangle(tri));
-        let mut out = Vec::new();
-        for sub in clipped {
+        for sub in clip_triangle(camera.transform_triangle(tri)) {
             self.stats.triangles_clipped += 1;
             if let Some(setup) = TriangleSetup::new(&sub, self.width, self.height) {
-                self.scan(&setup, &mut out);
+                self.scan(&setup, sink);
             }
         }
-        out
     }
 
     /// Scans a prepared triangle tile by tile.
-    fn scan(&mut self, setup: &TriangleSetup, out: &mut Vec<Fragment>) {
-        // `out` is shared across the clipped sub-triangles of one
-        // rasterize() call; count only the fragments this scan appends.
-        let emitted_before = out.len();
+    fn scan(&mut self, setup: &TriangleSetup, sink: &mut impl CoverageSink) {
         // Hierarchical Z: drop the whole triangle when every overlapped
         // tile is already covered by closer geometry.
         if self.zbuffer.hiz_reject(&setup.bbox, setup.min_depth()) {
             self.stats.hiz_rejected += 1;
             return;
         }
-
-        let mut touched: Vec<TileCoord> = Vec::new();
+        sink.triangle(setup, self.bound_texture);
         for tile in setup.bbox.tiles(self.tile_px) {
             let r = tile.pixel_rect(self.tile_px).intersect(&setup.bbox);
-            let mut emitted_in_tile = false;
+            let mut emitted = 0u64;
             for py in r.y0..r.y1 {
                 for px in r.x0..r.x1 {
                     let b = setup.barycentric(px, py);
@@ -146,34 +154,68 @@ impl Rasterizer {
                         continue;
                     }
                     let depth = setup.depth(b);
-                    self.stats.z_tests += 1;
                     if self.zbuffer.test_and_update(px as u32, py as u32, depth) == ZOutcome::Fail {
                         continue;
                     }
-                    let (uv, duv_dx, duv_dy, view_cos) = setup.shade_point(b);
-                    out.push(Fragment {
-                        x: px as u32,
-                        y: py as u32,
-                        depth,
-                        uv,
-                        duv_dx,
-                        duv_dy,
-                        camera_angle: Radians::new(view_cos.clamp(0.0, 1.0).acos()),
-                        texture: self.bound_texture,
-                    });
-                    emitted_in_tile = true;
+                    sink.pixel(setup, tile, px as u32, py as u32, b, depth);
+                    emitted += 1;
                 }
             }
-            if emitted_in_tile {
+            if emitted > 0 {
                 self.zbuffer.refresh_tile_max(tile.tx, tile.ty);
-                touched.push(tile);
+                self.stats.fragments_out += emitted;
+                self.stats.tiles_touched += 1;
             }
         }
-        self.stats.fragments_out += (out.len() - emitted_before) as u64;
-        self.stats.tiles_touched += touched.len() as u64;
-        // Sync the z-test counter kept by the buffer.
+        // The buffer counts every per-pixel depth test.
         let (tests, _) = self.zbuffer.stats();
         self.stats.z_tests = tests;
+    }
+}
+
+/// Receives the decisions of [`Rasterizer::cover`] in scan order: each
+/// clipped sub-triangle that survives setup and Hi-Z, then each of its
+/// pixels that passes the inside and depth tests.
+pub trait CoverageSink {
+    /// A sub-triangle is about to be scanned with `texture` bound.
+    fn triangle(&mut self, setup: &TriangleSetup, texture: TextureId);
+
+    /// Pixel `(x, y)` of `tile` passed the depth test, with barycentric
+    /// coordinates `b` and interpolated `depth`, for the sub-triangle of
+    /// the latest [`triangle`](Self::triangle) call.
+    fn pixel(
+        &mut self,
+        setup: &TriangleSetup,
+        tile: TileCoord,
+        x: u32,
+        y: u32,
+        b: (f32, f32, f32),
+        depth: f32,
+    );
+}
+
+/// The sink behind [`Rasterizer::rasterize`]: shades every covered pixel
+/// on the spot.
+struct Shade {
+    out: Vec<Fragment>,
+    texture: TextureId,
+}
+
+impl CoverageSink for Shade {
+    fn triangle(&mut self, _setup: &TriangleSetup, texture: TextureId) {
+        self.texture = texture;
+    }
+
+    fn pixel(
+        &mut self,
+        setup: &TriangleSetup,
+        _tile: TileCoord,
+        x: u32,
+        y: u32,
+        b: (f32, f32, f32),
+        depth: f32,
+    ) {
+        self.out.push(setup.fragment(x, y, b, depth, self.texture));
     }
 }
 

@@ -2,8 +2,9 @@
 //! equations, and perspective-correct interpolation gradients.
 
 use crate::camera::Camera;
+use crate::fragment::Fragment;
 use crate::vertex::ClipVertex;
-use pimgfx_types::{Rect, Vec2};
+use pimgfx_types::{Radians, Rect, TextureId, Vec2};
 
 /// A triangle prepared for scanning: screen coordinates, edge functions,
 /// and linear plane equations for `1/w`, `uv/w`, `z`, and `view_cos/w`.
@@ -178,6 +179,32 @@ impl TriangleSetup {
         let duv_dx = Vec2::new((duw_dx - uv.x * diw_dx) * w, (dvw_dx - uv.y * diw_dx) * w);
         let duv_dy = Vec2::new((duw_dy - uv.x * diw_dy) * w, (dvw_dy - uv.y * diw_dy) * w);
         (uv, duv_dx, duv_dy, view_cos)
+    }
+
+    /// The shaded fragment at pixel `(x, y)`, given that pixel's
+    /// barycentric coordinates `b` and `depth` (as
+    /// [`barycentric`](Self::barycentric) and [`depth`](Self::depth)
+    /// return them): perspective-correct uv and derivatives, and the
+    /// camera angle of the surface.
+    pub fn fragment(
+        &self,
+        x: u32,
+        y: u32,
+        b: (f32, f32, f32),
+        depth: f32,
+        texture: TextureId,
+    ) -> Fragment {
+        let (uv, duv_dx, duv_dy, view_cos) = self.shade_point(b);
+        Fragment {
+            x,
+            y,
+            depth,
+            uv,
+            duv_dx,
+            duv_dy,
+            camera_angle: Radians::new(view_cos.clamp(0.0, 1.0).acos()),
+            texture,
+        }
     }
 
     /// Depth at barycentric `b` (screen-space linear, as hardware does).
