@@ -815,9 +815,9 @@ fn cell_cost_weight(res: Resolution, variant: Variant) -> u64 {
 ///
 /// The variant-invariant frontend comes from the stream cache (built on
 /// first use, replayed by every later variant of the column); the
-/// variant-specific backend replays it with `lanes` precompute lanes,
-/// which is byte-identical to a direct `render_trace` at any lane
-/// count. The returned [`WallSplit`] attributes the cell's wall time to
+/// variant-specific backend replays it with `lanes` phase-1 helper
+/// threads (every design, A-TFIM included), which is byte-identical to
+/// a direct `render_trace` at any lane count. The returned [`WallSplit`] attributes the cell's wall time to
 /// the two passes and records the effective lane count.
 fn simulate_cell(
     scene: &Arc<SceneTrace>,
@@ -893,8 +893,8 @@ pub fn run_variant_replay(
 }
 
 /// [`run_variant_replay`] with an explicit replay lane count: the
-/// backend replays through `lanes` precompute lanes (byte-identical to
-/// serial at any count — see `crates/core/tests/lane_equivalence.rs`).
+/// backend replays with `lanes` phase-1 helper threads (byte-identical
+/// to serial at any count — see `crates/core/src/lane_equivalence.rs`).
 /// `pimgfx-serve` workers pass [`pool::configured_replay_lanes`] here so
 /// the job-level fan-out and the lane level share one thread budget.
 ///
@@ -921,20 +921,28 @@ pub fn run_variant_replay_lanes(
 /// Runs several variants of one scene through the worker [`pool`],
 /// returning reports in `variants` order (the parallel counterpart of
 /// mapping [`run_variant`] — used by the `fig*` micro-benchmarks to
-/// time sweep fan-out).
+/// time sweep fan-out). The frontend stream is built once, on the whole
+/// thread budget, before the fan-out; every variant then replays it on
+/// its share of the budget ([`pool::configured_replay_lanes`]), so
+/// workers × lanes never exceeds the budget.
 ///
 /// # Errors
 ///
 /// Propagates the first configuration or simulation failure, in
 /// variant order.
 pub fn run_variants_parallel(
-    scene: &SceneTrace,
+    scene: &Arc<SceneTrace>,
     variants: &[Variant],
 ) -> Result<Vec<RenderReport>> {
     let workers = pool::worker_count(variants.len())?;
-    pool::run_ordered(variants, workers, |&v| run_variant(scene, v))
-        .into_iter()
-        .collect()
+    let lanes = pool::configured_replay_lanes(workers)?;
+    let streams = FragmentStreamCache::new(SimConfig::default().tile_px);
+    streams.get(scene)?;
+    pool::run_ordered(variants, workers, |&v| {
+        run_variant_replay_lanes(scene, v, &streams, lanes)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Minimal std-only micro-benchmark harness for the `benches/fig*.rs`

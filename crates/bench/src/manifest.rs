@@ -43,7 +43,7 @@
 //!   (`pool_utilization`). Omitted when no parallel fan-out ran —
 //!   `--serial` runs and the `pimgfx-serve` job manifests (the v3
 //!   byte-determinism convention).
-//! - per-cell `"replay_lanes"`: the intra-cell precompute lane count
+//! - per-cell `"replay_lanes"`: the intra-cell phase-1 helper count
 //!   the backend replay used (1 = fully serial replay; see
 //!   `docs/PARALLELISM.md`). Optional and omitted when not measured,
 //!   like the wall-split fields.
@@ -132,7 +132,7 @@ pub struct CellSummary {
     /// Milliseconds spent in the backend replay for this cell
     /// (schema v3; `None` when not measured — omitted from the JSON).
     pub backend_wall_ms: Option<f64>,
-    /// Replay precompute lanes the backend pass used (schema v4;
+    /// Replay lanes (phase-1 helper threads) the backend pass used (schema v4;
     /// 1 = fully serial replay; `None` when not measured — omitted
     /// from the JSON, which keeps serve job manifests byte-stable).
     pub replay_lanes: Option<u32>,

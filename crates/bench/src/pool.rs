@@ -48,8 +48,8 @@ pub use pimgfx::budget::{configured_workers, parse_threads_override, THREADS_ENV
 /// configuration error, same grammar as [`THREADS_ENV`]).
 ///
 /// Replay lanes are the *intra-cell* parallelism axis: inside one
-/// simulation, `Simulator::render_replay_lanes` precomputes per-cluster
-/// fragment work on `lanes` threads before the serial timing walk. The
+/// simulation, `Simulator::render_replay_lanes` fills per-chunk fragment
+/// records on `lanes` helper threads ahead of the serial timing walk. The
 /// pool's cell-level fan-out and the lane level share one budget (see
 /// [`configured_replay_lanes`]) so `PIMGFX_THREADS=N` never
 /// oversubscribes the machine.

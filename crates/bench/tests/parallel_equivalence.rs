@@ -15,6 +15,7 @@ use pimgfx_bench::{
     bench_scene, pool, run_variant, run_variants_parallel, CsvSink, Harness, Sweep, Variant,
 };
 use pimgfx_workloads::{synthesize, trace_io, Game, Resolution, SyntheticSpec};
+use std::sync::Arc;
 
 /// The sweep under test: one small column, three designs. Small enough
 /// for a debug-profile CI run, wide enough that scene sharing and the
@@ -107,7 +108,7 @@ fn one_worker_pool_is_equivalent_to_wide_pool() {
     // (`PIMGFX_THREADS=1` is the user-facing spelling of the same thing;
     // here the width is pinned directly so the test cannot race other
     // tests over the environment).
-    let scene = bench_scene();
+    let scene = Arc::new(bench_scene());
     let variants = [
         Variant::Design(Design::Baseline),
         Variant::Design(Design::STfim),
@@ -214,17 +215,11 @@ fn replay_lanes_produce_byte_identical_manifest_cells() {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(serial_csv, csv, "CSV bytes diverged at lanes={lanes}");
         // The recorded lane count is the one the replay ran with: the
-        // pin (modulo the simulator's cluster clamp — 16 clusters by
-        // default, so 2 and 4 pass through), except for A-TFIM, which
-        // replays serially at any lane count.
+        // pin, modulo the simulator's cluster clamp (16 clusters by
+        // default, so 2 and 4 pass through), for every design.
         for (column, variant, _) in laned.report_cells() {
             let w = laned.wall_split(&column, &variant).expect("wall recorded");
-            let expected = if variant.starts_with("a-tfim") {
-                1
-            } else {
-                lanes
-            };
-            assert_eq!(w.replay_lanes, expected, "{column}/{variant}");
+            assert_eq!(w.replay_lanes, lanes, "{column}/{variant}");
         }
     }
 }

@@ -1,168 +1,262 @@
-//! Phase-1 lane precomputation for cluster-parallel backend replay.
+//! Streamed two-phase backend replay: phase 1 fills per-chunk records
+//! ahead of the phase-2 tile walk.
 //!
 //! The backend replay has two kinds of work per fragment quad:
 //!
-//! 1. **Pure functional work** — sampler filtering math and texel
-//!    line addressing. These depend only on the fragment, the texture,
-//!    and the immutable layout: no caches, no servers, no cross-quad
-//!    order.
-//! 2. **Order-sensitive timing work** — L1/L2 probes,
-//!    DRAM/HMC/MTU servers, and the ROP. These mutate shared state whose
-//!    evolution depends on the exact global tile order.
+//! 1. **Pure functional work** — sampler filtering math, texel line
+//!    addressing, and A-TFIM's footprint, angle tag and wrapped parent
+//!    corners. These depend only on the fragment, the texture, and the
+//!    immutable layout: no caches, no servers, no cross-quad order.
+//! 2. **Order-sensitive timing work** — L1/L2 probes, DRAM/HMC/MTU
+//!    servers, the A-TFIM parent store, and the ROP. These mutate shared
+//!    state whose evolution depends on the exact global tile order.
 //!
-//! Cluster-parallel replay splits the two into phases: phase 1 runs
-//! kind-1 work for every shader cluster's tile lane in parallel (the
-//! lane partition is `TileScheduler::cluster_for`, identical to the
-//! serial path's per-tile cluster assignment), recording the results in
-//! per-lane [`LanePre`] buffers; phase 2 then walks the tiles in the
-//! original serial order, consuming one record per fragment, and runs
-//! only kind-2 work. Every cache probe, server issue, and stats
+//! Replay splits each frame's tiles, in stream order, into **chunks**:
+//! contiguous tile runs of about [`CHUNK_FRAGMENTS`] fragments, closed
+//! at a tile boundary ([`ChunkPlan`]). Phase 1 fills one
+//! [`ChunkRecords`] per chunk with the kind-1 results; phase 2 walks the
+//! tiles in the original order, consumes one record per fragment, and
+//! runs only kind-2 work. Every cache probe, server issue, and stats
 //! increment happens in the same order with the same operands as the
-//! serial path, so the resulting [`RenderReport`](crate::RenderReport)
-//! is byte-identical **by construction** — the property the
-//! `lane_equivalence` test suite pins for every design.
+//! serial per-quad path, so the resulting
+//! [`RenderReport`](crate::RenderReport) is byte-identical **by
+//! construction** — the property the `lane_equivalence` suite pins
+//! against the serial oracle for every design.
 //!
-//! A-TFIM has no phase 1: whether a parent value is recomputed depends
-//! on live cache and parent-store state, so the only work it could move
-//! off the serial walk is a speculative recompute of every corner.
-//! Measured on a 1920x1080 synthetic cell, that speculation made a
-//! 2-lane A-TFIM replay slower than the serial one (docs/PARALLELISM.md),
-//! so A-TFIM always replays serially.
+//! With one lane, [`fill_inline`] fills each chunk on the calling thread
+//! just before the walk consumes it. With more, [`fill_streamed`] runs
+//! helper threads that fill chunks ahead of the walk, at most
+//! [`QUEUE_DEPTH`] finished chunks queued per helper, so record memory
+//! stays bounded by a constant number of chunks however large the frame
+//! is. A chunk's records depend only on its index, never on which thread
+//! filled it.
+//!
+//! A-TFIM's phase 1 speculates nothing: it records the footprint, mip
+//! levels and blend weight, the angle tag, the bilinear base and weights,
+//! the degenerate-kernel flag, and the four wrapped corners with their
+//! line addresses. Whether a parent value is reused or recomputed depends
+//! on live cache and parent-store state, so that decision — and the rare
+//! recompute — stays in phase 2.
 
-use crate::config::SimConfig;
 use crate::design::Design;
-use crate::stream::{FrameEntry, StreamData};
-use crate::texpath;
+use crate::stream::{StreamData, StreamTile};
+use crate::texpath::{self, AtfimPrefix};
 use pimgfx_raster::Fragment;
-use pimgfx_shader::TileScheduler;
-use pimgfx_texture::{FetchSet, MippedTexture, Sampler, SamplerConfig, TextureLayout};
+use pimgfx_texture::{FetchSet, MippedTexture, Sampler, TextureLayout};
 use pimgfx_types::Rgba;
+use std::ops::Range;
+use std::sync::mpsc;
 
-/// Phase-1 output for one cluster lane, in lane-local consumption
-/// order (the serial tile order restricted to this cluster). Flat SoA
-/// buffers with prefix indices so steady-state replay never allocates.
+/// Target fragment count of one chunk. A chunk closes at the first tile
+/// boundary at or past it, so a chunk holds at least one whole tile.
+/// Measured against 4096-fragment chunks with two queued per helper:
+/// those ran one-lane sweeps 1.5–4% slower and peaked two concurrent
+/// 2-lane serve jobs 10 MiB higher
+/// (docs/PERFORMANCE.md "Where the time went: streamed replay").
+const CHUNK_FRAGMENTS: usize = 1024;
+
+/// Finished chunks a helper may queue ahead of the walk. A helper
+/// allocates a record buffer only when none of its own has come back
+/// from the walk, and then its others are queued or held by the walk,
+/// so each helper owns at most `QUEUE_DEPTH + 2` buffers.
+const QUEUE_DEPTH: usize = 1;
+
+/// The chunk partition of a stream: contiguous tile ranges in stream
+/// order, never spanning two frames. Depends only on the stream.
 #[derive(Debug, Default)]
-pub(crate) struct LanePre {
+pub(crate) struct ChunkPlan {
+    /// Tile range (indices into the stream's tile directory) per chunk.
+    chunks: Vec<Range<usize>>,
+    /// Per frame, its range of chunk indices.
+    frames: Vec<Range<usize>>,
+}
+
+impl ChunkPlan {
+    /// Cuts every frame of `data` into chunks of about
+    /// [`CHUNK_FRAGMENTS`] fragments.
+    pub fn new(data: &StreamData) -> Self {
+        let mut plan = Self::default();
+        for fe in &data.frames {
+            let first = plan.chunks.len();
+            let tiles = data.frame_tile_range(fe);
+            let mut start = tiles.start;
+            let mut frags = 0usize;
+            for t in tiles.clone() {
+                frags += data.tile(t).fragments.len();
+                if frags >= CHUNK_FRAGMENTS {
+                    plan.chunks.push(start..t + 1);
+                    start = t + 1;
+                    frags = 0;
+                }
+            }
+            if start < tiles.end {
+                plan.chunks.push(start..tiles.end);
+            }
+            plan.frames.push(first..plan.chunks.len());
+        }
+        plan
+    }
+
+    /// Number of chunks across all frames.
+    pub fn len(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Chunk indices of frame `frame`, in walk order.
+    pub fn frame_chunks(&self, frame: usize) -> Range<usize> {
+        self.frames[frame].clone()
+    }
+
+    /// Tile range of chunk `k`.
+    pub fn tiles(&self, k: usize) -> Range<usize> {
+        self.chunks[k].clone()
+    }
+}
+
+/// Phase-1 output for one chunk (or one quad), in walk order. Flat SoA
+/// buffers with prefix indices; cleared and refilled per chunk, so a
+/// recycled buffer stops allocating once it has seen the largest chunk.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkRecords {
     /// Per-fragment filtered color (conventional and S-TFIM designs).
     pub colors: Vec<Rgba>,
     /// Per-fragment texel count (conventional and S-TFIM designs).
     pub texels: Vec<u32>,
     /// Per-fragment anisotropy ratio (conventional and S-TFIM designs).
     pub aniso: Vec<u32>,
-    /// Per-fragment prefix into [`LanePre::lines`] (conventional
+    /// Per-fragment prefix into [`ChunkRecords::lines`] (conventional
     /// designs); `line_start.len() == fragment count + 1`.
     pub line_start: Vec<u32>,
     /// Deduplicated per-fragment cache-line addresses, first-occurrence
     /// order (conventional designs).
     pub lines: Vec<u64>,
-    /// Per-quad prefix into [`LanePre::quad_lines`] (S-TFIM);
+    /// Per-quad prefix into [`ChunkRecords::quad_lines`] (S-TFIM);
     /// `quad_line_start.len() == quad count + 1`.
     pub quad_line_start: Vec<u32>,
     /// Deduplicated per-quad request lines, first-occurrence order
     /// (S-TFIM).
     pub quad_lines: Vec<u64>,
+    /// Per-fragment pure prefix of the A-TFIM GPU-side pass.
+    pub atfim: Vec<AtfimPrefix>,
 }
 
-impl LanePre {
-    /// Clears every buffer for the next frame, keeping capacity.
-    pub fn clear(&mut self) {
+impl ChunkRecords {
+    /// Empties every buffer, keeping capacity, and writes the leading
+    /// zero of both prefix arrays.
+    pub fn reset(&mut self) {
         self.colors.clear();
         self.texels.clear();
         self.aniso.clear();
         self.line_start.clear();
+        self.line_start.push(0);
         self.lines.clear();
         self.quad_line_start.clear();
+        self.quad_line_start.push(0);
         self.quad_lines.clear();
+        self.atfim.clear();
+    }
+
+    /// Fragments recorded.
+    pub fn fragments(&self) -> usize {
+        self.colors.len().max(self.atfim.len())
     }
 }
 
-/// Per-lane consumption cursor: how many fragments and quads of the
-/// lane's [`LanePre`] buffer phase 2 has consumed so far this frame.
+/// Phase-2 consumption cursor into one [`ChunkRecords`].
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct LaneCursor {
+pub(crate) struct Cursor {
     /// Fragments consumed.
     pub frag: usize,
     /// Quads consumed.
     pub quad: usize,
 }
 
-/// The phase-1 worker: a copy of the design's pure sampling
-/// configuration, safe to run on any thread against shared read-only
-/// stream/texture data. Exists only for the designs with a phase 1
-/// (every design but A-TFIM).
-#[derive(Debug, Clone)]
-pub(crate) struct Precomputer {
+/// Per-thread scratch buffers for phase-1 fills (no steady-state
+/// allocation).
+#[derive(Debug, Default)]
+pub(crate) struct FillScratch {
+    /// Fetch-trace recorder for [`Sampler::sample_into`].
+    pub fetches: FetchSet,
+    /// Per-fetch line addresses (batch-computed, pre-dedup).
+    pub line_addrs: Vec<u64>,
+    /// Deduplicated line addresses of one fragment's fetch trace.
+    pub lines: Vec<u64>,
+    /// Probe offsets of the current A-TFIM kernel.
+    pub offsets: Vec<(i64, i64)>,
+}
+
+/// The phase-1 worker: the design's pure sampling configuration, safe
+/// to run on any thread against shared read-only stream and texture
+/// data. It uses the texture path's own sampler, so its colors and
+/// footprints are bit-identical to what a serial pass computes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Filler {
     design: Design,
     sampler: Sampler,
 }
 
-impl Precomputer {
-    /// Builds a precomputer matching the texture path a simulator with
-    /// this configuration instantiates (same sampler; only A-TFIM
-    /// reorders, and it has no phase 1), so phase-1 colors are
-    /// bit-identical to serial ones. `None` for A-TFIM.
-    pub fn new(config: &SimConfig) -> Option<Self> {
-        if config.design == Design::ATfim {
-            return None;
-        }
-        let sampler_config = SamplerConfig {
-            reordered: false,
-            ..config.sampler
-        };
-        Some(Self {
-            design: config.design,
-            sampler: Sampler::new(sampler_config),
-        })
+impl Filler {
+    /// A filler for `design` sampling through `sampler`.
+    pub fn new(design: Design, sampler: Sampler) -> Self {
+        Self { design, sampler }
     }
 
-    /// Fills `buf` with one frame's phase-1 records for cluster
-    /// `lane`: walks the frame's tiles in stream order, keeps those the
-    /// scheduler assigns to `lane`, and precomputes every quad.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fill_lane(
+    /// Appends one quad's phase-1 records to `recs`.
+    pub fn fill_quad(
         &self,
-        lane: usize,
-        data: &StreamData,
-        frame: &FrameEntry,
-        scheduler: &TileScheduler,
-        textures: &[&MippedTexture],
-        layouts: &[TextureLayout],
-        buf: &mut LanePre,
-        scratch: &mut PreScratch,
+        quad: &[Fragment],
+        tex: &MippedTexture,
+        layout: &TextureLayout,
+        recs: &mut ChunkRecords,
+        scratch: &mut FillScratch,
     ) {
-        buf.clear();
-        let stfim = self.design == Design::STfim;
-        if stfim {
-            buf.quad_line_start.push(0);
-        } else {
-            buf.line_start.push(0);
-        }
-        for tile in data.frame_tiles(frame) {
-            if scheduler.cluster_for(tile.coord) != lane {
-                continue;
+        match self.design {
+            Design::Baseline | Design::BPim => {
+                self.fill_conventional(quad, tex, layout, recs, scratch);
             }
-            for quad in tile.quads() {
-                let tex = textures[quad[0].texture.index()];
-                let layout = &layouts[quad[0].texture.index()];
-                if stfim {
-                    self.pre_stfim(quad, tex, layout, buf, scratch);
-                } else {
-                    self.pre_conventional(quad, tex, layout, buf, scratch);
+            Design::STfim => self.fill_stfim(quad, tex, layout, recs, scratch),
+            Design::ATfim => {
+                for frag in quad {
+                    recs.atfim.push(texpath::atfim_prefix(
+                        &self.sampler,
+                        frag,
+                        tex,
+                        layout,
+                        &mut scratch.offsets,
+                    ));
                 }
             }
         }
     }
 
+    /// Fills `recs` with chunk `k` of `src`.
+    pub fn fill_chunk(
+        &self,
+        src: &ChunkSource<'_>,
+        k: usize,
+        recs: &mut ChunkRecords,
+        scratch: &mut FillScratch,
+    ) {
+        recs.reset();
+        for t in src.plan.tiles(k) {
+            let tile: StreamTile<'_> = src.data.tile(t);
+            for quad in tile.quads() {
+                let i = quad[0].texture.index();
+                self.fill_quad(quad, src.textures[i], &src.layouts[i], recs, scratch);
+            }
+        }
+    }
+
     /// Conventional phase 1: the full sampler pass plus per-fragment
-    /// line dedup — the exact computation `quad_conventional` performs
-    /// before its first cache probe.
-    fn pre_conventional(
+    /// line dedup — everything the conventional path computes before its
+    /// first cache probe.
+    fn fill_conventional(
         &self,
         quad: &[Fragment],
         tex: &MippedTexture,
         layout: &TextureLayout,
-        buf: &mut LanePre,
-        scratch: &mut PreScratch,
+        recs: &mut ChunkRecords,
+        scratch: &mut FillScratch,
     ) {
         for frag in quad {
             let (ddx, ddy) = texpath::texel_derivs(tex, frag);
@@ -176,25 +270,25 @@ impl Precomputer {
                 &mut scratch.line_addrs,
                 &mut scratch.lines,
             );
-            buf.colors.push(info.color);
-            buf.texels.push(texels);
-            buf.aniso.push(info.aniso_ratio);
-            buf.lines.extend_from_slice(&scratch.lines);
-            buf.line_start.push(buf.lines.len() as u32);
+            recs.colors.push(info.color);
+            recs.texels.push(texels);
+            recs.aniso.push(info.aniso_ratio);
+            recs.lines.extend_from_slice(&scratch.lines);
+            recs.line_start.push(recs.lines.len() as u32);
         }
     }
 
     /// S-TFIM phase 1: the sampler pass plus the quad-wide request-line
     /// dedup (first-occurrence order across the quad's fragments).
-    fn pre_stfim(
+    fn fill_stfim(
         &self,
         quad: &[Fragment],
         tex: &MippedTexture,
         layout: &TextureLayout,
-        buf: &mut LanePre,
-        scratch: &mut PreScratch,
+        recs: &mut ChunkRecords,
+        scratch: &mut FillScratch,
     ) {
-        let quad_lines_before = buf.quad_lines.len();
+        let quad_lines_before = recs.quad_lines.len();
         for frag in quad {
             let (ddx, ddy) = texpath::texel_derivs(tex, frag);
             let info = self
@@ -203,92 +297,112 @@ impl Precomputer {
             let texels = info.conventional_texels.max(scratch.fetches.len() as u32);
             layout.texel_line_addrs_into(scratch.fetches.fetches(), &mut scratch.line_addrs);
             for &line in &scratch.line_addrs {
-                if !buf.quad_lines[quad_lines_before..].contains(&line) {
-                    buf.quad_lines.push(line);
+                if !recs.quad_lines[quad_lines_before..].contains(&line) {
+                    recs.quad_lines.push(line);
                 }
             }
-            buf.colors.push(info.color);
-            buf.texels.push(texels);
-            buf.aniso.push(info.aniso_ratio);
+            recs.colors.push(info.color);
+            recs.texels.push(texels);
+            recs.aniso.push(info.aniso_ratio);
         }
-        buf.quad_line_start.push(buf.quad_lines.len() as u32);
+        recs.quad_line_start.push(recs.quad_lines.len() as u32);
     }
 }
 
-/// Per-worker scratch buffers for phase-1 fills (no steady-state
-/// allocation, mirroring the serial path's `PathScratch`).
-#[derive(Debug, Default)]
-pub(crate) struct PreScratch {
-    fetches: FetchSet,
-    line_addrs: Vec<u64>,
-    lines: Vec<u64>,
+/// Everything a chunk fill reads: the stream, its chunk plan, and the
+/// per-texture-index sampled textures and layouts. Shared read-only by
+/// every helper thread.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkSource<'a> {
+    pub data: &'a StreamData,
+    pub plan: &'a ChunkPlan,
+    pub textures: &'a [&'a MippedTexture],
+    pub layouts: &'a [TextureLayout],
 }
 
-/// Resolves the phase-1 worker count for a replay: `lanes` capped to
-/// the cluster count (a lane per cluster is the maximum useful width).
+/// Loads chunk `k`'s records into the buffer the walk holds; `false`
+/// when no records will come (a helper thread died).
+pub(crate) type LoadChunk<'f> = dyn FnMut(usize, &mut ChunkRecords) -> bool + 'f;
+
+/// Resolves a replay's lane count: `lanes` capped to the cluster count,
+/// which bounds the helper threads one replay spawns.
 pub(crate) fn lane_workers(lanes: usize, clusters: usize) -> usize {
     lanes.clamp(1, clusters.max(1))
 }
 
-/// Runs phase 1 for one frame: fills every cluster's [`LanePre`] buffer
-/// across `workers` scoped threads (contiguous cluster chunks — the
-/// round-robin tile partition keeps per-cluster loads near-uniform, so
-/// static chunking balances well). Output is keyed by cluster index and
-/// therefore independent of worker count and scheduling.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn precompute_frame(
-    pre: &Precomputer,
-    data: &StreamData,
-    frame: &FrameEntry,
-    scheduler: &TileScheduler,
-    textures: &[&MippedTexture],
-    layouts: &[TextureLayout],
-    bufs: &mut [LanePre],
-    workers: usize,
-) {
-    let clusters = bufs.len();
-    let workers = lane_workers(workers, clusters);
-    if workers <= 1 {
-        let mut scratch = PreScratch::default();
-        for (lane, buf) in bufs.iter_mut().enumerate() {
-            pre.fill_lane(
-                lane,
-                data,
-                frame,
-                scheduler,
-                textures,
-                layouts,
-                buf,
-                &mut scratch,
-            );
-        }
-        return;
-    }
-    let chunk = clusters.div_ceil(workers);
+/// One-lane replay: runs `walk`, filling each chunk on the calling
+/// thread when the walk asks for it.
+pub(crate) fn fill_inline<R>(
+    filler: &Filler,
+    src: ChunkSource<'_>,
+    walk: impl FnOnce(&mut LoadChunk<'_>) -> R,
+) -> R {
+    let mut scratch = FillScratch::default();
+    let mut load = |k: usize, recs: &mut ChunkRecords| {
+        filler.fill_chunk(&src, k, recs, &mut scratch);
+        true
+    };
+    walk(&mut load)
+}
+
+/// Multi-lane replay: runs `walk` on the calling thread while `helpers`
+/// scoped threads fill chunks ahead of it. Helper `h` fills chunks
+/// `h, h + helpers, …` in order into its own bounded queue, so the walk
+/// receives chunk `k` from queue `k % helpers` with no reordering, and
+/// hands each consumed buffer back to the helper that filled it. Only
+/// channels synchronize the threads.
+pub(crate) fn fill_streamed<R>(
+    filler: &Filler,
+    src: ChunkSource<'_>,
+    helpers: usize,
+    walk: impl FnOnce(&mut LoadChunk<'_>) -> R,
+) -> R {
+    let helpers = helpers.max(1);
     std::thread::scope(|scope| {
-        for (ci, bufs_chunk) in bufs.chunks_mut(chunk).enumerate() {
+        let mut ready = Vec::with_capacity(helpers);
+        let mut spent = Vec::with_capacity(helpers);
+        for h in 0..helpers {
+            let (ready_tx, ready_rx) = mpsc::sync_channel::<ChunkRecords>(QUEUE_DEPTH);
+            let (spent_tx, spent_rx) = mpsc::channel::<ChunkRecords>();
+            ready.push(ready_rx);
+            spent.push(spent_tx);
             scope.spawn(move || {
-                let mut scratch = PreScratch::default();
-                for (bi, buf) in bufs_chunk.iter_mut().enumerate() {
-                    pre.fill_lane(
-                        ci * chunk + bi,
-                        data,
-                        frame,
-                        scheduler,
-                        textures,
-                        layouts,
-                        buf,
-                        &mut scratch,
-                    );
+                let mut scratch = FillScratch::default();
+                for k in (h..src.plan.len()).step_by(helpers) {
+                    let mut recs = spent_rx.try_recv().unwrap_or_default();
+                    filler.fill_chunk(&src, k, &mut recs, &mut scratch);
+                    if ready_tx.send(recs).is_err() {
+                        // The walk stopped early; nobody wants the rest.
+                        return;
+                    }
                 }
             });
         }
-    });
+        // The helper whose buffer the walk holds (none before the
+        // first chunk: that buffer is the walk's own, still empty).
+        let mut held: Option<usize> = None;
+        let mut load = |k: usize, recs: &mut ChunkRecords| {
+            let h = k % helpers;
+            let Ok(fresh) = ready[h].recv() else {
+                return false;
+            };
+            let done = std::mem::replace(recs, fresh);
+            if let Some(owner) = held.replace(h) {
+                // A helper past its last chunk has dropped its receiver;
+                // the buffer is then simply freed.
+                let _ = spent[owner].send(done);
+            }
+            true
+        };
+        walk(&mut load)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
+    use crate::texpath::TexturePath;
     use pimgfx_workloads::{build_scene_unchecked, Game, Resolution, SceneTrace};
 
     fn tiny_scene() -> SceneTrace {
@@ -296,11 +410,17 @@ mod tests {
         profile.floor_quads = 4;
         profile.texture_count = 4;
         profile.facing_props = 1;
-        build_scene_unchecked(&profile, Resolution::R320x240, 1)
+        build_scene_unchecked(&profile, Resolution::R320x240, 2)
+    }
+
+    /// Chunk records as comparable text (the A-TFIM prefix holds f32s,
+    /// so `Debug` is the bit-exact rendering).
+    fn dump(recs: &ChunkRecords) -> String {
+        format!("{recs:?}")
     }
 
     #[test]
-    fn lane_fill_is_worker_count_invariant() {
+    fn chunk_fills_do_not_depend_on_worker_count() {
         let scene = tiny_scene();
         let data = StreamData::build(&scene, SimConfig::default().tile_px, 1).expect("stream");
         let textures: Vec<&MippedTexture> = scene.textures.iter().collect();
@@ -315,44 +435,72 @@ mod tests {
                 TextureLayout::new(t.id(), 0x1000_0000 + ((i as u64) << 20), &dims)
             })
             .collect();
-        let fe = &data.frames[0];
-        let expect: usize = data.frame_tiles(fe).map(|t| t.fragments.len()).sum();
-        for design in [Design::Baseline, Design::STfim] {
-            let config = SimConfig::builder().design(design).build().expect("valid");
-            let pre = Precomputer::new(&config).expect("a phase-1 design");
-            let clusters = config.shader.clusters;
-            let scheduler = TileScheduler::new(clusters, scene.width().div_ceil(config.tile_px));
-            let fill = |workers: usize| {
-                let mut bufs: Vec<LanePre> = (0..clusters).map(|_| LanePre::default()).collect();
-                precompute_frame(
-                    &pre, &data, fe, &scheduler, &textures, &layouts, &mut bufs, workers,
-                );
-                bufs
-            };
-            let serial = fill(1);
-            for workers in [2, 4, 16] {
-                for (a, b) in serial.iter().zip(&fill(workers)) {
-                    assert_eq!(a.colors, b.colors, "{design}");
-                    assert_eq!(a.texels, b.texels, "{design}");
-                    assert_eq!(a.line_start, b.line_start, "{design}");
-                    assert_eq!(a.lines, b.lines, "{design}");
-                    assert_eq!(a.quad_line_start, b.quad_line_start, "{design}");
-                    assert_eq!(a.quad_lines, b.quad_lines, "{design}");
-                }
-            }
-            // Every fragment of the frame landed in exactly one lane.
-            let total: usize = serial.iter().map(|l| l.colors.len()).sum();
-            assert_eq!(total, expect, "{design}");
-        }
-    }
+        let plan = ChunkPlan::new(&data);
+        let src = ChunkSource {
+            data: &data,
+            plan: &plan,
+            textures: &textures,
+            layouts: &layouts,
+        };
 
-    #[test]
-    fn atfim_has_no_phase_one() {
-        let config = SimConfig::builder()
-            .design(Design::ATfim)
-            .build()
-            .expect("valid");
-        assert!(Precomputer::new(&config).is_none());
+        // Every fragment of every frame lands in exactly one chunk, and
+        // chunks tile each frame's tile range in order.
+        let mut fragments = 0usize;
+        for (f, fe) in data.frames.iter().enumerate() {
+            let mut next = data.frame_tile_range(fe).start;
+            for k in plan.frame_chunks(f) {
+                assert_eq!(plan.tiles(k).start, next, "chunk {k} is contiguous");
+                assert!(!plan.tiles(k).is_empty(), "chunk {k} holds a tile");
+                next = plan.tiles(k).end;
+                fragments += plan
+                    .tiles(k)
+                    .map(|t| data.tile(t).fragments.len())
+                    .sum::<usize>();
+            }
+            assert_eq!(next, data.frame_tile_range(fe).end, "frame {f} covered");
+        }
+        let expect: usize = data
+            .frames
+            .iter()
+            .flat_map(|fe| data.frame_tiles(fe))
+            .map(|t| t.fragments.len())
+            .sum();
+        assert_eq!(fragments, expect);
+        assert!(plan.len() > data.frames.len(), "frames split into chunks");
+
+        for design in Design::ALL {
+            let config = SimConfig::builder().design(design).build().expect("valid");
+            let path = TexturePath::new(&config).expect("valid");
+            let filler = Filler::new(design, *path.sampler());
+            let fill = |workers: usize| -> Vec<String> {
+                let walk = |load: &mut LoadChunk<'_>| {
+                    let mut recs = ChunkRecords::default();
+                    (0..plan.len())
+                        .map(|k| {
+                            assert!(load(k, &mut recs), "{design}: chunk {k}");
+                            dump(&recs)
+                        })
+                        .collect()
+                };
+                if workers == 1 {
+                    fill_inline(&filler, src, walk)
+                } else {
+                    fill_streamed(&filler, src, workers, walk)
+                }
+            };
+            let one = fill(1);
+            let recorded: usize = (0..plan.len())
+                .map(|k| {
+                    let mut recs = ChunkRecords::default();
+                    filler.fill_chunk(&src, k, &mut recs, &mut FillScratch::default());
+                    recs.fragments()
+                })
+                .sum();
+            assert_eq!(recorded, expect, "{design}: one record per fragment");
+            for workers in [2, 4, 16] {
+                assert_eq!(one, fill(workers), "{design}: {workers} workers");
+            }
+        }
     }
 
     #[test]

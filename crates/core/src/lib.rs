@@ -48,6 +48,7 @@ pub mod config;
 pub mod design;
 pub mod fxhash;
 pub mod geometry;
+mod lane_equivalence;
 pub(crate) mod lanepre;
 pub mod overhead;
 pub(crate) mod parent_store;

@@ -24,7 +24,7 @@ use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
 use crate::design::Design;
 use crate::geometry;
-use crate::lanepre::{self, LaneCursor, LanePre};
+use crate::lanepre::{self, ChunkPlan, ChunkRecords, ChunkSource, Cursor, Filler, LoadChunk};
 use crate::rop::Rop;
 use crate::stats::{FrameStats, RenderReport};
 use crate::stream::{FragmentStream, StreamData};
@@ -36,12 +36,34 @@ use pimgfx_mem::MemorySystem;
 use pimgfx_quality::FrameImage;
 use pimgfx_raster::RasterStats;
 use pimgfx_shader::{ShaderCores, ShaderProgram, TileScheduler};
-use pimgfx_texture::TextureLayout;
+use pimgfx_texture::{MippedTexture, TextureLayout};
 use pimgfx_types::{ConfigError, F32x4, Result, Rgba};
 use pimgfx_workloads::SceneTrace;
 
 /// Base address of the simulated texture heap.
 const TEXTURE_BASE: u64 = 0x1000_0000;
+
+/// Where the phase-2 walk gets each chunk's phase-1 records.
+enum Feed<'a, 'f> {
+    /// Loaded per chunk by [`lanepre::fill_inline`] or
+    /// [`lanepre::fill_streamed`].
+    Chunks(&'a mut LoadChunk<'f>),
+    /// No records: every quad runs the serial per-quad oracle.
+    #[cfg(test)]
+    Oracle,
+}
+
+/// The texture each texture index samples: the scene's own, or its
+/// transcoded twin under block compression.
+fn sampled_textures<'a>(
+    scene: &'a SceneTrace,
+    transcoded: Option<&'a [MippedTexture]>,
+) -> Vec<&'a MippedTexture> {
+    match transcoded {
+        Some(ts) => ts.iter().collect(),
+        None => scene.textures.iter().collect(),
+    }
+}
 
 /// The assembled simulator for one design point.
 ///
@@ -155,24 +177,24 @@ impl Simulator {
     }
 
     /// Renders from a prebuilt [`FragmentStream`] with the backend's
-    /// pure per-fragment work spread over up to `lanes` worker threads.
+    /// pure per-fragment work spread over up to `lanes` helper threads.
     ///
-    /// The replay runs in two phases per frame. Phase 1 partitions the
-    /// frame's tiles into per-shader-cluster lanes (the partition is
-    /// `TileScheduler::cluster_for` — identical to the serial tile
-    /// assignment) and precomputes every quad's order-independent work
-    /// in parallel: sampler filtering and texel addressing. Phase 2
-    /// then walks the tiles in the original serial order consuming
-    /// those records, so every cache probe, memory-server access, and
-    /// stats increment happens with the same operands in the same
-    /// sequence as
+    /// The replay runs in two phases over chunks: contiguous runs of a
+    /// frame's tiles in stream order. Phase 1 fills each chunk's records
+    /// with its order-independent work — sampler filtering and texel
+    /// addressing, or A-TFIM's footprints, angle tags and parent corner
+    /// lines. Phase 2 walks the tiles in the original order on the
+    /// calling thread, consuming chunk *k* as soon as it is filled, so
+    /// every cache probe, memory-server access, and stats increment
+    /// happens with the same operands in the same sequence as
     /// [`render_replay`](Self::render_replay) — the returned
     /// [`RenderReport`] is byte-identical for any lane count.
     ///
-    /// `lanes <= 1` runs the unchanged serial path (no extra threads,
-    /// no precompute buffers), and so does A-TFIM at any lane count (see
-    /// [`Simulator::replay_lanes`]); lane counts above the cluster count
-    /// are clamped — one lane per cluster is the maximum useful width.
+    /// `lanes <= 1` fills each chunk on the calling thread just before
+    /// the walk consumes it; more lanes run that many helper threads
+    /// ahead of the walk, with a constant bound on the chunks in flight.
+    /// Lane counts above the cluster count are clamped (see
+    /// [`Simulator::replay_lanes`]).
     ///
     /// # Errors
     ///
@@ -198,30 +220,71 @@ impl Simulator {
 
     /// The lane count [`render_replay_lanes`](Self::render_replay_lanes)
     /// actually runs with when asked for `lanes`: clamped to
-    /// `1..=clusters`, and 1 for A-TFIM, whose replay has no phase 1
-    /// (its parent-value reuse depends on live cache state).
+    /// `1..=clusters`.
     pub fn replay_lanes(&self, lanes: usize) -> usize {
-        if self.config.design == Design::ATfim {
-            1
-        } else {
-            lanepre::lane_workers(lanes, self.config.shader.clusters)
-        }
+        lanepre::lane_workers(lanes, self.config.shader.clusters)
     }
 
     /// The variant-specific backend: drives shading, texturing, ROP,
-    /// memory, and energy over an already-built fragment stream. With
-    /// `lanes > 1` the pure per-fragment work runs as a parallel
-    /// phase-1 precompute (see [`crate::lanepre`]); results stay
-    /// byte-identical to the serial path.
+    /// memory, and energy over an already-built fragment stream. Phase
+    /// 1 fills chunk records on the calling thread (`lanes <= 1`) or on
+    /// `lanes` helper threads ahead of the phase-2 walk (see
+    /// [`crate::lanepre`]); results are byte-identical either way.
     fn replay_impl(
         &mut self,
         scene: &SceneTrace,
         data: &StreamData,
         lanes: usize,
     ) -> Result<RenderReport> {
-        // Lay textures out in the simulated address space. With several
-        // HMC cubes, textures go round-robin into per-cube regions so a
-        // whole mip pyramid always lives in one cube (§V-E).
+        let lanes = self.replay_lanes(lanes);
+        self.replay_with(scene, data, |sim, filler, src| {
+            if lanes <= 1 {
+                lanepre::fill_inline(filler, src, |load| sim.walk(scene, src, Feed::Chunks(load)))
+            } else {
+                lanepre::fill_streamed(filler, src, lanes, |load| {
+                    sim.walk(scene, src, Feed::Chunks(load))
+                })
+            }
+        })
+    }
+
+    /// The serial oracle replay: the walk with every quad through the
+    /// serial per-quad pass, no phase-1 records.
+    #[cfg(test)]
+    pub(crate) fn render_replay_oracle(&mut self, stream: &FragmentStream) -> Result<RenderReport> {
+        let scene = stream.scene();
+        self.replay_with(scene, stream.data(), |sim, _, src| {
+            sim.walk(scene, src, Feed::Oracle)
+        })
+    }
+
+    /// Sets up what both phases read — texture layouts, the sampled
+    /// (possibly transcoded) textures, the chunk plan, and the phase-1
+    /// filler — and hands them to `run`.
+    fn replay_with(
+        &mut self,
+        scene: &SceneTrace,
+        data: &StreamData,
+        run: impl FnOnce(&mut Self, &Filler, ChunkSource<'_>) -> Result<RenderReport>,
+    ) -> Result<RenderReport> {
+        let layouts = self.layouts(scene);
+        let transcoded = self.transcoded(scene);
+        let textures = sampled_textures(scene, transcoded.as_deref());
+        let plan = ChunkPlan::new(data);
+        let src = ChunkSource {
+            data,
+            plan: &plan,
+            textures: &textures,
+            layouts: &layouts,
+        };
+        let filler = Filler::new(self.config.design, *self.texture.sampler());
+        run(self, &filler, src)
+    }
+
+    /// Lays the scene's textures out in the simulated address space.
+    /// With several HMC cubes, textures go round-robin into per-cube
+    /// regions so a whole mip pyramid always lives in one cube (§V-E).
+    fn layouts(&self, scene: &SceneTrace) -> Vec<TextureLayout> {
         let cubes = self.mem.cube_count().max(1) as u64;
         let mut layouts: Vec<TextureLayout> = Vec::with_capacity(scene.textures.len());
         let mut next_offset = vec![0u64; cubes as usize];
@@ -237,25 +300,37 @@ impl Simulator {
             next_offset[cube as usize] += layout.total_bytes().next_multiple_of(4096);
             layouts.push(layout);
         }
+        layouts
+    }
 
-        // Optional block compression: transcode the textures through the
-        // codec so the functional renderer samples the lossy texels the
-        // hardware would read.
-        let transcoded: Option<Vec<pimgfx_texture::MippedTexture>> =
-            self.config.compressed_textures.then(|| {
-                scene
-                    .textures
-                    .iter()
-                    .map(|t| pimgfx_texture::CompressedTexture::encode(t).decode(t))
-                    .collect()
-            });
-        let texture_of = |id: pimgfx_types::TextureId| -> &pimgfx_texture::MippedTexture {
-            match &transcoded {
-                Some(ts) => &ts[id.index()],
-                None => scene.texture(id),
-            }
-        };
+    /// Optional block compression: the textures transcoded through the
+    /// codec, so the functional renderer samples the lossy texels the
+    /// hardware would read.
+    fn transcoded(&self, scene: &SceneTrace) -> Option<Vec<MippedTexture>> {
+        self.config.compressed_textures.then(|| {
+            scene
+                .textures
+                .iter()
+                .map(|t| pimgfx_texture::CompressedTexture::encode(t).decode(t))
+                .collect()
+        })
+    }
 
+    /// The phase-2 walk: geometry, then every frame's tiles in stream
+    /// order with their texture quads, the ROP, and the report. `feed`
+    /// supplies each chunk's phase-1 records.
+    fn walk(
+        &mut self,
+        scene: &SceneTrace,
+        src: ChunkSource<'_>,
+        mut feed: Feed<'_, '_>,
+    ) -> Result<RenderReport> {
+        let ChunkSource {
+            data,
+            plan,
+            textures,
+            ..
+        } = src;
         let width = scene.width();
         let height = scene.height();
         let mut rop = Rop::new(width, height, self.config.tile_px);
@@ -275,35 +350,11 @@ impl Simulator {
         let mut trace_snapshot = StageTrace::new();
         let mut window_stalls = 0u64;
         let mut quad_results: Vec<(Rgba, Cycle)> = Vec::new();
+        let mut recs = ChunkRecords::default();
 
         let lane_kernels = self.config.sampler.kernels.is_lanes();
 
-        // Cluster-parallel replay: phase-1 lane precompute state. With
-        // one lane the serial path below runs unchanged and none of
-        // this allocates.
-        let lanes = self.replay_lanes(lanes);
-        let precomputer = if lanes > 1 {
-            lanepre::Precomputer::new(&self.config)
-        } else {
-            None
-        };
-        let use_lanes = precomputer.is_some();
-        let mut lane_bufs: Vec<LanePre> = if use_lanes {
-            (0..self.config.shader.clusters)
-                .map(|_| LanePre::default())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut lane_cursors: Vec<LaneCursor> =
-            vec![LaneCursor::default(); self.config.shader.clusters];
-        let lane_textures: Vec<&pimgfx_texture::MippedTexture> = if use_lanes {
-            scene.textures.iter().map(|t| texture_of(t.id())).collect()
-        } else {
-            Vec::new()
-        };
-
-        for fe in &data.frames {
+        for (f, fe) in data.frames.iter().enumerate() {
             let frame_start = clock;
             rop.begin_frame();
             image.fill(Rgba::BLACK);
@@ -323,86 +374,87 @@ impl Simulator {
             let mut windows: Vec<InFlightWindow> = (0..self.config.shader.clusters)
                 .map(|_| InFlightWindow::new(TILE_WINDOW, geom_done))
                 .collect();
-            if let Some(pre) = &precomputer {
-                // Phase 1: precompute this frame's pure per-fragment
-                // work across lane worker threads; phase 2 (the serial
-                // tile walk below) consumes the records in the original
-                // order, keeping all shared state byte-identical.
-                lanepre::precompute_frame(
-                    pre,
-                    data,
-                    fe,
-                    &scheduler,
-                    &lane_textures,
-                    &layouts,
-                    &mut lane_bufs,
-                    lanes,
-                );
-                for c in lane_cursors.iter_mut() {
-                    *c = LaneCursor::default();
+            for k in plan.frame_chunks(f) {
+                let mut cursor = Cursor::default();
+                let loaded = match &mut feed {
+                    Feed::Chunks(load) => load(k, &mut recs),
+                    #[cfg(test)]
+                    Feed::Oracle => true,
+                };
+                if !loaded {
+                    return Err(ConfigError::new(
+                        "simulator",
+                        "a replay helper thread stopped before filling its chunks",
+                    ));
                 }
-            }
-            for tile in data.frame_tiles(fe) {
-                let cluster = scheduler.cluster_for(tile.coord);
-                let issue_at = windows[cluster].gate_from(geom_done);
-                let alu_done = self.cores.shade_fragments(
-                    cluster,
-                    issue_at,
-                    tile.fragments.len() as u64,
-                    &fragment_program,
-                );
-                let mut tile_done = alu_done;
-                // Texture requests are issued at 2x2-quad granularity
-                // (the texture unit serves whole fragment groups); the
-                // stream stores each tile's fragments quad-contiguously,
-                // in the same first-occurrence quad order the simulator
-                // always issued.
-                for quad in tile.quads() {
-                    let tex = texture_of(quad[0].texture);
-                    let layout = &layouts[quad[0].texture.index()];
-                    if use_lanes {
-                        self.texture.sample_quad_pre(
-                            cluster,
-                            issue_at,
-                            quad,
-                            tex,
-                            layout,
-                            &mut self.mem,
-                            &lane_bufs[cluster],
-                            &mut lane_cursors[cluster],
-                            &mut quad_results,
-                        );
-                    } else {
-                        self.texture.sample_quad_into(
-                            cluster,
-                            issue_at,
-                            quad,
-                            tex,
-                            layout,
-                            &mut self.mem,
-                            &mut quad_results,
-                        );
-                    }
-                    if lane_kernels {
-                        // Lane-clamped retire: fold the quad's
-                        // displayable-range clamp into channel-major
-                        // F32x4 passes before the order-sensitive
-                        // scalar writes below. Per-lane clamp is
-                        // bit-identical to `Rgba::clamped` (see
-                        // `pimgfx_types::lanes`).
-                        for r in quad_results.iter_mut() {
-                            r.0 = F32x4::from_rgba(r.0).clamp01().to_rgba();
+                for t in plan.tiles(k) {
+                    let tile = data.tile(t);
+                    let cluster = scheduler.cluster_for(tile.coord);
+                    let issue_at = windows[cluster].gate_from(geom_done);
+                    let alu_done = self.cores.shade_fragments(
+                        cluster,
+                        issue_at,
+                        tile.fragments.len() as u64,
+                        &fragment_program,
+                    );
+                    let mut tile_done = alu_done;
+                    // Texture requests are issued at 2x2-quad granularity
+                    // (the texture unit serves whole fragment groups); the
+                    // stream stores each tile's fragments quad-contiguously,
+                    // in the same first-occurrence quad order the simulator
+                    // always issued.
+                    for quad in tile.quads() {
+                        let i = quad[0].texture.index();
+                        match feed {
+                            Feed::Chunks(_) => self.texture.sample_quad_rec(
+                                cluster,
+                                issue_at,
+                                quad.len(),
+                                textures[i],
+                                &recs,
+                                &mut cursor,
+                                &mut self.mem,
+                                &mut quad_results,
+                            ),
+                            #[cfg(test)]
+                            Feed::Oracle => self.texture.sample_quad_oracle(
+                                cluster,
+                                issue_at,
+                                quad,
+                                textures[i],
+                                &src.layouts[i],
+                                &mut self.mem,
+                                &mut quad_results,
+                            ),
+                        }
+                        if lane_kernels {
+                            // Lane-clamped retire: fold the quad's
+                            // displayable-range clamp into channel-major
+                            // F32x4 passes before the order-sensitive
+                            // scalar writes below. Per-lane clamp is
+                            // bit-identical to `Rgba::clamped` (see
+                            // `pimgfx_types::lanes`).
+                            for r in quad_results.iter_mut() {
+                                r.0 = F32x4::from_rgba(r.0).clamp01().to_rgba();
+                            }
+                        }
+                        for (frag, &(color, done)) in quad.iter().zip(&quad_results) {
+                            tile_done = tile_done.max(done);
+                            let color = if lane_kernels { color } else { color.clamped() };
+                            image.put(frag.x, frag.y, color);
+                            rop.retire(frag);
                         }
                     }
-                    for (frag, &(color, done)) in quad.iter().zip(&quad_results) {
-                        tile_done = tile_done.max(done);
-                        let color = if lane_kernels { color } else { color.clamped() };
-                        image.put(frag.x, frag.y, color);
-                        rop.retire(frag);
-                    }
+                    windows[cluster].retire(tile_done);
+                    frame_end = frame_end.max(tile_done);
                 }
-                windows[cluster].retire(tile_done);
-                frame_end = frame_end.max(tile_done);
+                match feed {
+                    Feed::Chunks(_) => {
+                        debug_assert_eq!(cursor.frag, recs.fragments(), "chunk {k} consumed");
+                    }
+                    #[cfg(test)]
+                    Feed::Oracle => {}
+                }
             }
 
             // 3. ROP write-back.

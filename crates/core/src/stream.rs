@@ -346,8 +346,10 @@ impl StreamData {
         Ok(data)
     }
 
-    /// One tile entry resolved against its chunk.
-    fn tile(&self, te: &TileEntry) -> StreamTile<'_> {
+    /// Tile `i` of the tile directory (frame-major, row-major within a
+    /// frame), resolved against its chunk.
+    pub(crate) fn tile(&self, i: usize) -> StreamTile<'_> {
+        let te = &self.tiles[i];
         let chunk = &self.chunks[te.chunk as usize];
         StreamTile {
             coord: te.coord,
@@ -358,14 +360,17 @@ impl StreamData {
         }
     }
 
+    /// The tile-directory indices of one frame's binned tiles.
+    pub(crate) fn frame_tile_range(&self, fe: &FrameEntry) -> Range<usize> {
+        fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize
+    }
+
     /// The binned tiles of one frame, in row-major order.
     pub(crate) fn frame_tiles<'a>(
         &'a self,
         fe: &FrameEntry,
     ) -> impl Iterator<Item = StreamTile<'a>> + 'a {
-        self.tiles[fe.tile_start as usize..(fe.tile_start + fe.tile_len) as usize]
-            .iter()
-            .map(|te| self.tile(te))
+        self.frame_tile_range(fe).map(|i| self.tile(i))
     }
 }
 

@@ -22,7 +22,7 @@
 use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
 use crate::design::Design;
-use crate::lanepre::{LaneCursor, LanePre};
+use crate::lanepre::{ChunkRecords, Cursor, FillScratch, Filler};
 use crate::parent_store::ParentStore;
 use crate::stats::TextureStats;
 use crate::texunit::TextureUnits;
@@ -32,7 +32,7 @@ use pimgfx_mem::{packet, MemRequest, MemorySystem, TrafficClass};
 use pimgfx_pim::{AtfimLogicLayer, MtuBank, OffloadUnit, ParentFetchBatch, TextureRequest};
 use pimgfx_raster::Fragment;
 use pimgfx_texture::{
-    filter, CacheOutcome, FetchSet, MippedTexture, Sampler, SamplerConfig, TextureCache,
+    filter, CacheOutcome, Footprint, MippedTexture, Sampler, SamplerConfig, TextureCache,
     TextureLayout,
 };
 use pimgfx_types::{Radians, Result, Rgba, Vec2};
@@ -46,16 +46,16 @@ const L2_HIT_CYCLES: u64 = 8;
 /// the steady-state sampling loop performs no heap allocation.
 #[derive(Debug, Default)]
 struct PathScratch {
-    /// Fetch-trace recorder for [`Sampler::sample_into`].
-    fetches: FetchSet,
-    /// Per-fetch line addresses (batch-computed, pre-dedup).
-    line_addrs: Vec<u64>,
-    /// Deduplicated line addresses of one fragment's fetch trace.
-    lines: Vec<u64>,
+    /// Phase-1 scratch of the per-quad entry point
+    /// ([`TexturePath::sample_quad_into`]).
+    fill: FillScratch,
+    /// One quad's phase-1 records, for the same entry point.
+    recs: ChunkRecords,
     /// Quad-wide deduplicated request lines (S-TFIM); drained into the
     /// MTU request each quad and its capacity reclaimed afterwards.
     stfim_lines: Vec<u64>,
-    /// Probe offsets of the current anisotropic kernel.
+    /// Probe offsets of the anisotropic kernel an A-TFIM parent
+    /// recompute averages over.
     offsets: Vec<(i64, i64)>,
     /// Quad-level deduplicated offload miss lines (A-TFIM).
     quad_miss: Vec<u64>,
@@ -166,6 +166,130 @@ impl ParentLines {
             plain_miss_lines: self.plain_misses,
             aniso_ratio,
             major_axis_x,
+        }
+    }
+}
+
+/// Bilinear corner offsets, in the order every A-TFIM corner array
+/// uses.
+const CORNERS: [(i64, i64); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
+
+/// One mip level of an A-TFIM fragment's pure prefix.
+#[derive(Debug, Clone, Copy, Default)]
+struct AtfimLevel {
+    level: u8,
+    /// Probe-offset divisor: 1 at the fine level, 2 at the coarse one.
+    div: u8,
+    /// Every probe of the kernel lands on the parent texel itself: the
+    /// corners are plain texel reads, no child set exists.
+    degenerate: bool,
+    /// Unwrapped bilinear base texel.
+    base: (i64, i64),
+    /// Bilinear weights.
+    fx: f32,
+    fy: f32,
+    /// Wrapped texel columns of the left and right corners.
+    xs: [u32; 2],
+    /// Wrapped texel rows of the top and bottom corners.
+    ys: [u32; 2],
+    /// Cache line of each corner.
+    lines: [u64; 4],
+}
+
+/// The pure prefix of the A-TFIM GPU-side pass for one fragment: all
+/// of it depends on the fragment, the texture and its layout only, so
+/// phase 1 computes it on any thread. Nothing here is speculative — the
+/// reuse-or-recompute decision needs live cache and parent-store state
+/// and stays in [`TexturePath::atfim_fragment_rest`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AtfimPrefix {
+    fp: Footprint,
+    /// The camera-angle tag the parent lines are probed with.
+    angle: Radians,
+    /// Probe-offset scale of the fine level (both levels use it).
+    fine_scale: f32,
+    /// Fine-to-coarse blend weight.
+    w: f32,
+    /// The fine level, then the coarse one when `two_levels`.
+    levels: [AtfimLevel; 2],
+    two_levels: bool,
+}
+
+/// The A-TFIM phase-1 prefix of `frag`: texel derivatives, footprint,
+/// mip levels and blend weight, angle tag, and per level the bilinear
+/// base and weights, the degenerate-kernel flag and the four wrapped
+/// corners with their line addresses. `offsets` is scratch.
+pub(crate) fn atfim_prefix(
+    sampler: &Sampler,
+    frag: &Fragment,
+    tex: &MippedTexture,
+    layout: &TextureLayout,
+    offsets: &mut Vec<(i64, i64)>,
+) -> AtfimPrefix {
+    let (ddx, ddy) = texel_derivs(tex, frag);
+    let fp = sampler.footprint(ddx, ddy);
+    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+    // The cached tag must identify the *child-texel set* a parent was
+    // computed with (paper Fig. 8: same address, different camera
+    // angles => different child sets). The pixel's camera angle
+    // induces both angular degrees of freedom of that set — the
+    // anisotropy line's orientation in texture space and its
+    // obliqueness (which fixes the span) — so the tag encodes both:
+    // the orientation doubled (so its natural period π matches the
+    // 2π circular comparison) plus the surface camera angle.
+    let orientation = fp.major_axis.y.atan2(fp.major_axis.x);
+    let angle = Radians::new(
+        2.0 * orientation.rem_euclid(std::f32::consts::PI) + frag.camera_angle.as_f32(),
+    );
+    let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+    let mut level = |level: usize, div: u8| -> AtfimLevel {
+        let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
+        let img = tex.level(level);
+        let wrap = tex.wrap();
+        atfim_offsets(&fp, fine_scale, div, offsets);
+        let xs = [wrap.wrap(x0, img.width()), wrap.wrap(x0 + 1, img.width())];
+        let ys = [wrap.wrap(y0, img.height()), wrap.wrap(y0 + 1, img.height())];
+        AtfimLevel {
+            level: level as u8,
+            div,
+            // Degenerate kernel: every probe lands on the parent texel
+            // itself (common at the coarser of the two blended levels).
+            // The "average over children" is then exactly the texel — no
+            // child set exists, so there is nothing to offload and no
+            // camera angle to compare: it is an ordinary texel fetch.
+            degenerate: offsets.iter().all(|&o| o == (0, 0)),
+            base: (x0, y0),
+            fx,
+            fy,
+            xs,
+            ys,
+            lines: CORNERS
+                .map(|(cx, cy)| layout.texel_line_addr(xs[cx as usize], ys[cy as usize], level)),
+        }
+    };
+    let two_levels = coarse != fine && w != 0.0;
+    let mut levels = [level(fine, 1), AtfimLevel::default()];
+    if two_levels {
+        levels[1] = level(coarse, 2);
+    }
+    AtfimPrefix {
+        fp,
+        angle,
+        fine_scale,
+        w,
+        levels,
+        two_levels,
+    }
+}
+
+/// The probe offsets of an A-TFIM kernel at one level: the footprint's
+/// anisotropic probes at the fine level's scale, divided by `div`.
+fn atfim_offsets(fp: &Footprint, fine_scale: f32, div: u8, out: &mut Vec<(i64, i64)>) {
+    filter::probe_offsets_into(fp, fp.aniso_ratio, fine_scale, out);
+    let div = i64::from(div);
+    if div != 1 {
+        for o in out.iter_mut() {
+            *o = (o.0 / div, o.1 / div);
         }
     }
 }
@@ -302,7 +426,9 @@ impl TexturePath {
 
     /// Allocation-free variant of [`TexturePath::sample_quad`]: clears
     /// `out` and fills it with one `(color, completion)` per fragment,
-    /// letting the hot replay loop reuse a single buffer across quads.
+    /// letting a caller reuse a single buffer across quads. Runs the
+    /// quad's phase 1 and then its phase 2 on the calling thread — the
+    /// same two halves a streamed replay splits across threads.
     ///
     /// # Panics
     ///
@@ -320,59 +446,60 @@ impl TexturePath {
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         assert!(!frags.is_empty(), "a quad needs at least one fragment");
-        debug_assert!(frags.iter().all(|f| f.texture == frags[0].texture));
-
-        out.clear();
-        match self.design {
-            Design::Baseline | Design::BPim => {
-                self.quad_conventional(cluster, issue, frags, tex, layout, mem, out);
-            }
-            Design::STfim => self.quad_stfim(cluster, issue, frags, tex, layout, mem, out),
-            Design::ATfim => self.quad_atfim(cluster, issue, frags, tex, layout, mem, out),
-        }
-        for (_, done) in out.iter() {
-            self.stats.samples += 1;
-            self.stats.latency_cycles += done.since(issue).get();
-        }
+        let mut recs = std::mem::take(&mut self.scratch.recs);
+        let mut fill = std::mem::take(&mut self.scratch.fill);
+        recs.reset();
+        Filler::new(self.design, self.sampler).fill_quad(frags, tex, layout, &mut recs, &mut fill);
+        let mut cursor = Cursor::default();
+        self.sample_quad_rec(
+            cluster,
+            issue,
+            frags.len(),
+            tex,
+            &recs,
+            &mut cursor,
+            mem,
+            out,
+        );
+        self.scratch.recs = recs;
+        self.scratch.fill = fill;
     }
 
-    /// Phase-2 twin of [`TexturePath::sample_quad_into`] for
-    /// cluster-parallel replay: consumes one precomputed record per
-    /// fragment from the quad's lane buffer instead of re-running the
-    /// pure sampling math, then drives the identical order-sensitive
-    /// tail (caches, servers, stats). Byte-identical to the serial
-    /// entry point by construction — see `crate::lanepre`. A-TFIM has
-    /// no phase-1 records and runs its serial pass.
+    /// Phase 2 of one quad: consumes the quad's `frag_count` phase-1
+    /// records at `cursor` and drives the order-sensitive rest — caches,
+    /// parent store, servers, stats — clearing `out` and filling it with
+    /// one `(color, completion)` per fragment. Byte-identical to the
+    /// serial per-quad pass by construction; see `crate::lanepre`.
     ///
     /// # Panics
     ///
-    /// Panics if `frags` is empty or the lane buffer runs dry (a lane
-    /// partition mismatch between phases — a bug by definition).
+    /// Panics if the records run dry (a chunk partition mismatch between
+    /// the phases — a bug by definition).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sample_quad_pre(
+    pub(crate) fn sample_quad_rec(
         &mut self,
         cluster: usize,
         issue: Cycle,
-        frags: &[Fragment],
+        frag_count: usize,
         tex: &MippedTexture,
-        layout: &TextureLayout,
+        recs: &ChunkRecords,
+        cursor: &mut Cursor,
         mem: &mut MemoryBackend,
-        pre: &LanePre,
-        cursor: &mut LaneCursor,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        assert!(!frags.is_empty(), "a quad needs at least one fragment");
-        debug_assert!(frags.iter().all(|f| f.texture == frags[0].texture));
-
         out.clear();
         match self.design {
             Design::Baseline | Design::BPim => {
-                self.quad_conventional_pre(cluster, issue, frags.len(), mem, pre, cursor, out);
+                self.quad_conventional_rec(cluster, issue, frag_count, mem, recs, cursor, out);
             }
             Design::STfim => {
-                self.quad_stfim_pre(cluster, issue, frags.len(), mem, pre, cursor, out)
+                self.quad_stfim_rec(cluster, issue, frag_count, mem, recs, cursor, out);
             }
-            Design::ATfim => self.quad_atfim(cluster, issue, frags, tex, layout, mem, out),
+            Design::ATfim => {
+                let pres = &recs.atfim[cursor.frag..cursor.frag + frag_count];
+                cursor.frag += frag_count;
+                self.quad_atfim_rec(cluster, issue, pres, tex, mem, out);
+            }
         }
         for (_, done) in out.iter() {
             self.stats.samples += 1;
@@ -380,27 +507,27 @@ impl TexturePath {
         }
     }
 
-    /// Conventional phase-2 consume: stored color/texel/line records in,
-    /// the shared [`TexturePath::conventional_fragment`] tail out.
+    /// Conventional phase 2: stored color/texel/line records in, the
+    /// [`TexturePath::conventional_fragment`] tail out.
     #[allow(clippy::too_many_arguments)]
-    fn quad_conventional_pre(
+    fn quad_conventional_rec(
         &mut self,
         cluster: usize,
         issue: Cycle,
         frag_count: usize,
         mem: &mut MemoryBackend,
-        pre: &LanePre,
-        cursor: &mut LaneCursor,
+        recs: &ChunkRecords,
+        cursor: &mut Cursor,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         for i in cursor.frag..cursor.frag + frag_count {
-            let lines = &pre.lines[pre.line_start[i] as usize..pre.line_start[i + 1] as usize];
+            let lines = &recs.lines[recs.line_start[i] as usize..recs.line_start[i + 1] as usize];
             self.conventional_fragment(
                 cluster,
                 issue,
-                pre.texels[i],
-                pre.aniso[i],
-                pre.colors[i],
+                recs.texels[i],
+                recs.aniso[i],
+                recs.colors[i],
                 lines,
                 mem,
                 out,
@@ -409,76 +536,37 @@ impl TexturePath {
         cursor.frag += frag_count;
     }
 
-    /// S-TFIM phase-2 consume: stored colors and the quad's
-    /// deduplicated request lines in, the shared
-    /// [`TexturePath::stfim_quad_tail`] out.
+    /// S-TFIM phase 2: stored colors and the quad's deduplicated request
+    /// lines in, the [`TexturePath::stfim_quad_tail`] out.
     #[allow(clippy::too_many_arguments)]
-    fn quad_stfim_pre(
+    fn quad_stfim_rec(
         &mut self,
         cluster: usize,
         issue: Cycle,
         frag_count: usize,
         mem: &mut MemoryBackend,
-        pre: &LanePre,
-        cursor: &mut LaneCursor,
+        recs: &ChunkRecords,
+        cursor: &mut Cursor,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         let mut texel_total = 0u32;
         for i in cursor.frag..cursor.frag + frag_count {
-            let texels = pre.texels[i];
+            let texels = recs.texels[i];
             self.stats.conventional_texels += u64::from(texels);
-            self.stats.record_aniso(pre.aniso[i]);
+            self.stats.record_aniso(recs.aniso[i]);
             texel_total += texels;
             // Completion is quad-wide and not known yet; patched by the
-            // tail, exactly like the serial path.
-            out.push((pre.colors[i], issue));
+            // tail.
+            out.push((recs.colors[i], issue));
         }
         let q = cursor.quad;
-        let lines =
-            &pre.quad_lines[pre.quad_line_start[q] as usize..pre.quad_line_start[q + 1] as usize];
+        let lines = &recs.quad_lines
+            [recs.quad_line_start[q] as usize..recs.quad_line_start[q + 1] as usize];
         self.scratch.stfim_lines.clear();
         self.scratch.stfim_lines.extend_from_slice(lines);
         cursor.frag += frag_count;
         cursor.quad += 1;
         self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
-    }
-
-    /// Baseline / B-PIM: full filtering on the GPU texture unit.
-    #[allow(clippy::too_many_arguments)]
-    fn quad_conventional(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frags: &[Fragment],
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        mem: &mut MemoryBackend,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let sampler = self.sampler;
-        for frag in frags {
-            let (ddx, ddy) = texel_derivs(tex, frag);
-            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fetches);
-            let texels = info.conventional_texels.max(scratch.fetches.len() as u32);
-            dedup_lines_into(
-                scratch.fetches.fetches(),
-                layout,
-                &mut scratch.line_addrs,
-                &mut scratch.lines,
-            );
-            self.conventional_fragment(
-                cluster,
-                issue,
-                texels,
-                info.aniso_ratio,
-                info.color,
-                &scratch.lines,
-                mem,
-                out,
-            );
-        }
-        self.scratch = scratch;
     }
 
     /// The order-sensitive conventional per-fragment tail — address
@@ -508,43 +596,6 @@ impl TexturePath {
         self.stats.texels_filtered_gpu += u64::from(texels);
         let done = self.units.filter(cluster, data_ready, texels);
         out.push((color, done));
-    }
-
-    /// S-TFIM: one request package per quad to the cluster's MTU; the
-    /// filtered textures come back in one response.
-    #[allow(clippy::too_many_arguments)]
-    fn quad_stfim(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frags: &[Fragment],
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        mem: &mut MemoryBackend,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let sampler = self.sampler;
-        scratch.stfim_lines.clear();
-        let mut texel_total = 0u32;
-        for frag in frags {
-            let (ddx, ddy) = texel_derivs(tex, frag);
-            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fetches);
-            let texels = info.conventional_texels.max(scratch.fetches.len() as u32);
-            self.stats.conventional_texels += u64::from(texels);
-            self.stats.record_aniso(info.aniso_ratio);
-            texel_total += texels;
-            layout.texel_line_addrs_into(scratch.fetches.fetches(), &mut scratch.line_addrs);
-            for &line in &scratch.line_addrs {
-                if !scratch.stfim_lines.contains(&line) {
-                    scratch.stfim_lines.push(line);
-                }
-            }
-            // Completion is quad-wide and not known yet; patched below.
-            out.push((info.color, issue));
-        }
-        self.scratch = scratch;
-        self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
     }
 
     /// The order-sensitive S-TFIM quad tail — package to the MTU bank,
@@ -593,25 +644,23 @@ impl TexturePath {
         }
     }
 
-    /// A-TFIM: parent texels through angle-tagged caches; quad-level
-    /// misses offloaded in one package to the logic layer.
-    #[allow(clippy::too_many_arguments)]
-    fn quad_atfim(
+    /// A-TFIM phase 2: parent texels through angle-tagged caches from
+    /// the quad's recorded prefixes; quad-level misses offloaded in one
+    /// package to the logic layer.
+    fn quad_atfim_rec(
         &mut self,
         cluster: usize,
         issue: Cycle,
-        frags: &[Fragment],
+        pres: &[AtfimPrefix],
         tex: &MippedTexture,
-        layout: &TextureLayout,
         mem: &mut MemoryBackend,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        // GPU-side functional + cache pass, per fragment.
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut parts = std::mem::take(&mut scratch.parts);
         parts.clear();
-        for f in frags {
-            parts.push(self.atfim_fragment(cluster, f, tex, layout, &mut scratch));
+        for pre in pres {
+            parts.push(self.atfim_fragment_rest(cluster, pre, tex, &mut scratch.offsets));
         }
         self.atfim_quad_tail(cluster, issue, &parts, mem, out, &mut scratch);
         scratch.parts = parts;
@@ -713,101 +762,84 @@ impl TexturePath {
         }
     }
 
-    /// The A-TFIM GPU-side pass for one fragment: probe angle-tagged
-    /// caches, reuse or recompute parent values, and report the misses.
-    fn atfim_fragment(
+    /// The order-sensitive rest of the A-TFIM GPU-side pass for one
+    /// fragment: probe the angle-tagged caches for its recorded parent
+    /// lines, reuse or recompute each parent value, and report the
+    /// misses. `offsets` is scratch for the recompute.
+    fn atfim_fragment_rest(
         &mut self,
         cluster: usize,
-        frag: &Fragment,
+        pre: &AtfimPrefix,
         tex: &MippedTexture,
-        layout: &TextureLayout,
-        scratch: &mut PathScratch,
+        offsets: &mut Vec<(i64, i64)>,
     ) -> AtfimFragment {
-        let (ddx, ddy) = texel_derivs(tex, frag);
-        let fp = self.sampler.footprint(ddx, ddy);
-        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-        // The cached tag must identify the *child-texel set* a parent was
-        // computed with (paper Fig. 8: same address, different camera
-        // angles => different child sets). The pixel's camera angle
-        // induces both angular degrees of freedom of that set — the
-        // anisotropy line's orientation in texture space and its
-        // obliqueness (which fixes the span) — so the tag encodes both:
-        // the orientation doubled (so its natural period π matches the
-        // 2π circular comparison) plus the surface camera angle.
-        let orientation = fp.major_axis.y.atan2(fp.major_axis.x);
-        let angle = Radians::new(
-            2.0 * orientation.rem_euclid(std::f32::consts::PI) + frag.camera_angle.as_f32(),
-        );
+        let fp = &pre.fp;
         self.stats.conventional_texels += u64::from(fp.conventional_texel_count());
         self.stats.record_aniso(fp.aniso_ratio);
-
-        let lanes = self.sampler.config().kernels.is_lanes();
         let mut lines = ParentLines::default();
-        let mut level_color =
-            |path: &mut Self, scratch: &mut PathScratch, level: usize, div: i64| -> Rgba {
-                let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
-                let img = tex.level(level);
-                let wrap = tex.wrap();
-                let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
-                if div != 1 {
-                    for o in scratch.offsets.iter_mut() {
-                        *o = (o.0 / div, o.1 / div);
-                    }
-                }
-                let offsets = &scratch.offsets;
-                // Degenerate kernel: every probe lands on the parent texel
-                // itself (common at the coarser of the two blended levels).
-                // The "average over children" is then exactly the texel — no
-                // child set exists, so there is nothing to offload and no
-                // camera angle to compare: it is an ordinary texel fetch.
-                let degenerate = offsets.iter().all(|&o| o == (0, 0));
-                let mut corners = [Rgba::TRANSPARENT; 4];
-                for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let wx = wrap.wrap(x0 + cx, img.width());
-                    let wy = wrap.wrap(y0 + cy, img.height());
-                    let line = layout.texel_line_addr(wx, wy, level);
-                    let (hit, block) = path.probe_parent_line(
-                        cluster,
-                        &mut lines,
-                        line,
-                        degenerate,
-                        angle,
-                        tex,
-                        level,
-                        (wx, wy),
-                    );
-                    corners[ci] = path.parent_value(block, wx, wy, hit, angle, || {
-                        // Bit-identical kernel pair; the lane variant
-                        // accumulates channel-major (see
-                        // `pimgfx_texture::filter` lane kernels).
-                        if lanes {
-                            filter::average_children_lanes(tex, x0 + cx, y0 + cy, level, offsets)
-                        } else {
-                            filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
-                        }
-                    });
-                }
-                corners[0]
-                    .lerp(corners[1], fx)
-                    .lerp(corners[2].lerp(corners[3], fx), fy)
-            };
-
-        let c_fine = level_color(self, scratch, fine, 1);
-        let color = if coarse == fine || w == 0.0 {
-            c_fine
+        let c_fine = self.atfim_level_color(cluster, pre, &pre.levels[0], tex, &mut lines, offsets);
+        let color = if pre.two_levels {
+            let c_coarse =
+                self.atfim_level_color(cluster, pre, &pre.levels[1], tex, &mut lines, offsets);
+            c_fine.lerp(c_coarse, pre.w)
         } else {
-            let c_coarse = level_color(self, scratch, coarse, 2);
-            c_fine.lerp(c_coarse, w)
+            c_fine
         };
         lines.finish(
             color,
             fp.aniso_ratio,
             fp.major_axis.x.abs() >= fp.major_axis.y.abs(),
         )
+    }
+
+    /// One level's bilinear blend of four parent values, each reused
+    /// from the store or recomputed. A recompute rebuilds the kernel's
+    /// probe offsets from the recorded footprint with the f32 ops
+    /// phase 1 ran, so it averages the same children to the same bits.
+    fn atfim_level_color(
+        &mut self,
+        cluster: usize,
+        pre: &AtfimPrefix,
+        lv: &AtfimLevel,
+        tex: &MippedTexture,
+        lines: &mut ParentLines,
+        offsets: &mut Vec<(i64, i64)>,
+    ) -> Rgba {
+        let level = usize::from(lv.level);
+        let lane_kernels = self.sampler.config().kernels.is_lanes();
+        let mut have_offsets = false;
+        let mut corners = [Rgba::TRANSPARENT; 4];
+        for (ci, (cx, cy)) in CORNERS.into_iter().enumerate() {
+            let (wx, wy) = (lv.xs[cx as usize], lv.ys[cy as usize]);
+            let (hit, block) = self.probe_parent_line(
+                cluster,
+                lines,
+                lv.lines[ci],
+                lv.degenerate,
+                pre.angle,
+                tex,
+                level,
+                (wx, wy),
+            );
+            corners[ci] = self.parent_value(block, wx, wy, hit, pre.angle, || {
+                if !have_offsets {
+                    atfim_offsets(&pre.fp, pre.fine_scale, lv.div, offsets);
+                    have_offsets = true;
+                }
+                let (x, y) = (lv.base.0 + cx, lv.base.1 + cy);
+                // Bit-identical kernel pair; the lane variant
+                // accumulates channel-major (see `pimgfx_texture::filter`
+                // lane kernels).
+                if lane_kernels {
+                    filter::average_children_lanes(tex, x, y, level, offsets)
+                } else {
+                    filter::average_children(tex, x, y, level, offsets)
+                }
+            });
+        }
+        corners[0]
+            .lerp(corners[1], lv.fx)
+            .lerp(corners[2].lerp(corners[3], lv.fx), lv.fy)
     }
 
     /// Resolves one parent corner's cache line. The first corner on a line probes the
@@ -1033,6 +1065,243 @@ pub(crate) fn dedup_lines_into(
         if !lines.contains(&line) {
             lines.push(line);
         }
+    }
+}
+
+/// The serial per-quad texture pass as it ran before replay split into
+/// two phases: pure work and order-sensitive work interleaved per
+/// fragment. It is the oracle the two-phase replay is checked against,
+/// bit for bit, and exists only in tests.
+#[cfg(test)]
+impl TexturePath {
+    /// Serial twin of [`TexturePath::sample_quad_into`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sample_quad_oracle(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        frags: &[Fragment],
+        tex: &MippedTexture,
+        layout: &TextureLayout,
+        mem: &mut MemoryBackend,
+        out: &mut Vec<(Rgba, Cycle)>,
+    ) {
+        out.clear();
+        match self.design {
+            Design::Baseline | Design::BPim => {
+                self.quad_conventional(cluster, issue, frags, tex, layout, mem, out);
+            }
+            Design::STfim => self.quad_stfim(cluster, issue, frags, tex, layout, mem, out),
+            Design::ATfim => self.quad_atfim(cluster, issue, frags, tex, layout, mem, out),
+        }
+        for (_, done) in out.iter() {
+            self.stats.samples += 1;
+            self.stats.latency_cycles += done.since(issue).get();
+        }
+    }
+
+    /// Baseline / B-PIM: full filtering on the GPU texture unit.
+    #[allow(clippy::too_many_arguments)]
+    fn quad_conventional(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        frags: &[Fragment],
+        tex: &MippedTexture,
+        layout: &TextureLayout,
+        mem: &mut MemoryBackend,
+        out: &mut Vec<(Rgba, Cycle)>,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let sampler = self.sampler;
+        for frag in frags {
+            let (ddx, ddy) = texel_derivs(tex, frag);
+            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fill.fetches);
+            let texels = info
+                .conventional_texels
+                .max(scratch.fill.fetches.len() as u32);
+            dedup_lines_into(
+                scratch.fill.fetches.fetches(),
+                layout,
+                &mut scratch.fill.line_addrs,
+                &mut scratch.fill.lines,
+            );
+            self.conventional_fragment(
+                cluster,
+                issue,
+                texels,
+                info.aniso_ratio,
+                info.color,
+                &scratch.fill.lines,
+                mem,
+                out,
+            );
+        }
+        self.scratch = scratch;
+    }
+
+    /// S-TFIM: one request package per quad to the cluster's MTU; the
+    /// filtered textures come back in one response.
+    #[allow(clippy::too_many_arguments)]
+    fn quad_stfim(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        frags: &[Fragment],
+        tex: &MippedTexture,
+        layout: &TextureLayout,
+        mem: &mut MemoryBackend,
+        out: &mut Vec<(Rgba, Cycle)>,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let sampler = self.sampler;
+        scratch.stfim_lines.clear();
+        let mut texel_total = 0u32;
+        for frag in frags {
+            let (ddx, ddy) = texel_derivs(tex, frag);
+            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fill.fetches);
+            let texels = info
+                .conventional_texels
+                .max(scratch.fill.fetches.len() as u32);
+            self.stats.conventional_texels += u64::from(texels);
+            self.stats.record_aniso(info.aniso_ratio);
+            texel_total += texels;
+            layout.texel_line_addrs_into(
+                scratch.fill.fetches.fetches(),
+                &mut scratch.fill.line_addrs,
+            );
+            for &line in &scratch.fill.line_addrs {
+                if !scratch.stfim_lines.contains(&line) {
+                    scratch.stfim_lines.push(line);
+                }
+            }
+            // Completion is quad-wide and not known yet; patched below.
+            out.push((info.color, issue));
+        }
+        self.scratch = scratch;
+        self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
+    }
+
+    /// A-TFIM: parent texels through angle-tagged caches; quad-level
+    /// misses offloaded in one package to the logic layer.
+    #[allow(clippy::too_many_arguments)]
+    fn quad_atfim(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        frags: &[Fragment],
+        tex: &MippedTexture,
+        layout: &TextureLayout,
+        mem: &mut MemoryBackend,
+        out: &mut Vec<(Rgba, Cycle)>,
+    ) {
+        // GPU-side functional + cache pass, per fragment.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut parts = std::mem::take(&mut scratch.parts);
+        parts.clear();
+        for f in frags {
+            parts.push(self.atfim_fragment(cluster, f, tex, layout, &mut scratch));
+        }
+        self.atfim_quad_tail(cluster, issue, &parts, mem, out, &mut scratch);
+        scratch.parts = parts;
+        self.scratch = scratch;
+    }
+
+    /// The A-TFIM GPU-side pass for one fragment: probe angle-tagged
+    /// caches, reuse or recompute parent values, and report the misses.
+    fn atfim_fragment(
+        &mut self,
+        cluster: usize,
+        frag: &Fragment,
+        tex: &MippedTexture,
+        layout: &TextureLayout,
+        scratch: &mut PathScratch,
+    ) -> AtfimFragment {
+        let (ddx, ddy) = texel_derivs(tex, frag);
+        let fp = self.sampler.footprint(ddx, ddy);
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        // The cached tag must identify the *child-texel set* a parent was
+        // computed with (paper Fig. 8: same address, different camera
+        // angles => different child sets). The pixel's camera angle
+        // induces both angular degrees of freedom of that set — the
+        // anisotropy line's orientation in texture space and its
+        // obliqueness (which fixes the span) — so the tag encodes both:
+        // the orientation doubled (so its natural period π matches the
+        // 2π circular comparison) plus the surface camera angle.
+        let orientation = fp.major_axis.y.atan2(fp.major_axis.x);
+        let angle = Radians::new(
+            2.0 * orientation.rem_euclid(std::f32::consts::PI) + frag.camera_angle.as_f32(),
+        );
+        self.stats.conventional_texels += u64::from(fp.conventional_texel_count());
+        self.stats.record_aniso(fp.aniso_ratio);
+
+        let lanes = self.sampler.config().kernels.is_lanes();
+        let mut lines = ParentLines::default();
+        let mut level_color =
+            |path: &mut Self, scratch: &mut PathScratch, level: usize, div: i64| -> Rgba {
+                let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
+                let img = tex.level(level);
+                let wrap = tex.wrap();
+                let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
+                if div != 1 {
+                    for o in scratch.offsets.iter_mut() {
+                        *o = (o.0 / div, o.1 / div);
+                    }
+                }
+                let offsets = &scratch.offsets;
+                // Degenerate kernel: every probe lands on the parent texel
+                // itself (common at the coarser of the two blended levels).
+                // The "average over children" is then exactly the texel — no
+                // child set exists, so there is nothing to offload and no
+                // camera angle to compare: it is an ordinary texel fetch.
+                let degenerate = offsets.iter().all(|&o| o == (0, 0));
+                let mut corners = [Rgba::TRANSPARENT; 4];
+                for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let wx = wrap.wrap(x0 + cx, img.width());
+                    let wy = wrap.wrap(y0 + cy, img.height());
+                    let line = layout.texel_line_addr(wx, wy, level);
+                    let (hit, block) = path.probe_parent_line(
+                        cluster,
+                        &mut lines,
+                        line,
+                        degenerate,
+                        angle,
+                        tex,
+                        level,
+                        (wx, wy),
+                    );
+                    corners[ci] = path.parent_value(block, wx, wy, hit, angle, || {
+                        // Bit-identical kernel pair; the lane variant
+                        // accumulates channel-major (see
+                        // `pimgfx_texture::filter` lane kernels).
+                        if lanes {
+                            filter::average_children_lanes(tex, x0 + cx, y0 + cy, level, offsets)
+                        } else {
+                            filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
+                        }
+                    });
+                }
+                corners[0]
+                    .lerp(corners[1], fx)
+                    .lerp(corners[2].lerp(corners[3], fx), fy)
+            };
+
+        let c_fine = level_color(self, scratch, fine, 1);
+        let color = if coarse == fine || w == 0.0 {
+            c_fine
+        } else {
+            let c_coarse = level_color(self, scratch, coarse, 2);
+            c_fine.lerp(c_coarse, w)
+        };
+        lines.finish(
+            color,
+            fp.aniso_ratio,
+            fp.major_axis.x.abs() >= fp.major_axis.y.abs(),
+        )
     }
 }
 
