@@ -12,9 +12,10 @@
 //! With no figure arguments, everything runs. `--quick` restricts the
 //! benchmark columns to a small subset (useful for smoke runs); `--csv`
 //! additionally drops each figure's data as `DIR/<figure>.csv`.
-//! `--trace` prints a per-cell cycle-conservation audit table and makes
-//! an audit failure exit nonzero; the full per-stage breakdown is in
-//! the manifest either way (schema v3, see `docs/OBSERVABILITY.md`).
+//! A cell that fails its cycle-conservation audit makes the run exit
+//! nonzero; `--trace` also prints the per-cell audit table. The full
+//! per-stage breakdown is in the manifest either way (schema v3, see
+//! `docs/OBSERVABILITY.md`).
 //! `--synthetic LABEL` appends one procedural column (a
 //! `syn.<params>` label from `pimgfx-gen --print-label`, see
 //! `docs/WORKLOADS.md`) to the benchmark matrix, at `--synthetic-res`
@@ -219,16 +220,21 @@ fn main() -> HarnessResult<()> {
         })
         .collect();
 
-    // `--trace`: surface the per-cell cycle-conservation audit. The
-    // audit always runs (its verdict is in every manifest cell); the
-    // flag adds the table and turns a violation into a nonzero exit.
+    // The audit always runs (its verdict is in every manifest cell), and
+    // a violation fails the run with or without `--trace`; the flag adds
+    // the per-cell table.
+    for c in cell_reports.iter().filter(|c| !c.audit_ok()) {
+        eprintln!(
+            "[repro] trace audit FAILED for {}/{}: {}",
+            c.column, c.variant, c.trace_audit
+        );
+    }
     if trace {
         header("Trace audit — per-stage cycle conservation");
         println!(
             "{:<18} {:<22} {:>7} {:>8}",
             "benchmark", "variant", "stages", "audit"
         );
-        let mut bad = 0usize;
         for c in &cell_reports {
             println!(
                 "{:<18} {:<22} {:>7} {:>8}",
@@ -237,22 +243,16 @@ fn main() -> HarnessResult<()> {
                 c.stages.len(),
                 if c.audit_ok() { "ok" } else { "FAIL" }
             );
-            if !c.audit_ok() {
-                eprintln!(
-                    "[repro] trace audit FAILED for {}/{}: {}",
-                    c.column, c.variant, c.trace_audit
-                );
-                bad += 1;
-            }
         }
         println!(
             "({} cells audited; full per-stage breakdown in {})",
             cell_reports.len(),
             pimgfx_bench::manifest::FILE_NAME
         );
-        if bad > 0 {
-            failures.push(format!("trace-audit({bad} cells)"));
-        }
+    }
+    let bad = pimgfx_bench::manifest::failed_audits(&cell_reports);
+    if bad > 0 {
+        failures.push(format!("trace-audit({bad} cells)"));
     }
 
     let total_wall_ms = run_start.elapsed().as_secs_f64() * 1000.0;

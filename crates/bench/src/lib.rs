@@ -895,8 +895,9 @@ pub fn run_variant_replay(
 /// [`run_variant_replay`] with an explicit replay lane count: the
 /// backend replays with `lanes` phase-1 helper threads (byte-identical
 /// to serial at any count — see `crates/core/src/lane_equivalence.rs`).
-/// `pimgfx-serve` workers pass [`pool::configured_replay_lanes`] here so
-/// the job-level fan-out and the lane level share one thread budget.
+/// `pimgfx-serve` passes each job's [`pool::job_threads`] lanes here,
+/// so concurrent jobs, their cells and the lanes share one thread
+/// budget.
 ///
 /// # Errors
 ///

@@ -390,6 +390,13 @@ impl RunManifest {
     }
 }
 
+/// How many of `cells` failed their cycle-conservation audit. A
+/// nonzero count fails the run that produced them: `repro` exits
+/// nonzero and `pimgfx-serve` fails the job, with or without tracing.
+pub fn failed_audits(cells: &[CellSummary]) -> usize {
+    cells.iter().filter(|c| !c.audit_ok()).count()
+}
+
 /// FNV-1a 64-bit digest over a canonical configuration string, hex
 /// encoded. Stable across platforms and runs; used to key comparable
 /// sweeps in [`RunManifest::config_digest`].
@@ -623,6 +630,16 @@ mod tests {
         let j = bare.to_json();
         assert!(j.contains("\"stages\": []"), "{j}");
         assert!(!bare.cell_reports[0].audit_ok());
+    }
+
+    #[test]
+    fn failed_audits_counts_failing_verdicts() {
+        let ok = sample().cell_reports[0].clone();
+        let mut bad = ok.clone();
+        bad.trace_audit = "error: stage sums drift from report totals".to_string();
+        assert_eq!(failed_audits(&[]), 0);
+        assert_eq!(failed_audits(&[ok.clone(), ok.clone()]), 0);
+        assert_eq!(failed_audits(&[ok.clone(), bad.clone(), ok, bad]), 2);
     }
 
     #[test]

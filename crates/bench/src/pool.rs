@@ -77,10 +77,8 @@ pub fn replay_lanes_split(budget: usize, cell_workers: usize) -> usize {
     (budget / cell_workers.max(1)).max(1)
 }
 
-/// The replay lane count for cells running under a `cell_workers`-wide
-/// pool: the [`REPLAY_LANES_ENV`] override when set to a positive
-/// integer, else the shared budget ([`configured_workers`]) split by
-/// [`replay_lanes_split`].
+/// The [`REPLAY_LANES_ENV`] override: `Some(n)` when set to a positive
+/// integer, `None` when unset, empty or `0`.
 ///
 /// The override intentionally bypasses the budget split (it exists for
 /// A/B determinism checks and for measuring the lane axis alone), so
@@ -89,27 +87,69 @@ pub fn replay_lanes_split(budget: usize, cell_workers: usize) -> usize {
 ///
 /// # Errors
 ///
+/// Rejects a malformed value (same grammar as
+/// [`parse_threads_override`]).
+pub fn replay_lanes_override() -> Result<Option<usize>> {
+    let Ok(raw) = std::env::var(REPLAY_LANES_ENV) else {
+        return Ok(None);
+    };
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    match trimmed.parse::<usize>() {
+        Ok(0) => Ok(None),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(ConfigError::new(
+            "worker pool",
+            format!("{REPLAY_LANES_ENV}={trimmed:?} is not a non-negative integer lane count"),
+        )),
+    }
+}
+
+/// The replay lane count for cells running under a `cell_workers`-wide
+/// pool: [`replay_lanes_override`] when set, else the shared budget
+/// ([`configured_workers`]) split by [`replay_lanes_split`].
+///
+/// # Errors
+///
 /// Rejects a malformed [`REPLAY_LANES_ENV`] or [`THREADS_ENV`] value
 /// (same grammar as [`parse_threads_override`]).
 pub fn configured_replay_lanes(cell_workers: usize) -> Result<usize> {
-    if let Ok(raw) = std::env::var(REPLAY_LANES_ENV) {
-        let trimmed = raw.trim();
-        if !trimmed.is_empty() {
-            match trimmed.parse::<usize>() {
-                Ok(0) => {}
-                Ok(n) => return Ok(n),
-                Err(_) => {
-                    return Err(ConfigError::new(
-                        "worker pool",
-                        format!(
-                            "{REPLAY_LANES_ENV}={trimmed:?} is not a non-negative integer lane count"
-                        ),
-                    ));
-                }
-            }
-        }
+    match replay_lanes_override()? {
+        Some(n) => Ok(n),
+        None => Ok(replay_lanes_split(configured_workers()?, cell_workers)),
     }
-    Ok(replay_lanes_split(configured_workers()?, cell_workers))
+}
+
+/// The threads one job may use while it shares a `budget`-thread host
+/// with other jobs; see [`job_threads`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobThreads {
+    /// Width of the job's cell pool.
+    pub cell_workers: usize,
+    /// Replay lanes per cell.
+    pub lanes: usize,
+    /// Width of the job's frontend build.
+    pub build: usize,
+}
+
+/// Splits a `budget`-thread allowance among `running` concurrent jobs
+/// (this one included) and then within a job of `cells` cells: the job
+/// takes `share = max(1, budget / running)` threads, its cell pool is
+/// the share clamped to the cell count, each cell replays on
+/// [`replay_lanes_split`]`(share, cell_workers)` lanes, and a frontend
+/// build shades on the whole share. For any `running ≤ budget` the
+/// running jobs' threads therefore sum to at most `budget`, and a lone
+/// job gets the whole budget.
+pub fn job_threads(budget: usize, running: usize, cells: usize) -> JobThreads {
+    let share = (budget / running.max(1)).max(1);
+    let cell_workers = share.clamp(1, cells.max(1));
+    JobThreads {
+        cell_workers,
+        lanes: replay_lanes_split(share, cell_workers),
+        build: share,
+    }
 }
 
 /// Runs `f` over every item on `workers` scoped threads, returning the
@@ -248,6 +288,47 @@ mod tests {
         }
         // A degenerate 0-worker caller still gets a sane answer.
         assert_eq!(replay_lanes_split(4, 0), 4);
+    }
+
+    #[test]
+    fn job_threads_split_the_budget_between_running_jobs() {
+        // A lone job keeps the whole budget, as a single-slot server did.
+        assert_eq!(
+            job_threads(8, 1, 1),
+            JobThreads {
+                cell_workers: 1,
+                lanes: 8,
+                build: 8
+            }
+        );
+        assert_eq!(job_threads(8, 1, 12).cell_workers, 8);
+        // Budget 1 (PIMGFX_THREADS=1): one slot, everything serial.
+        for cells in [0, 1, 5] {
+            assert_eq!(
+                job_threads(1, 1, cells),
+                JobThreads {
+                    cell_workers: 1,
+                    lanes: 1,
+                    build: 1
+                }
+            );
+        }
+        for budget in 1..=16usize {
+            for running in 1..=budget {
+                for cells in 0..=20usize {
+                    let t = job_threads(budget, running, cells);
+                    assert!(t.cell_workers >= 1 && t.lanes >= 1 && t.build >= 1);
+                    assert!(t.cell_workers <= cells.max(1));
+                    // The build runs before the cells, so a job's
+                    // peak is the larger of the two phases.
+                    let peak = (t.cell_workers * t.lanes).max(t.build);
+                    assert!(
+                        running * peak <= budget,
+                        "budget={budget} running={running} cells={cells}: {t:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

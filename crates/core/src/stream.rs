@@ -55,7 +55,7 @@ use pimgfx_raster::{CoverageSink, Fragment, RasterStats, Rasterizer, TriangleSet
 use pimgfx_types::{ConfigError, Result, TextureId, TileCoord};
 use pimgfx_workloads::{Resolution, SceneTrace, Workload};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One frontend pass over a scene: every post-raster fragment of every
@@ -91,7 +91,7 @@ pub struct FragmentStream {
     build_wall: Duration,
 }
 
-// Pool workers and the serve scheduler hand streams across threads
+// Pool workers and serve job slots hand streams across threads
 // behind an `Arc`; keep the guarantee checked at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -611,10 +611,11 @@ impl QuadGrouper {
 /// for run manifests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendCacheStats {
-    /// Requests served from a resident stream.
+    /// Requests served from a resident stream, including requests that
+    /// waited for another thread's build of the same column.
     pub hits: u64,
-    /// Requests that built a stream (a lost insertion race still counts
-    /// as a miss: the frontend work was done).
+    /// Frontend builds the cache ran: one per cold column, however many
+    /// threads asked for it at once.
     pub misses: u64,
     /// Streams evicted from a bounded cache.
     pub evictions: u64,
@@ -625,14 +626,15 @@ pub struct FrontendCacheStats {
 /// share streams; `tile_px` is fixed per cache instead of per key.
 type StreamKey = (Workload, Resolution, usize);
 
-/// A memo of [`FragmentStream`]s shared across sweep workers, keyed by
-/// (workload, resolution, frame count).
+/// A memo of [`FragmentStream`]s shared across sweep workers and serve
+/// jobs, keyed by (workload, resolution, frame count).
 ///
-/// Same discipline as the workload scene cache: the (deterministic,
-/// hence idempotent) frontend build runs *outside* the cache lock so
-/// other columns stay available while one builds; if two threads race
-/// on the same cold column the first insertion wins and both receive
-/// the same [`Arc`]. A bounded cache evicts least-recently-used streams
+/// Builds are single-flight: the first request for a cold column marks
+/// it in flight and runs the frontend *outside* the cache lock, so
+/// other columns stay available while one builds. Concurrent requests
+/// for the same column wait for that build and receive the same
+/// [`Arc`]; a failed build clears the mark and wakes them to try
+/// themselves. A bounded cache evicts least-recently-used streams
 /// (handed-out [`Arc`]s stay valid — eviction only drops the cache's
 /// own reference).
 #[derive(Debug)]
@@ -641,14 +643,17 @@ pub struct FragmentStreamCache {
     capacity: Option<usize>,
     // lock:rank(40, core.stream.cache)
     inner: Mutex<StreamCacheState>,
+    // lock:rank(41, core.stream.built)
+    built: Condvar,
 }
 
 /// Mutex-guarded interior: memo map, recency list (least-recently-used
-/// first), and the usage counters.
+/// first), the columns being built right now, and the usage counters.
 #[derive(Debug, Default)]
 struct StreamCacheState {
     map: FxHashMap<StreamKey, Arc<FragmentStream>>,
     lru: Vec<StreamKey>,
+    building: Vec<StreamKey>,
     stats: FrontendCacheStats,
 }
 
@@ -660,6 +665,7 @@ impl FragmentStreamCache {
             tile_px,
             capacity: None,
             inner: Mutex::new(StreamCacheState::default()),
+            built: Condvar::new(),
         }
     }
 
@@ -704,29 +710,81 @@ impl FragmentStreamCache {
     }
 
     /// Returns the stream for `scene`, running the frontend on first
-    /// use. The scene is identified by (workload, resolution, frame count)
-    /// — the same identity the scene cache builds deterministic traces
-    /// under — so two [`Arc`]s to equal traces share one stream.
+    /// use on the whole thread budget ([`FragmentStream::build`]). The
+    /// scene is identified by (workload, resolution, frame count) — the
+    /// same identity the scene cache builds deterministic traces under
+    /// — so two [`Arc`]s to equal traces share one stream.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the frontend rejects the scene
-    /// (no frames).
+    /// (no frames) or the thread budget override is malformed.
     pub fn get(&self, scene: &Arc<SceneTrace>) -> Result<Arc<FragmentStream>> {
+        self.get_or_build(scene, FragmentStream::build)
+    }
+
+    /// [`get`](Self::get), but a build this call runs shades on exactly
+    /// `workers` threads ([`FragmentStream::build_with_workers`]). The
+    /// stream is the same at any width; a caller sharing the host with
+    /// other work passes its own share of the budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when the frontend rejects the scene.
+    pub fn get_with_workers(
+        &self,
+        scene: &Arc<SceneTrace>,
+        workers: usize,
+    ) -> Result<Arc<FragmentStream>> {
+        self.get_or_build(scene, |scene, tile_px| {
+            FragmentStream::build_with_workers(scene, tile_px, workers)
+        })
+    }
+
+    /// The single-flight lookup behind [`get`](Self::get): `build` runs
+    /// only on the thread that claims a cold column.
+    fn get_or_build(
+        &self,
+        scene: &Arc<SceneTrace>,
+        build: impl FnOnce(Arc<SceneTrace>, u32) -> Result<FragmentStream>,
+    ) -> Result<Arc<FragmentStream>> {
         let key = (scene.workload, scene.resolution, scene.frame_count());
-        {
-            let mut st = self.lock();
-            if let Some(stream) = st.map.get(&key) {
-                let stream = Arc::clone(stream);
+        if let Some(stream) = self.resident_or_claim(key) {
+            return Ok(stream);
+        }
+        // This thread owns the column's build; the claim wakes the
+        // waiters when it drops, after the insert or on an error.
+        let _claim = Claim { cache: self, key };
+        let built = Arc::new(build(Arc::clone(scene), self.tile_px)?);
+        self.insert(key, &built);
+        Ok(built)
+    }
+
+    /// The resident stream for `key` (a hit), waiting out another
+    /// thread's in-flight build of it first. `None` means the key is
+    /// neither resident nor building; it is then marked in flight and
+    /// the caller must build it.
+    fn resident_or_claim(&self, key: StreamKey) -> Option<Arc<FragmentStream>> {
+        let mut st = self.lock();
+        loop {
+            if let Some(stream) = st.map.get(&key).map(Arc::clone) {
                 st.stats.hits += 1;
                 Self::touch(&mut st.lru, key);
-                return Ok(stream);
+                return Some(stream);
             }
+            if !st.building.contains(&key) {
+                st.building.push(key);
+                return None;
+            }
+            st = self.built.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        let built = Arc::new(FragmentStream::build(Arc::clone(scene), self.tile_px)?);
+    }
+
+    /// Records a finished build and evicts down to the capacity.
+    fn insert(&self, key: StreamKey, stream: &Arc<FragmentStream>) {
         let mut st = self.lock();
         st.stats.misses += 1;
-        let out = Arc::clone(st.map.entry(key).or_insert_with(|| Arc::clone(&built)));
+        st.map.insert(key, Arc::clone(stream));
         Self::touch(&mut st.lru, key);
         if let Some(cap) = self.capacity {
             while st.map.len() > cap && !st.lru.is_empty() {
@@ -735,7 +793,6 @@ impl FragmentStreamCache {
                 st.stats.evictions += 1;
             }
         }
-        Ok(out)
     }
 
     /// Moves `key` to the most-recently-used end of the recency list.
@@ -748,6 +805,21 @@ impl FragmentStreamCache {
     /// is counters and Arcs — always valid).
     fn lock(&self) -> MutexGuard<'_, StreamCacheState> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A column's in-flight mark, held by the thread building it. Dropping
+/// it — after the insert, on a failed build, or while a panicking build
+/// unwinds — clears the mark and wakes every waiter.
+struct Claim<'a> {
+    cache: &'a FragmentStreamCache,
+    key: StreamKey,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().building.retain(|k| *k != self.key);
+        self.cache.built.notify_all();
     }
 }
 
@@ -842,6 +914,133 @@ mod tests {
             }
         );
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Builds `scene`'s stream through `cache` on one thread and, once
+    /// that build has claimed the column, runs `get` for every scene in
+    /// `others` on a thread of its own. `gate` runs inside the build,
+    /// after the other threads have been released. Returns the build's
+    /// result and the others' streams, in order.
+    fn gets_during_a_build(
+        cache: &FragmentStreamCache,
+        scene: &Arc<SceneTrace>,
+        others: &[Arc<SceneTrace>],
+        gate: impl FnOnce() -> Result<()> + Send,
+    ) -> (Result<Arc<FragmentStream>>, Vec<Arc<FragmentStream>>) {
+        let claimed = std::sync::Barrier::new(others.len() + 1);
+        std::thread::scope(|s| {
+            let builder = s.spawn(|| {
+                cache.get_or_build(scene, |scene, tile_px| {
+                    claimed.wait();
+                    gate()?;
+                    FragmentStream::build_with_workers(scene, tile_px, 1)
+                })
+            });
+            let getters: Vec<_> = others
+                .iter()
+                .map(|other| {
+                    let claimed = &claimed;
+                    s.spawn(move || {
+                        claimed.wait();
+                        cache.get_with_workers(other, 1).expect("builds")
+                    })
+                })
+                .collect();
+            let got = getters
+                .into_iter()
+                .map(|h| h.join().expect("get thread"))
+                .collect();
+            (builder.join().expect("build thread"), got)
+        })
+    }
+
+    #[test]
+    fn concurrent_gets_of_one_cold_column_build_it_once() {
+        let cache = FragmentStreamCache::new(32);
+        let scene = Arc::new(tiny_scene(1));
+        // Three requests arrive while the column's build is in flight.
+        let (built, got) =
+            gets_during_a_build(&cache, &scene, &vec![Arc::clone(&scene); 3], || Ok(()));
+        let built = built.expect("builds");
+        assert!(
+            got.iter().all(|s| Arc::ptr_eq(s, &built)),
+            "every waiter receives the builder's stream"
+        );
+        assert_eq!(
+            cache.stats(),
+            FrontendCacheStats {
+                hits: 3,
+                misses: 1,
+                evictions: 0
+            }
+        );
+    }
+
+    #[test]
+    fn concurrent_gets_of_two_cold_columns_build_each_once() {
+        let cache = FragmentStreamCache::new(32);
+        let one = Arc::new(tiny_scene(1));
+        let two = Arc::new(tiny_scene(2));
+        let others = [Arc::clone(&two), Arc::clone(&one), Arc::clone(&two)];
+        let (built, got) = gets_during_a_build(&cache, &one, &others, || Ok(()));
+        assert!(Arc::ptr_eq(&got[1], &built.expect("builds")));
+        assert!(Arc::ptr_eq(&got[0], &got[2]));
+        assert!(!Arc::ptr_eq(&got[0], &got[1]));
+        assert_eq!(cache.stats().misses, 2, "one build per column");
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_build_in_flight_does_not_block_other_columns() {
+        let cache = FragmentStreamCache::new(32);
+        let one = Arc::new(tiny_scene(1));
+        let two = Arc::new(tiny_scene(2));
+        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // Column one's build does not finish until column two has
+            // been fetched.
+            let (cache, one) = (&cache, &one);
+            let builder = s.spawn(move || {
+                cache.get_or_build(one, |scene, tile_px| {
+                    claimed_tx
+                        .send(())
+                        .map_err(|_| ConfigError::new("test", "main thread gone"))?;
+                    done_rx.recv_timeout(Duration::from_secs(60)).map_err(|_| {
+                        ConfigError::new("test", "column two waited on column one's build")
+                    })?;
+                    FragmentStream::build_with_workers(scene, tile_px, 1)
+                })
+            });
+            claimed_rx.recv().expect("column one claimed");
+            cache.get_with_workers(&two, 1).expect("builds");
+            done_tx.send(()).expect("column one's build is waiting");
+            builder.join().expect("build thread").expect("builds");
+        });
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn failed_build_wakes_waiters_to_build_themselves() {
+        let cache = FragmentStreamCache::new(32);
+        let scene = Arc::new(tiny_scene(1));
+        let (failed, got) =
+            gets_during_a_build(&cache, &scene, &vec![Arc::clone(&scene); 3], || {
+                Err(ConfigError::new("test", "injected frontend failure"))
+            });
+        assert!(failed.is_err());
+        // One waiter took the build over; the rest share its stream.
+        assert!(got.iter().all(|s| Arc::ptr_eq(s, &got[0])));
+        assert_eq!(
+            cache.stats(),
+            FrontendCacheStats {
+                hits: 2,
+                misses: 1,
+                evictions: 0
+            }
+        );
+        assert!(cache.lock().building.is_empty());
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! * [`job`] — job-level helpers: variant-set expansion from explicit
 //!   variants and figure sections, config digests, and the
 //!   deterministic per-job manifest writer.
-//! * [`server`] — the daemon: accept loop, scheduler thread, per-job
-//!   deadlines and cancellation, and graceful drain (finish everything
-//!   accepted, flush results, refuse new work, exit cleanly).
+//! * [`server`] — the daemon: accept loop, job slots sharing the
+//!   thread budget, per-job deadlines and cancellation, and graceful
+//!   drain (finish everything accepted, flush results, refuse new work,
+//!   exit cleanly).
 //! * [`deadline`] — overflow-safe wall-clock deadline helpers shared
 //!   by the queue, the client, and both daemons.
 //! * [`shard`] — the distribution layer's pure functions: rendezvous

@@ -72,7 +72,9 @@ pub struct JobSpec {
     /// Figure/section names (`fig11`, ...) whose variant sets are
     /// added to `variants` (deduplicated by label).
     pub sections: Vec<String>,
-    /// When true, a failed cycle-conservation audit fails the job.
+    /// Whether the client asked for the trace; recorded in the job's
+    /// manifest and digest. A failed cycle-conservation audit fails the
+    /// job either way.
     pub trace: bool,
     /// Per-job deadline in milliseconds (0 = server default; the
     /// server treats a configured 0 as "no deadline"). Cancellation
@@ -93,7 +95,7 @@ pub struct MatrixSpec {
     /// Figure/section names whose variant sets are added to
     /// `variants` (deduplicated by label).
     pub sections: Vec<String>,
-    /// When true, a failed cycle-conservation audit fails the job.
+    /// Forwarded to every shard's [`JobSpec::trace`].
     pub trace: bool,
     /// Per-shard deadline in milliseconds, forwarded to workers
     /// (0 = worker default).

@@ -1,13 +1,20 @@
-//! The `pimgfx-serve` daemon: accept loop, scheduler, and drain logic.
+//! The `pimgfx-serve` daemon: accept loop, job slots, and drain logic.
 //!
-//! One scheduler thread pops job tokens off the bounded queue and runs
-//! each job's cells through `pimgfx_bench::pool` over a shared
-//! [`SceneCache`]; connection handlers are cheap detached threads that
+//! `B` job slots — `B` is the thread budget,
+//! [`configured_workers`](pimgfx_bench::pool::configured_workers),
+//! resolved when [`Server::run`] starts — pop job tokens off one bounded
+//! queue, so up to `B` jobs run at once. A job that starts while
+//! `running` jobs execute (itself included) takes `max(1, B / running)`
+//! threads and spends them on its cell pool, its replay lanes and its
+//! frontend build ([`pool::job_threads`]); a lone job keeps the whole
+//! budget. Jobs share a [`SceneCache`] and a single-flight
+//! [`FragmentStreamCache`], so two jobs on one cold column build its
+//! frontend once. Connection handlers are cheap detached threads that
 //! only parse frames and touch the job registry. Graceful drain (a
-//! `Shutdown` request, or [`DrainHandle::drain`] from a signal
-//! watcher) finishes every accepted job, flushes results, refuses new
-//! submissions with `ShuttingDown`, and returns from [`Server::run`]
-//! so the process can exit 0.
+//! `Shutdown` request, or [`DrainHandle::drain`] from a signal watcher)
+//! finishes every accepted job, flushes results, refuses new
+//! submissions with `ShuttingDown`, joins every slot, and returns from
+//! [`Server::run`] so the process can exit 0.
 
 use crate::deadline::{deadline_after, expired};
 use crate::job::{job_manifest_json, job_variants};
@@ -16,14 +23,14 @@ use crate::protocol::{
 };
 use crate::queue::{BoundedQueue, PushError};
 use pimgfx::{FragmentStreamCache, SimConfig};
-use pimgfx_bench::manifest::CellSummary;
+use pimgfx_bench::manifest::{failed_audits, CellSummary};
 use pimgfx_bench::{pool, run_variant_replay_lanes, Harness, HarnessResult, SECTIONS};
 use pimgfx_types::{ConfigError, Error, FxHashMap};
 use pimgfx_workloads::{Game, SceneCache, Workload};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -106,8 +113,11 @@ struct Shared {
     draining: Arc<AtomicBool>,
     scenes: SceneCache,
     /// Frontend streams shared across jobs: consecutive variants (and
-    /// consecutive jobs) on one column pay the frontend pass once.
+    /// consecutive or concurrent jobs) on one column pay the frontend
+    /// pass once.
     streams: FragmentStreamCache,
+    /// Jobs executing right now, across every slot.
+    running: AtomicUsize,
 }
 
 impl Shared {
@@ -208,6 +218,7 @@ impl Server {
                 draining: Arc::new(AtomicBool::new(false)),
                 scenes,
                 streams,
+                running: AtomicUsize::new(0),
             }),
         })
     }
@@ -222,22 +233,29 @@ impl Server {
         DrainHandle(Arc::clone(&self.shared.draining))
     }
 
-    /// Runs the daemon until drained: accepts connections, schedules
-    /// jobs, and returns `Ok(())` once a drain request has been
-    /// honored (all accepted jobs finished, results flushed).
+    /// Runs the daemon until drained: accepts connections, runs jobs on
+    /// the job slots, and returns `Ok(())` once a drain request has been
+    /// honored (all accepted jobs finished, results flushed, every slot
+    /// joined).
     ///
     /// # Errors
     ///
-    /// Fails on fatal listener errors or a panicked scheduler thread.
+    /// Fails on a malformed thread budget override, fatal listener
+    /// errors, or a panicked job slot.
     pub fn run(self) -> HarnessResult<()> {
+        // The budget: the number of job slots, and the threads the
+        // running jobs split between them.
+        let budget = pool::configured_workers()?;
         self.listener
             .set_nonblocking(true)
             .map_err(|e| Error::io("setting listener nonblocking", e))?;
         let shared = self.shared;
-        let scheduler = {
-            let sh = Arc::clone(&shared);
-            std::thread::spawn(move || scheduler_loop(&sh))
-        };
+        let slots: Vec<_> = (0..budget)
+            .map(|_| {
+                let sh = Arc::clone(&shared);
+                std::thread::spawn(move || slot_loop(&sh, budget))
+            })
+            .collect();
         let fatal = loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -260,8 +278,18 @@ impl Server {
             }
         };
         shared.queue.close();
-        if scheduler.join().is_err() {
-            return Err(ConfigError::new("pimgfx-serve", "scheduler thread panicked").into());
+        // Join every slot before reporting, so no job outlives `run`.
+        let panicked = slots
+            .into_iter()
+            .map(|s| s.join())
+            .filter(Result::is_err)
+            .count();
+        if panicked > 0 {
+            return Err(ConfigError::new(
+                "pimgfx-serve",
+                format!("{panicked} job slot(s) panicked"),
+            )
+            .into());
         }
         match fatal {
             Some(e) => Err(e),
@@ -270,11 +298,13 @@ impl Server {
     }
 }
 
-fn scheduler_loop(shared: &Shared) {
+/// One job slot: pops and runs jobs until the queue closes or a drain
+/// finds it idle.
+fn slot_loop(shared: &Shared, budget: usize) {
     loop {
         match shared.queue.pop_timeout(Duration::from_millis(50)) {
             Some(id) => {
-                execute_job(shared, id);
+                execute_job(shared, id, budget);
                 shared.queue.task_done();
             }
             None => {
@@ -287,10 +317,27 @@ fn scheduler_loop(shared: &Shared) {
     }
 }
 
-/// Runs one job to a terminal phase. Never panics: every failure path
-/// lands in `Phase::Failed`/`Phase::Cancelled` so clients always get
-/// an answer.
-fn execute_job(shared: &Shared, id: JobId) {
+/// Counts one job in [`Shared::running`] for as long as it executes,
+/// whichever way it ends.
+struct RunningJob<'a>(&'a AtomicUsize);
+
+impl<'a> RunningJob<'a> {
+    fn enter(running: &'a AtomicUsize) -> Self {
+        running.fetch_add(1, Ordering::SeqCst);
+        Self(running)
+    }
+}
+
+impl Drop for RunningJob<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Runs one job to a terminal phase on its share of the `budget`-thread
+/// allowance. Never panics: every failure path lands in
+/// `Phase::Failed`/`Phase::Cancelled` so clients always get an answer.
+fn execute_job(shared: &Shared, id: JobId, budget: usize) {
     let (spec, cancel, done) = {
         let mut jobs = shared.jobs();
         let Some(entry) = jobs.get_mut(&id) else {
@@ -309,6 +356,7 @@ fn execute_job(shared: &Shared, id: JobId) {
         };
         (entry.spec.clone(), Arc::clone(&entry.cancel), done)
     };
+    let _running = RunningJob::enter(&shared.running);
 
     let deadline_ms = if spec.deadline_ms > 0 {
         spec.deadline_ms
@@ -326,18 +374,13 @@ fn execute_job(shared: &Shared, id: JobId) {
 
     let variants = job_variants(&spec);
     let total = variants.len();
-    let workers = match pool::worker_count(total) {
-        Ok(w) => w,
-        Err(e) => {
-            shared.set_phase(id, Phase::Failed(format!("resolving worker count: {e}")));
-            return;
-        }
-    };
-    // The cell-level fan-out and the per-cell replay lanes share one
-    // thread budget (PIMGFX_THREADS), so a wide job gets 1 lane per
-    // cell and a narrow job spends the spare budget inside each replay.
-    let lanes = match pool::configured_replay_lanes(workers) {
-        Ok(l) => l,
+    // The job's share of the budget, fixed for its whole run: the cell
+    // pool, the replay lanes and the frontend build all draw from it,
+    // so the jobs running now together keep at most `budget` threads
+    // busy.
+    let threads = pool::job_threads(budget, shared.running.load(Ordering::SeqCst), total);
+    let lanes = match pool::replay_lanes_override() {
+        Ok(pin) => pin.unwrap_or(threads.lanes),
         Err(e) => {
             shared.set_phase(id, Phase::Failed(format!("resolving replay lanes: {e}")));
             return;
@@ -347,13 +390,14 @@ fn execute_job(shared: &Shared, id: JobId) {
     // synthetic specs via `SyntheticSpec::validate` — so the scene
     // build cannot hit the cache's invalid-column panic here.
     let scene = shared.scenes.get(spec.workload, spec.resolution);
-    // Pre-warm the column's frontend stream on the scheduler thread so
-    // pool workers hitting a cold column don't race duplicate builds.
-    if let Err(e) = shared.streams.get(&scene) {
+    // Fetch the column's frontend stream up front, so a cold column is
+    // built on the job's share (once, even if another slot asks for it
+    // at the same time) and the cells below replay it from the cache.
+    if let Err(e) = shared.streams.get_with_workers(&scene, threads.build) {
         shared.set_phase(id, Phase::Failed(format!("frontend pass: {e}")));
         return;
     }
-    let results = pool::run_ordered(&variants, workers, |&v| {
+    let results = pool::run_ordered(&variants, threads.cell_workers, |&v| {
         if cancel.load(Ordering::SeqCst) || expired(deadline) {
             None
         } else {
@@ -399,18 +443,18 @@ fn execute_job(shared: &Shared, id: JobId) {
         }
     }
 
-    if spec.trace {
-        let bad = cells.iter().filter(|c| !c.audit_ok()).count();
-        if bad > 0 {
-            shared.set_phase(
-                id,
-                Phase::Failed(format!(
-                    "trace audit failed for {bad} of {} cells",
-                    cells.len()
-                )),
-            );
-            return;
-        }
+    // A failed cycle-conservation audit fails the job whether or not
+    // the client asked for the trace.
+    let bad = failed_audits(&cells);
+    if bad > 0 {
+        shared.set_phase(
+            id,
+            Phase::Failed(format!(
+                "trace audit failed for {bad} of {} cells",
+                cells.len()
+            )),
+        );
+        return;
     }
 
     let manifest = job_manifest_json(id, &spec, shared.config.frames, &cells);

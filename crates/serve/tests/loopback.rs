@@ -11,7 +11,7 @@
 
 use pimgfx::Design;
 use pimgfx_bench::manifest::CellSummary;
-use pimgfx_bench::{Harness, Variant};
+use pimgfx_bench::{pool, Harness, Variant};
 use pimgfx_serve::job::job_manifest_json;
 use pimgfx_serve::{Client, JobSpec, JobState, Response, ServeConfig, Server};
 use pimgfx_workloads::{Game, Resolution, SyntheticSpec, Workload};
@@ -47,6 +47,25 @@ fn submit_ok(client: &mut Client, spec: &JobSpec) -> u64 {
     }
 }
 
+/// The manifest a local harness run of the single-variant job `spec`
+/// produces under job id `id`.
+fn local_manifest(id: u64, spec: &JobSpec) -> String {
+    let [variant] = spec.variants[..] else {
+        panic!("single-variant job expected");
+    };
+    let mut h = Harness::new(1);
+    let report = h
+        .run(spec.workload, spec.resolution, variant)
+        .expect("local run")
+        .clone();
+    let cell = CellSummary::from_report(
+        &Harness::column_label(spec.workload, spec.resolution),
+        &variant.label(),
+        &report,
+    );
+    job_manifest_json(id, spec, 1, &[cell])
+}
+
 const WAIT: Duration = Duration::from_secs(300);
 const POLL: Duration = Duration::from_millis(50);
 
@@ -79,23 +98,11 @@ fn synthetic_job_is_served_and_matches_local_harness() {
     let state = client.wait(id, WAIT, POLL).expect("wait");
     assert_eq!(state, JobState::Done { cells: 1 }, "synthetic job finishes");
     let served = client.fetch_manifest(id).expect("fetch");
-
-    let mut h = Harness::new(1);
-    let report = h
-        .run(
-            spec.workload,
-            spec.resolution,
-            Variant::Design(Design::Baseline),
-        )
-        .expect("local run")
-        .clone();
-    let cell = CellSummary::from_report(
-        &Harness::column_label(spec.workload, spec.resolution),
-        "baseline",
-        &report,
+    assert_eq!(
+        served,
+        local_manifest(id, &spec),
+        "served synthetic manifest must match"
     );
-    let local = job_manifest_json(id, &spec, 1, &[cell]);
-    assert_eq!(served, local, "served synthetic manifest must match");
 
     // The cumulative cache counters are queryable over the wire; an
     // unbounded cache never evicts.
@@ -126,23 +133,9 @@ fn served_result_matches_local_harness_byte_for_byte() {
     let served = client.fetch_manifest(id).expect("fetch");
 
     // The same job, computed directly through the local harness.
-    let mut h = Harness::new(1);
-    let report = h
-        .run(
-            spec.workload,
-            spec.resolution,
-            Variant::Design(Design::Baseline),
-        )
-        .expect("local run")
-        .clone();
-    let cell = CellSummary::from_report(
-        &Harness::column_label(spec.workload, spec.resolution),
-        "baseline",
-        &report,
-    );
-    let local = job_manifest_json(id, &spec, 1, &[cell]);
     assert_eq!(
-        served, local,
+        served,
+        local_manifest(id, &spec),
         "served manifest must be byte-identical to the harness-direct one"
     );
 
@@ -274,6 +267,108 @@ fn shutdown_drains_inflight_work_then_run_returns_ok() {
     let body = std::fs::read_to_string(results_dir.join(format!("job-{id}.json")))
         .expect("in-flight job flushed during drain");
     assert!(body.contains("\"schema_version\": 4"), "{body}");
+    let _ = std::fs::remove_dir_all(&results_dir);
+}
+
+#[test]
+fn jobs_run_concurrently_when_the_budget_allows() {
+    let (addr, handle) = start(ServeConfig {
+        frames: 1,
+        hold_before_job: Duration::from_millis(1500),
+        ..ServeConfig::default()
+    });
+    let mut first = Client::connect(addr).expect("connect #1");
+    let mut second = Client::connect(addr).expect("connect #2");
+    // Two variants of one cold column: with two slots both jobs ask the
+    // stream cache for it at once.
+    let spec_a = baseline_spec();
+    let spec_b = JobSpec {
+        variants: vec![Variant::Design(Design::BPim)],
+        ..baseline_spec()
+    };
+    let a = submit_ok(&mut first, &spec_a);
+    let b = submit_ok(&mut second, &spec_b);
+
+    let slots = pool::configured_workers().expect("thread budget");
+    let t0 = std::time::Instant::now();
+    if slots >= 2 {
+        // Both jobs hold in their slots at the same time.
+        loop {
+            let sa = first.status(a).expect("status a");
+            let sb = second.status(b).expect("status b");
+            if matches!(sa, JobState::Running { .. }) && matches!(sb, JobState::Running { .. }) {
+                break;
+            }
+            assert!(
+                !matches!(sa, JobState::Done { .. }) && t0.elapsed() < WAIT,
+                "never saw both jobs running: {sa:?} / {sb:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    } else {
+        // One slot: the second job waits out the first. Reading the
+        // second job's state before the first's makes the check
+        // race-free: if the first is not done yet, it was not done
+        // when the second was read either.
+        loop {
+            let sb = second.status(b).expect("status b");
+            let sa = first.status(a).expect("status a");
+            if matches!(sa, JobState::Done { .. }) {
+                break;
+            }
+            assert_eq!(sb, JobState::Queued, "first job is {sa:?}");
+            assert!(t0.elapsed() < WAIT, "first job never finished");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    for (client, id, spec) in [(&mut first, a, &spec_a), (&mut second, b, &spec_b)] {
+        assert_eq!(
+            client.wait(id, WAIT, POLL).expect("wait"),
+            JobState::Done { cells: 1 }
+        );
+        let served = client.fetch_manifest(id).expect("fetch");
+        assert_eq!(
+            served,
+            local_manifest(id, spec),
+            "job {id}: served manifest must match the local harness"
+        );
+    }
+    // However the jobs overlapped, the column's frontend was built once.
+    assert_eq!(first.stats().expect("stats").stream_misses, 1);
+
+    first.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean drain");
+}
+
+#[test]
+fn shutdown_drains_two_jobs_in_flight() {
+    let results_dir =
+        std::env::temp_dir().join(format!("pimgfx_serve_drain2_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&results_dir);
+    let (addr, handle) = start(ServeConfig {
+        frames: 1,
+        results_dir: Some(results_dir.clone()),
+        hold_before_job: Duration::from_millis(300),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let spec_b = JobSpec {
+        variants: vec![Variant::Design(Design::ATfim)],
+        ..baseline_spec()
+    };
+    let a = submit_ok(&mut client, &baseline_spec());
+    let b = submit_ok(&mut client, &spec_b);
+    client.shutdown().expect("shutdown");
+    // run() returns only after both accepted jobs finished, whether
+    // they ran side by side or one after the other...
+    handle.join().expect("server thread").expect("clean drain");
+    // ...and both manifests were flushed on the way out.
+    for (id, spec) in [(a, baseline_spec()), (b, spec_b)] {
+        let body = std::fs::read_to_string(results_dir.join(format!("job-{id}.json")))
+            .expect("in-flight job flushed during drain");
+        assert_eq!(body, local_manifest(id, &spec), "job {id}");
+    }
     let _ = std::fs::remove_dir_all(&results_dir);
 }
 
