@@ -60,7 +60,8 @@ fn config_from_args(args: &[String]) -> Result<(ServeConfig, Option<String>), St
         config.scene_capacity = Some(parse("--scene-cache", &v)?);
     }
     // Bounds the fragment-stream cache independently of the scene
-    // cache — the knob the loadgen eviction stress profile turns.
+    // cache, so a run can force stream rebuilds while scenes stay
+    // resident.
     if let Some(v) = take_value(args, "--stream-cache")? {
         config.stream_capacity = Some(parse("--stream-cache", &v)?);
     }

@@ -3,8 +3,7 @@
 
 use crate::deadline::{deadline_after, expired};
 use crate::protocol::{
-    self, CacheStats, JobId, JobSpec, JobState, MatrixSpec, ProtoResult, ProtocolError, Request,
-    Response,
+    self, CacheStats, JobId, JobSpec, JobState, ProtoResult, ProtocolError, Request, Response,
 };
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -26,28 +25,7 @@ impl Client {
     ///
     /// Fails on connection errors.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> ProtoResult<Self> {
-        Self::connect_with_io_timeout(addr, None)
-    }
-
-    /// Connects to a daemon and applies a read/write timeout to the
-    /// socket (`None` disables it; `Some(Duration::ZERO)` is rejected
-    /// by the OS). The coordinator uses this on worker dialogs so a
-    /// stalled worker counts as dead instead of pinning a shard.
-    ///
-    /// # Errors
-    ///
-    /// Fails on connection errors or if the timeout cannot be set.
-    pub fn connect_with_io_timeout<A: ToSocketAddrs>(
-        addr: A,
-        io_timeout: Option<Duration>,
-    ) -> ProtoResult<Self> {
         let writer = TcpStream::connect(addr).map_err(ProtocolError::Io)?;
-        writer
-            .set_read_timeout(io_timeout)
-            .map_err(ProtocolError::Io)?;
-        writer
-            .set_write_timeout(io_timeout)
-            .map_err(ProtocolError::Io)?;
         let reader = BufReader::new(writer.try_clone().map_err(ProtocolError::Io)?);
         Ok(Self { reader, writer })
     }
@@ -70,17 +48,6 @@ impl Client {
     /// Transport or framing failures.
     pub fn submit(&mut self, spec: &JobSpec) -> ProtoResult<Response> {
         self.call(&Request::SubmitJob(spec.clone()))
-    }
-
-    /// Submits a multi-column matrix job to a `pimgfx-coord`
-    /// coordinator; a plain `pimgfx-serve` worker answers with an
-    /// error reply.
-    ///
-    /// # Errors
-    ///
-    /// Transport or framing failures.
-    pub fn submit_matrix(&mut self, spec: &MatrixSpec) -> ProtoResult<Response> {
-        self.call(&Request::SubmitMatrix(spec.clone()))
     }
 
     /// Fetches a job's current state.
@@ -125,8 +92,7 @@ impl Client {
         }
     }
 
-    /// Fetches the server's cumulative cache counters (a coordinator
-    /// answers with the sum over its live workers).
+    /// Fetches the server's cumulative cache counters.
     ///
     /// # Errors
     ///

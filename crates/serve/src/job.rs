@@ -14,18 +14,18 @@ use pimgfx::Design;
 use pimgfx_bench::manifest::{fnv1a_digest, json_quote, CellSummary, SCHEMA_VERSION};
 use pimgfx_bench::{section_variants, Harness, Variant};
 
-/// The full, deduplicated variant set of a submission: the explicit
-/// variants first, then each requested section's set, keeping the
-/// first occurrence of every label (labels are the harness's
-/// memoization keys, so label-equality is cell-equality). Shared by
-/// single-column jobs and the coordinator's matrix specs.
-pub fn expand_variants(variants: &[Variant], sections: &[String]) -> Vec<Variant> {
+/// The full, deduplicated variant set of a job: the explicit variants
+/// first, then each requested section's set, keeping the first
+/// occurrence of every label (labels are the harness's memoization
+/// keys, so label-equality is cell-equality).
+pub fn job_variants(spec: &JobSpec) -> Vec<Variant> {
     let mut out: Vec<Variant> = Vec::new();
     let mut seen: Vec<String> = Vec::new();
-    let from_sections = sections
+    let from_sections = spec
+        .sections
         .iter()
         .flat_map(|s| section_variants(s).into_iter());
-    for v in variants.iter().copied().chain(from_sections) {
+    for v in spec.variants.iter().copied().chain(from_sections) {
         let label = v.label();
         if !seen.contains(&label) {
             seen.push(label);
@@ -33,12 +33,6 @@ pub fn expand_variants(variants: &[Variant], sections: &[String]) -> Vec<Variant
         }
     }
     out
-}
-
-/// The full, deduplicated variant set of a job (see
-/// [`expand_variants`]).
-pub fn job_variants(spec: &JobSpec) -> Vec<Variant> {
-    expand_variants(&spec.variants, &spec.sections)
 }
 
 /// Parses a variant from its [`Variant::label`] form (`baseline`,
@@ -75,7 +69,7 @@ pub fn job_digest(spec: &JobSpec, frames: usize) -> String {
     ))
 }
 
-/// Serializes a finished job as deterministic schema-v3 JSON.
+/// Serializes a finished job as deterministic schema-v4 JSON.
 ///
 /// Cells are sorted by `(column, variant)` — the same canonical order
 /// `Harness::report_cells` uses — and embedded via

@@ -6,7 +6,7 @@
 //! simulation jobs (one Table II benchmark column plus a set of design
 //! variants and/or figure sections) over a zero-dependency TCP
 //! protocol, the daemon fans the job's cells across the worker pool,
-//! and results come back as the same schema-v3 manifest cells a local
+//! and results come back as the same schema-v4 manifest cells a local
 //! `repro` run writes — byte-for-byte (the loopback integration test
 //! in `tests/` enforces the equivalence).
 //!
@@ -29,15 +29,7 @@
 //!   drain (finish everything accepted, flush results, refuse new work,
 //!   exit cleanly).
 //! * [`deadline`] — overflow-safe wall-clock deadline helpers shared
-//!   by the queue, the client, and both daemons.
-//! * [`shard`] — the distribution layer's pure functions: rendezvous
-//!   hashing on the column stream key, matrix-spec shard expansion,
-//!   and the deterministic merged-manifest writer.
-//! * [`coord`] — the `pimgfx-coord` coordinator: accepts matrix jobs,
-//!   routes per-column shards to downstream `pimgfx-serve` workers
-//!   (retry with backoff and re-hash on worker death, bounded `Busy`
-//!   retries under saturation), and merges per-worker results into one
-//!   deterministic manifest.
+//!   by the queue, the client, and the daemon.
 //!
 //! The full protocol and operational story is documented in
 //! `docs/SERVING.md`. The `PGRPC` frame definitions are guarded by the
@@ -51,15 +43,12 @@
 #![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod client;
-pub mod coord;
 pub mod deadline;
 pub mod job;
 pub mod protocol;
 pub mod queue;
 pub mod server;
-pub mod shard;
 
 pub use client::Client;
-pub use coord::{CoordConfig, Coordinator};
-pub use protocol::{JobId, JobSpec, JobState, MatrixSpec, Request, Response};
+pub use protocol::{JobId, JobSpec, JobState, Request, Response};
 pub use server::{DrainHandle, ServeConfig, Server};

@@ -40,7 +40,7 @@ pub const MAGIC: [u8; 5] = *b"PGRPC";
 /// `crates/serve/protocol.snapshot` (the `protocol-version` lint rule
 /// enforces both).
 ///
-/// v2 added [`MatrixSpec`] and [`Request::SubmitMatrix`] (wire kind 6)
+/// v2 added `MatrixSpec` and `Request::SubmitMatrix` (wire kind 6)
 /// for the `pimgfx-coord` sharding coordinator.
 ///
 /// v3 widened the benchmark-column identity from a bare game tag to a
@@ -48,7 +48,10 @@ pub const MAGIC: [u8; 5] = *b"PGRPC";
 /// followed by the spec parameters, reusing the `PGTR` workload
 /// codec), and added [`Request::Stats`] (wire kind 7) /
 /// [`Response::Stats`] (kind 107) exposing worker cache counters.
-pub const VERSION: u32 = 3;
+///
+/// v4 retired wire kind 6 with the coordinator tier; it now decodes as
+/// an unknown request kind, and [`Request::Stats`] stays kind 7.
+pub const VERSION: u32 = 4;
 
 /// Hard cap on a frame's declared payload length (16 MiB): a corrupt
 /// or hostile length field must not drive a huge allocation.
@@ -82,30 +85,9 @@ pub struct JobSpec {
     pub deadline_ms: u64,
 }
 
-/// A matrix submission: several benchmark columns sharing one variant
-/// set. Only the `pimgfx-coord` coordinator accepts these — it shards
-/// the matrix into per-column [`JobSpec`]s and routes each shard to
-/// the `pimgfx-serve` worker owning that column's stream key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixSpec {
-    /// Benchmark columns (workload + resolution) to simulate.
-    pub columns: Vec<(Workload, Resolution)>,
-    /// Explicit design variants to simulate on every column.
-    pub variants: Vec<Variant>,
-    /// Figure/section names whose variant sets are added to
-    /// `variants` (deduplicated by label).
-    pub sections: Vec<String>,
-    /// Forwarded to every shard's [`JobSpec::trace`].
-    pub trace: bool,
-    /// Per-shard deadline in milliseconds, forwarded to workers
-    /// (0 = worker default).
-    pub deadline_ms: u64,
-}
-
-/// A worker's cache counters, cumulative since process start. Queried
-/// via [`Request::Stats`] — the coordinator sums them across workers
-/// at matrix merge time, and `pimgfx-loadgen` reports them in
-/// `BENCH_serve.json` (wire: four u64s).
+/// The server's cache counters, cumulative since process start. Queried
+/// via [`Request::Stats`]; the `serve-churn` benchmark reads
+/// `stream_evictions` through it (wire: four u64s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Scene-cache evictions (0 while the cache is unbounded).
@@ -118,7 +100,8 @@ pub struct CacheStats {
     pub stream_evictions: u64,
 }
 
-/// Client-to-server messages. Wire kinds 1–7, in declaration order.
+/// Client-to-server messages. Wire kinds 1–5 and 7, in declaration
+/// order; kind 6 is retired and never reused.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Submit a job; answered with `Submitted`, `Busy`, or an error.
@@ -132,11 +115,7 @@ pub enum Request {
     /// Begin a graceful drain: finish accepted work, refuse new jobs,
     /// then exit.
     Shutdown,
-    /// Submit a multi-column matrix job (coordinator only; a plain
-    /// `pimgfx-serve` worker answers with an error).
-    SubmitMatrix(MatrixSpec),
-    /// Ask for the server's cumulative [`CacheStats`] (a coordinator
-    /// answers with the sum over its workers).
+    /// Ask for the server's cumulative [`CacheStats`].
     Stats,
 }
 
@@ -179,7 +158,7 @@ pub enum Response {
     Status(JobState),
     /// A finished job's result.
     JobResult {
-        /// The deterministic per-job manifest (schema v3 cells).
+        /// The deterministic per-job manifest (schema v4 cells).
         manifest_json: String,
     },
     /// Request-level failure (unknown job, invalid spec, ...).
@@ -393,64 +372,6 @@ fn get_spec(cur: &mut &[u8]) -> ProtoResult<JobSpec> {
     })
 }
 
-fn put_matrix<W: Write>(w: &mut W, spec: &MatrixSpec) -> ProtoResult<()> {
-    let Ok(ncol) = u32::try_from(spec.columns.len()) else {
-        return fmt_err("too many columns");
-    };
-    put_u32(w, ncol)?;
-    for &(workload, res) in &spec.columns {
-        put_workload(w, workload)?;
-        put_u32(w, resolution_tag(res))?;
-    }
-    let Ok(nvar) = u32::try_from(spec.variants.len()) else {
-        return fmt_err("too many variants");
-    };
-    put_u32(w, nvar)?;
-    for &v in &spec.variants {
-        put_variant(w, v)?;
-    }
-    let Ok(nsec) = u32::try_from(spec.sections.len()) else {
-        return fmt_err("too many sections");
-    };
-    put_u32(w, nsec)?;
-    for s in &spec.sections {
-        put_str(w, s)?;
-    }
-    put_bool(w, spec.trace)?;
-    put_u64(w, spec.deadline_ms)?;
-    Ok(())
-}
-
-fn get_matrix(cur: &mut &[u8]) -> ProtoResult<MatrixSpec> {
-    let ncol = pget_u32(cur)? as usize;
-    let mut columns = Vec::new();
-    for _ in 0..ncol {
-        let workload = pget_workload(cur)?;
-        let res = resolution_from_tag(pget_u32(cur)?)
-            .map_err(|e| ProtocolError::Format(format!("{e}")))?;
-        columns.push((workload, res));
-    }
-    let nvar = pget_u32(cur)? as usize;
-    let mut variants = Vec::new();
-    for _ in 0..nvar {
-        variants.push(get_variant(cur)?);
-    }
-    let nsec = pget_u32(cur)? as usize;
-    let mut sections = Vec::new();
-    for _ in 0..nsec {
-        sections.push(get_str(cur)?);
-    }
-    let trace = get_bool(cur)?;
-    let deadline_ms = get_u64(cur)?;
-    Ok(MatrixSpec {
-        columns,
-        variants,
-        sections,
-        trace,
-        deadline_ms,
-    })
-}
-
 fn put_state<W: Write>(w: &mut W, state: &JobState) -> ProtoResult<()> {
     match state {
         JobState::Queued => put_u32(w, 0)?,
@@ -598,10 +519,6 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> ProtoResult<()> {
             4
         }
         Request::Shutdown => 5,
-        Request::SubmitMatrix(spec) => {
-            put_matrix(&mut payload, spec)?;
-            6
-        }
         Request::Stats => 7,
     };
     w.write_all(&frame(kind, &payload)?)?;
@@ -626,7 +543,6 @@ pub fn read_request<R: Read>(r: &mut R) -> ProtoResult<Option<Request>> {
         3 => Request::FetchResult(get_u64(&mut cur)?),
         4 => Request::CancelJob(get_u64(&mut cur)?),
         5 => Request::Shutdown,
-        6 => Request::SubmitMatrix(get_matrix(&mut cur)?),
         7 => Request::Stats,
         other => return fmt_err(format!("unknown request kind {other}")),
     };

@@ -52,8 +52,8 @@ pub struct ServeConfig {
     pub scene_capacity: Option<usize>,
     /// Optional LRU bound on resident frontend streams. `None` mirrors
     /// `scene_capacity` (a stream is useless once its scene is gone);
-    /// a tighter explicit bound lets `pimgfx-loadgen --synthetic`
-    /// soaks force stream evictions without evicting scenes.
+    /// a tighter explicit bound forces stream evictions without
+    /// evicting scenes, as the `serve-churn` benchmark does.
     pub stream_capacity: Option<usize>,
     /// When set, every finished job's manifest is also flushed to
     /// `<dir>/job-<id>.json`.
@@ -140,10 +140,6 @@ impl Shared {
 pub struct DrainHandle(Arc<AtomicBool>);
 
 impl DrainHandle {
-    pub(crate) fn new(flag: Arc<AtomicBool>) -> Self {
-        Self(flag)
-    }
-
     /// Starts the drain: in-flight and queued jobs finish, new
     /// submissions are refused, and [`Server::run`] returns.
     pub fn drain(&self) {
@@ -482,7 +478,7 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
 /// Whether a protocol failure is a socket read/write timeout — a
 /// stalled peer, not a corrupt stream. Unix reports an expired
 /// `SO_RCVTIMEO`/`SO_SNDTIMEO` as `WouldBlock`; Windows as `TimedOut`.
-pub(crate) fn is_stall(e: &ProtocolError) -> bool {
+fn is_stall(e: &ProtocolError) -> bool {
     matches!(
         e,
         ProtocolError::Io(io)
@@ -539,11 +535,6 @@ fn dispatch(shared: &Shared, req: &Request) -> Response {
             shared.draining.store(true, Ordering::SeqCst);
             Response::ShuttingDown
         }
-        Request::SubmitMatrix(_) => Response::Error(
-            "matrix jobs are accepted by pimgfx-coord; \
-             submit single-column jobs to pimgfx-serve"
-                .to_string(),
-        ),
         Request::Stats => Response::Stats(cache_stats(shared)),
     }
 }

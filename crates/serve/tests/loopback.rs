@@ -115,6 +115,42 @@ fn synthetic_job_is_served_and_matches_local_harness() {
 }
 
 #[test]
+fn bounded_stream_cache_evicts_and_results_stay_identical() {
+    // One resident stream: columns A, B, A each rebuild their frontend,
+    // and the rebuilt A must serve the same bytes as the first A.
+    let (addr, handle) = start(ServeConfig {
+        frames: 1,
+        stream_capacity: Some(1),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+
+    let a = baseline_spec();
+    let b = JobSpec {
+        workload: Workload::Synthetic(test_synthetic()),
+        ..baseline_spec()
+    };
+    for spec in [&a, &b, &a] {
+        let id = submit_ok(&mut client, spec);
+        let state = client.wait(id, WAIT, POLL).expect("wait");
+        assert_eq!(state, JobState::Done { cells: 1 }, "job {id} finishes");
+        let served = client.fetch_manifest(id).expect("fetch");
+        assert_eq!(served, local_manifest(id, spec), "job {id} manifest");
+    }
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.stream_misses, 3, "every job rebuilds: {stats:?}");
+    assert!(
+        stats.stream_evictions >= 1,
+        "bounded cache evicts: {stats:?}"
+    );
+    assert_eq!(stats.scene_evictions, 0, "scenes stay unbounded: {stats:?}");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean drain");
+}
+
+#[test]
 fn served_result_matches_local_harness_byte_for_byte() {
     let results_dir =
         std::env::temp_dir().join(format!("pimgfx_serve_equiv_{}", std::process::id()));

@@ -1,14 +1,15 @@
 //! Wire-protocol coverage: every frame round-trips byte-exactly, and
-//! corrupt streams (bad magic, future version, truncation, oversized
-//! lengths, trailing bytes) are rejected as `Format` errors — never a
-//! panic or an unbounded allocation.
+//! corrupt streams (bad magic, foreign version, truncation, oversized
+//! lengths, trailing bytes, seeded random mutations) are rejected as
+//! `Format` errors — never a panic or an unbounded allocation.
 
 use pimgfx::Design;
 use pimgfx_bench::Variant;
 use pimgfx_serve::protocol::{
     read_request, read_response, write_request, write_response, CacheStats, JobSpec, JobState,
-    MatrixSpec, ProtocolError, Request, Response, MAGIC, MAX_PAYLOAD, VERSION,
+    ProtocolError, Request, Response, MAGIC, MAX_PAYLOAD, VERSION,
 };
+use pimgfx_types::TinyRng;
 use pimgfx_workloads::{Game, Resolution, SyntheticSpec, Workload};
 
 fn synthetic() -> SyntheticSpec {
@@ -57,32 +58,9 @@ fn encode_response(resp: &Response) -> Vec<u8> {
     buf
 }
 
-fn matrix_spec() -> MatrixSpec {
-    MatrixSpec {
-        columns: vec![
-            (Game::Doom3.into(), Resolution::R320x240),
-            (Game::Fear.into(), Resolution::R640x480),
-            (Game::Wolfenstein.into(), Resolution::R1280x1024),
-            (Workload::Synthetic(synthetic()), Resolution::R1920x1080),
-        ],
-        variants: vec![Variant::Design(Design::Baseline), Variant::AnisoOff],
-        sections: vec!["fig5".to_string()],
-        trace: true,
-        deadline_ms: 9876,
-    }
-}
-
 fn all_requests() -> Vec<Request> {
     vec![
         Request::SubmitJob(spec()),
-        Request::SubmitMatrix(matrix_spec()),
-        Request::SubmitMatrix(MatrixSpec {
-            columns: Vec::new(),
-            variants: Vec::new(),
-            sections: Vec::new(),
-            trace: false,
-            deadline_ms: 0,
-        }),
         Request::JobStatus(42),
         Request::FetchResult(u64::MAX),
         Request::CancelJob(7),
@@ -175,12 +153,15 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn future_version_is_rejected() {
-    let mut buf = encode_request(&Request::Shutdown);
-    let future = (VERSION + 1).to_le_bytes();
-    buf[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&future);
-    let mut cur: &[u8] = &buf;
-    let err = read_request(&mut cur).expect_err("must reject");
-    assert!(format!("{err}").contains("version"), "{err}");
+    // A newer peer and the previous version (a v3 client still sending
+    // kind-6 matrix jobs) both get a clean version error.
+    for version in [VERSION + 1, VERSION - 1] {
+        let mut buf = encode_request(&Request::Shutdown);
+        buf[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+        let mut cur: &[u8] = &buf;
+        let err = read_request(&mut cur).expect_err("must reject");
+        assert!(format!("{err}").contains("version"), "v{version}: {err}");
+    }
 }
 
 #[test]
@@ -240,13 +221,20 @@ fn trailing_payload_bytes_are_rejected() {
 
 #[test]
 fn unknown_kinds_are_rejected() {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&99u32.to_le_bytes());
-    buf.extend_from_slice(&0u32.to_le_bytes());
-    let mut cur: &[u8] = &buf;
-    assert!(read_request(&mut cur).is_err());
+    // Kind 6 is the retired matrix submission; it must not decode.
+    for kind in [6u32, 99] {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&kind.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        let mut cur: &[u8] = &buf;
+        let err = read_request(&mut cur).expect_err("must reject");
+        assert!(
+            format!("{err}").contains("unknown request kind"),
+            "kind {kind}: {err}"
+        );
+    }
 
     let mut buf = Vec::new();
     buf.extend_from_slice(&MAGIC);
@@ -258,31 +246,11 @@ fn unknown_kinds_are_rejected() {
 }
 
 #[test]
-fn truncated_matrix_frames_are_format_errors() {
-    let full = encode_request(&Request::SubmitMatrix(matrix_spec()));
-    for cut in [17, 21, 25, full.len() / 2, full.len() - 1] {
-        let mut cur: &[u8] = &full[..cut];
-        let err = read_request(&mut cur).expect_err("truncated matrix must fail");
-        assert!(
-            matches!(err, ProtocolError::Format(_)),
-            "cut at {cut}: {err}"
-        );
-    }
-}
-
-#[test]
-fn corrupt_matrix_game_tag_is_rejected() {
-    let req = Request::SubmitMatrix(MatrixSpec {
-        columns: vec![(Game::Doom3.into(), Resolution::R320x240)],
-        variants: Vec::new(),
-        sections: Vec::new(),
-        trace: false,
-        deadline_ms: 0,
-    });
-    let mut buf = encode_request(&req);
-    // Payload layout: ncol(u32) then the first column's workload tag
-    // (a game column is a single u32; the synthetic tag is 5).
-    let tag_at = 17 + 4;
+fn corrupt_workload_tag_is_rejected() {
+    let mut buf = encode_request(&Request::SubmitJob(spec()));
+    // The workload tag is the first payload u32 (a game workload is a
+    // single u32 tag; the synthetic tag is 5).
+    let tag_at = 17;
     buf[tag_at..tag_at + 4].copy_from_slice(&200u32.to_le_bytes());
     let mut cur: &[u8] = &buf;
     let err = read_request(&mut cur).expect_err("must reject");
@@ -331,4 +299,61 @@ fn invalid_synthetic_spec_on_the_wire_is_rejected() {
     let mut cur: &[u8] = &buf;
     let err = read_request(&mut cur).expect_err("must reject");
     assert!(format!("{err}").contains("synthetic"), "{err}");
+}
+
+/// One seeded corruption of an encoded frame: a byte flip, a
+/// truncation, an overwritten frame-length field, or an overwritten
+/// payload u32 (the position of counts and string lengths).
+fn mutate(rng: &mut TinyRng, frame: &[u8]) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    let pick = |rng: &mut TinyRng, n: usize| (rng.next_u64() % n as u64) as usize;
+    let word = |rng: &mut TinyRng| match rng.next_u64() % 4 {
+        0 => 0u32,
+        1 => u32::MAX,
+        2 => (rng.next_u64() % 64) as u32,
+        _ => rng.next_u64() as u32,
+    };
+    match rng.next_u64() % 4 {
+        0 => {
+            for _ in 0..=pick(rng, 3) {
+                let at = pick(rng, out.len());
+                out[at] ^= (rng.next_u64() as u8) | 1;
+            }
+        }
+        1 => out.truncate(pick(rng, out.len())),
+        2 => out[13..17].copy_from_slice(&word(rng).to_le_bytes()),
+        _ if out.len() >= 21 => {
+            let at = 17 + pick(rng, out.len() - 20);
+            out[at..at + 4].copy_from_slice(&word(rng).to_le_bytes());
+        }
+        _ => out.truncate(out.len() / 2),
+    }
+    out
+}
+
+#[test]
+fn seeded_mutations_never_panic_the_decoders() {
+    const ROUNDS: usize = 2000;
+    let mut rng = TinyRng::seed_from_u64(0x0050_4752_5043);
+    let requests: Vec<Vec<u8>> = all_requests().iter().map(encode_request).collect();
+    let responses: Vec<Vec<u8>> = all_responses().iter().map(encode_response).collect();
+    let mut rejected = 0usize;
+    for _ in 0..ROUNDS {
+        for frame in &requests {
+            let bad = mutate(&mut rng, frame);
+            // Ok or Err are both fine; a panic fails the test.
+            rejected += usize::from(read_request(&mut bad.as_slice()).is_err());
+        }
+        for frame in &responses {
+            let bad = mutate(&mut rng, frame);
+            rejected += usize::from(read_response(&mut bad.as_slice()).is_err());
+        }
+    }
+    // The sweep must actually reach the error paths, not just re-decode
+    // frames the mutations happened to leave intact.
+    let total = ROUNDS * (requests.len() + responses.len());
+    assert!(
+        rejected * 2 > total,
+        "only {rejected} of {total} mutated frames rejected"
+    );
 }
