@@ -15,7 +15,7 @@ use pimgfx_mem::{Gddr5Config, HmcConfig};
 use pimgfx_pim::{AtfimConfig, MtuConfig};
 use pimgfx_shader::ShaderConfig;
 use pimgfx_texture::{CacheConfig, FilterMode, SamplerConfig};
-use pimgfx_types::{ConfigError, KernelMode, Radians, Result};
+use pimgfx_types::{ConfigError, Radians, Result};
 
 /// GPU-side texture-unit configuration (Table I: 16 units, 4 address
 /// ALUs and 8 filtering ALUs each).
@@ -262,15 +262,6 @@ impl SimConfigBuilder {
         } else {
             FilterMode::Anisotropic
         };
-        self
-    }
-
-    /// Selects the replay kernel implementation (scalar reference vs
-    /// chunked lane kernels). The default tracks the `simd` cargo
-    /// feature; either mode is always available at runtime, and both
-    /// produce bit-identical reports (see docs/PERFORMANCE.md).
-    pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.config.sampler.kernels = mode;
         self
     }
 

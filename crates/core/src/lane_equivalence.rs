@@ -14,7 +14,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::{Design, FragmentStream, KernelMode, RenderReport, SimConfig, Simulator};
+    use crate::{Design, FragmentStream, RenderReport, SimConfig, Simulator};
     use pimgfx_workloads::{build_workload, Game, Resolution, SyntheticSpec, Workload};
     use std::sync::Arc;
 
@@ -46,9 +46,6 @@ mod tests {
             ("threshold 0.1pi", atfim().angle_threshold_pi_fraction(0.1)),
             ("no consolidation", atfim().consolidation(false)),
             ("no offload compression", atfim().offload_compression(false)),
-            // The parent recompute has a kernel per mode; the default
-            // build runs the scalar one.
-            ("lane kernels", atfim().kernel_mode(KernelMode::Lanes)),
         ]
         .into_iter()
         .map(|(name, b)| (name, b.build().expect("valid")))

@@ -42,7 +42,7 @@ use crate::design::Design;
 use crate::stream::{StreamData, StreamTile};
 use crate::texpath::{self, AtfimPrefix};
 use pimgfx_raster::Fragment;
-use pimgfx_texture::{FetchSet, MippedTexture, Sampler, TextureLayout};
+use pimgfx_texture::{FetchSink, MippedTexture, Sampler, TexelFetch, TextureLayout};
 use pimgfx_types::Rgba;
 use std::ops::Range;
 use std::sync::mpsc;
@@ -171,18 +171,48 @@ pub(crate) struct Cursor {
     pub quad: usize,
 }
 
-/// Per-thread scratch buffers for phase-1 fills (no steady-state
-/// allocation).
-#[derive(Debug, Default)]
-pub(crate) struct FillScratch {
-    /// Fetch-trace recorder for [`Sampler::sample_into`].
-    pub fetches: FetchSet,
-    /// Per-fetch line addresses (batch-computed, pre-dedup).
-    pub line_addrs: Vec<u64>,
-    /// Deduplicated line addresses of one fragment's fetch trace.
-    pub lines: Vec<u64>,
-    /// Probe offsets of the current A-TFIM kernel.
-    pub offsets: Vec<(i64, i64)>,
+/// The [`FetchSink`] of conventional and S-TFIM phase 1: it keeps cache
+/// lines, not texels. Each texel read maps to its line through the
+/// texture's layout, and the line is appended to `lines` unless
+/// `lines[start..]` (the fragment's lines, or the quad's) already holds
+/// it. A repeated texel maps to a line appended at its first read, so
+/// the lines come out in the order a texel dedup followed by a line
+/// dedup produces.
+struct LineSink<'a> {
+    layout: &'a TextureLayout,
+    lines: &'a mut Vec<u64>,
+    start: usize,
+    /// The previous read's line: consecutive reads mostly share one.
+    /// Starts at `u64::MAX`, never a line address (lines are 64-byte
+    /// aligned).
+    last: u64,
+}
+
+impl<'a> LineSink<'a> {
+    fn new(layout: &'a TextureLayout, lines: &'a mut Vec<u64>, start: usize) -> Self {
+        Self {
+            layout,
+            lines,
+            start,
+            last: u64::MAX,
+        }
+    }
+}
+
+impl FetchSink for LineSink<'_> {
+    #[inline]
+    fn record(&mut self, fetch: TexelFetch) {
+        let line = self
+            .layout
+            .texel_line_addr(fetch.x, fetch.y, usize::from(fetch.level));
+        if line == self.last {
+            return;
+        }
+        self.last = line;
+        if !self.lines[self.start..].contains(&line) {
+            self.lines.push(line);
+        }
+    }
 }
 
 /// The phase-1 worker: the design's pure sampling configuration, safe
@@ -208,101 +238,69 @@ impl Filler {
         tex: &MippedTexture,
         layout: &TextureLayout,
         recs: &mut ChunkRecords,
-        scratch: &mut FillScratch,
     ) {
         match self.design {
-            Design::Baseline | Design::BPim => {
-                self.fill_conventional(quad, tex, layout, recs, scratch);
-            }
-            Design::STfim => self.fill_stfim(quad, tex, layout, recs, scratch),
+            Design::Baseline | Design::BPim => self.fill_conventional(quad, tex, layout, recs),
+            Design::STfim => self.fill_stfim(quad, tex, layout, recs),
             Design::ATfim => {
                 for frag in quad {
-                    recs.atfim.push(texpath::atfim_prefix(
-                        &self.sampler,
-                        frag,
-                        tex,
-                        layout,
-                        &mut scratch.offsets,
-                    ));
+                    recs.atfim
+                        .push(texpath::atfim_prefix(&self.sampler, frag, tex, layout));
                 }
             }
         }
     }
 
     /// Fills `recs` with chunk `k` of `src`.
-    pub fn fill_chunk(
-        &self,
-        src: &ChunkSource<'_>,
-        k: usize,
-        recs: &mut ChunkRecords,
-        scratch: &mut FillScratch,
-    ) {
+    pub fn fill_chunk(&self, src: &ChunkSource<'_>, k: usize, recs: &mut ChunkRecords) {
         recs.reset();
         for t in src.plan.tiles(k) {
             let tile: StreamTile<'_> = src.data.tile(t);
             for quad in tile.quads() {
                 let i = quad[0].texture.index();
-                self.fill_quad(quad, src.textures[i], &src.layouts[i], recs, scratch);
+                self.fill_quad(quad, src.textures[i], &src.layouts[i], recs);
             }
         }
     }
 
-    /// Conventional phase 1: the full sampler pass plus per-fragment
-    /// line dedup — everything the conventional path computes before its
-    /// first cache probe.
+    /// Conventional phase 1: the full sampler pass, recording each
+    /// fragment's distinct cache lines — everything the conventional
+    /// path computes before its first cache probe.
     fn fill_conventional(
         &self,
         quad: &[Fragment],
         tex: &MippedTexture,
         layout: &TextureLayout,
         recs: &mut ChunkRecords,
-        scratch: &mut FillScratch,
     ) {
         for frag in quad {
             let (ddx, ddy) = texpath::texel_derivs(tex, frag);
-            let info = self
-                .sampler
-                .sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fetches);
-            let texels = info.conventional_texels.max(scratch.fetches.len() as u32);
-            texpath::dedup_lines_into(
-                scratch.fetches.fetches(),
-                layout,
-                &mut scratch.line_addrs,
-                &mut scratch.lines,
-            );
+            let start = recs.lines.len();
+            let mut sink = LineSink::new(layout, &mut recs.lines, start);
+            let info = self.sampler.sample_with(tex, frag.uv, ddx, ddy, &mut sink);
             recs.colors.push(info.color);
-            recs.texels.push(texels);
+            recs.texels.push(info.conventional_texels);
             recs.aniso.push(info.aniso_ratio);
-            recs.lines.extend_from_slice(&scratch.lines);
             recs.line_start.push(recs.lines.len() as u32);
         }
     }
 
-    /// S-TFIM phase 1: the sampler pass plus the quad-wide request-line
-    /// dedup (first-occurrence order across the quad's fragments).
+    /// S-TFIM phase 1: the sampler pass, recording the quad's distinct
+    /// request lines in first-occurrence order across its fragments.
     fn fill_stfim(
         &self,
         quad: &[Fragment],
         tex: &MippedTexture,
         layout: &TextureLayout,
         recs: &mut ChunkRecords,
-        scratch: &mut FillScratch,
     ) {
-        let quad_lines_before = recs.quad_lines.len();
+        let start = recs.quad_lines.len();
         for frag in quad {
             let (ddx, ddy) = texpath::texel_derivs(tex, frag);
-            let info = self
-                .sampler
-                .sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fetches);
-            let texels = info.conventional_texels.max(scratch.fetches.len() as u32);
-            layout.texel_line_addrs_into(scratch.fetches.fetches(), &mut scratch.line_addrs);
-            for &line in &scratch.line_addrs {
-                if !recs.quad_lines[quad_lines_before..].contains(&line) {
-                    recs.quad_lines.push(line);
-                }
-            }
+            let mut sink = LineSink::new(layout, &mut recs.quad_lines, start);
+            let info = self.sampler.sample_with(tex, frag.uv, ddx, ddy, &mut sink);
             recs.colors.push(info.color);
-            recs.texels.push(texels);
+            recs.texels.push(info.conventional_texels);
             recs.aniso.push(info.aniso_ratio);
         }
         recs.quad_line_start.push(recs.quad_lines.len() as u32);
@@ -337,9 +335,8 @@ pub(crate) fn fill_inline<R>(
     src: ChunkSource<'_>,
     walk: impl FnOnce(&mut LoadChunk<'_>) -> R,
 ) -> R {
-    let mut scratch = FillScratch::default();
     let mut load = |k: usize, recs: &mut ChunkRecords| {
-        filler.fill_chunk(&src, k, recs, &mut scratch);
+        filler.fill_chunk(&src, k, recs);
         true
     };
     walk(&mut load)
@@ -367,10 +364,9 @@ pub(crate) fn fill_streamed<R>(
             ready.push(ready_rx);
             spent.push(spent_tx);
             scope.spawn(move || {
-                let mut scratch = FillScratch::default();
                 for k in (h..src.plan.len()).step_by(helpers) {
                     let mut recs = spent_rx.try_recv().unwrap_or_default();
-                    filler.fill_chunk(&src, k, &mut recs, &mut scratch);
+                    filler.fill_chunk(&src, k, &mut recs);
                     if ready_tx.send(recs).is_err() {
                         // The walk stopped early; nobody wants the rest.
                         return;
@@ -403,6 +399,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::texpath::TexturePath;
+    use pimgfx_texture::{FilterMode, SamplerConfig};
     use pimgfx_workloads::{build_scene_unchecked, Game, Resolution, SceneTrace};
 
     fn tiny_scene() -> SceneTrace {
@@ -492,13 +489,90 @@ mod tests {
             let recorded: usize = (0..plan.len())
                 .map(|k| {
                     let mut recs = ChunkRecords::default();
-                    filler.fill_chunk(&src, k, &mut recs, &mut FillScratch::default());
+                    filler.fill_chunk(&src, k, &mut recs);
                     recs.fragments()
                 })
                 .sum();
             assert_eq!(recorded, expect, "{design}: one record per fragment");
             for workers in [2, 4, 16] {
                 assert_eq!(one, fill(workers), "{design}: {workers} workers");
+            }
+        }
+    }
+
+    /// Conventional and S-TFIM records filled through the line sink
+    /// must equal the texel-trace path they replaced — the sampler's
+    /// `FetchSet` trace, its texel count `max`ed with the distinct
+    /// fetches, then `dedup_lines_into` per fragment (or the quad-wide
+    /// first-occurrence dedup) — over seeded random quads, every filter
+    /// mode and both anisotropy caps.
+    #[test]
+    fn phase1_records_match_texel_trace_oracle() {
+        let (textures, layouts) = crate::testkit::textures();
+        let quads = crate::testkit::quads(0x9e37_0018, &textures, 500);
+        let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
+        let mut fetches = pimgfx_texture::FetchSet::new();
+        let (mut addrs, mut lines) = (Vec::new(), Vec::new());
+        for filter in [
+            FilterMode::Point,
+            FilterMode::Bilinear,
+            FilterMode::Trilinear,
+            FilterMode::Anisotropic,
+        ] {
+            for max_aniso in [1, 16] {
+                let sampler = Sampler::new(SamplerConfig {
+                    filter,
+                    max_aniso,
+                    reordered: false,
+                });
+                for design in [Design::Baseline, Design::STfim] {
+                    let filler = Filler::new(design, sampler);
+                    let mut recs = ChunkRecords::default();
+                    recs.reset();
+                    for quad in &quads {
+                        let t = quad[0].texture.index();
+                        filler.fill_quad(quad, &textures[t], &layouts[t], &mut recs);
+                    }
+                    let mut i = 0;
+                    for (q, quad) in quads.iter().enumerate() {
+                        let t = quad[0].texture.index();
+                        let (tex, layout) = (&textures[t], &layouts[t]);
+                        let mut quad_lines: Vec<u64> = Vec::new();
+                        for frag in quad {
+                            let ctx = format!("{filter:?} a={max_aniso} {design} frag {i}");
+                            let (ddx, ddy) = texpath::texel_derivs(tex, frag);
+                            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut fetches);
+                            let texels = info.conventional_texels.max(fetches.len() as u32);
+                            texpath::dedup_lines_into(
+                                fetches.fetches(),
+                                layout,
+                                &mut addrs,
+                                &mut lines,
+                            );
+                            assert_eq!(bits(recs.colors[i]), bits(info.color), "{ctx}");
+                            assert_eq!(recs.texels[i], texels, "{ctx}");
+                            assert_eq!(recs.aniso[i], info.aniso_ratio, "{ctx}");
+                            if design == Design::STfim {
+                                for &l in &addrs {
+                                    if !quad_lines.contains(&l) {
+                                        quad_lines.push(l);
+                                    }
+                                }
+                            } else {
+                                let span =
+                                    recs.line_start[i] as usize..recs.line_start[i + 1] as usize;
+                                assert_eq!(recs.lines[span], lines[..], "{ctx}");
+                            }
+                            i += 1;
+                        }
+                        if design == Design::STfim {
+                            let span = recs.quad_line_start[q] as usize
+                                ..recs.quad_line_start[q + 1] as usize;
+                            assert_eq!(recs.quad_lines[span], quad_lines[..], "quad {q}");
+                        }
+                    }
+                    assert_eq!(i, recs.fragments());
+                }
             }
         }
     }

@@ -56,6 +56,8 @@ pub mod rop;
 pub mod sim;
 pub mod stats;
 pub mod stream;
+#[cfg(test)]
+mod testkit;
 pub mod texpath;
 pub mod texunit;
 
@@ -79,7 +81,6 @@ pub use backend::MemoryBackend;
 pub use config::{SimConfig, SimConfigBuilder, TextureUnitConfig};
 pub use design::Design;
 pub use overhead::{analyze as analyze_overhead, OverheadReport};
-pub use pimgfx_types::KernelMode;
 pub use sim::Simulator;
 pub use stats::{RenderReport, TextureStats};
 pub use stream::{FragmentStream, FragmentStreamCache, FrontendCacheStats, StreamTile};

@@ -37,7 +37,7 @@ use pimgfx_quality::FrameImage;
 use pimgfx_raster::RasterStats;
 use pimgfx_shader::{ShaderCores, ShaderProgram, TileScheduler};
 use pimgfx_texture::{MippedTexture, TextureLayout};
-use pimgfx_types::{ConfigError, F32x4, Result, Rgba};
+use pimgfx_types::{ConfigError, Result, Rgba};
 use pimgfx_workloads::SceneTrace;
 
 /// Base address of the simulated texture heap.
@@ -352,8 +352,6 @@ impl Simulator {
         let mut quad_results: Vec<(Rgba, Cycle)> = Vec::new();
         let mut recs = ChunkRecords::default();
 
-        let lane_kernels = self.config.sampler.kernels.is_lanes();
-
         for (f, fe) in data.frames.iter().enumerate() {
             let frame_start = clock;
             rop.begin_frame();
@@ -427,21 +425,9 @@ impl Simulator {
                                 &mut quad_results,
                             ),
                         }
-                        if lane_kernels {
-                            // Lane-clamped retire: fold the quad's
-                            // displayable-range clamp into channel-major
-                            // F32x4 passes before the order-sensitive
-                            // scalar writes below. Per-lane clamp is
-                            // bit-identical to `Rgba::clamped` (see
-                            // `pimgfx_types::lanes`).
-                            for r in quad_results.iter_mut() {
-                                r.0 = F32x4::from_rgba(r.0).clamp01().to_rgba();
-                            }
-                        }
                         for (frag, &(color, done)) in quad.iter().zip(&quad_results) {
                             tile_done = tile_done.max(done);
-                            let color = if lane_kernels { color } else { color.clamped() };
-                            image.put(frag.x, frag.y, color);
+                            image.put(frag.x, frag.y, color.clamped());
                             rop.retire(frag);
                         }
                     }

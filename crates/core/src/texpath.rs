@@ -22,7 +22,7 @@
 use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
 use crate::design::Design;
-use crate::lanepre::{ChunkRecords, Cursor, FillScratch, Filler};
+use crate::lanepre::{ChunkRecords, Cursor, Filler};
 use crate::parent_store::ParentStore;
 use crate::stats::TextureStats;
 use crate::texunit::TextureUnits;
@@ -46,10 +46,8 @@ const L2_HIT_CYCLES: u64 = 8;
 /// the steady-state sampling loop performs no heap allocation.
 #[derive(Debug, Default)]
 struct PathScratch {
-    /// Phase-1 scratch of the per-quad entry point
+    /// One quad's phase-1 records, for the per-quad entry point
     /// ([`TexturePath::sample_quad_into`]).
-    fill: FillScratch,
-    /// One quad's phase-1 records, for the same entry point.
     recs: ChunkRecords,
     /// Quad-wide deduplicated request lines (S-TFIM); drained into the
     /// MTU request each quad and its capacity reclaimed afterwards.
@@ -63,6 +61,20 @@ struct PathScratch {
     plain_lines: Vec<u64>,
     /// Per-fragment A-TFIM results for the current quad.
     parts: Vec<AtfimFragment>,
+    /// The serial oracle's texel-trace buffers (`None` while in use).
+    #[cfg(test)]
+    trace: Option<TraceScratch>,
+}
+
+/// One fragment's texel trace and its lines, for the serial oracle.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct TraceScratch {
+    fetches: pimgfx_texture::FetchSet,
+    /// Line addresses of `fetches`, pre-dedup.
+    line_addrs: Vec<u64>,
+    /// Deduplicated lines of `fetches`.
+    lines: Vec<u64>,
 }
 
 /// An inline list of cache-line addresses, capacity 8 — a fragment's
@@ -218,13 +230,12 @@ pub(crate) struct AtfimPrefix {
 /// The A-TFIM phase-1 prefix of `frag`: texel derivatives, footprint,
 /// mip levels and blend weight, angle tag, and per level the bilinear
 /// base and weights, the degenerate-kernel flag and the four wrapped
-/// corners with their line addresses. `offsets` is scratch.
+/// corners with their line addresses.
 pub(crate) fn atfim_prefix(
     sampler: &Sampler,
     frag: &Fragment,
     tex: &MippedTexture,
     layout: &TextureLayout,
-    offsets: &mut Vec<(i64, i64)>,
 ) -> AtfimPrefix {
     let (ddx, ddy) = texel_derivs(tex, frag);
     let fp = sampler.footprint(ddx, ddy);
@@ -242,13 +253,17 @@ pub(crate) fn atfim_prefix(
         2.0 * orientation.rem_euclid(std::f32::consts::PI) + frag.camera_angle.as_f32(),
     );
     let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let mut level = |level: usize, div: u8| -> AtfimLevel {
+    // The kernel's farthest probe: every probe offset (divided by the
+    // level's divisor) is zero exactly when this one is.
+    let (ex, ey) = filter::probe_extent(&fp, fp.aniso_ratio, fine_scale);
+    let level = |level: usize, div: u8| -> AtfimLevel {
         let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
         let img = tex.level(level);
         let wrap = tex.wrap();
-        atfim_offsets(&fp, fine_scale, div, offsets);
-        let xs = [wrap.wrap(x0, img.width()), wrap.wrap(x0 + 1, img.width())];
-        let ys = [wrap.wrap(y0, img.height()), wrap.wrap(y0 + 1, img.height())];
+        let (wx, wy) = (wrap.wrap(x0, img.width()), wrap.wrap(y0, img.height()));
+        let xs = [wx, wrap.wrap_succ(wx, x0, img.width())];
+        let ys = [wy, wrap.wrap_succ(wy, y0, img.height())];
+        let d = i64::from(div);
         AtfimLevel {
             level: level as u8,
             div,
@@ -257,7 +272,7 @@ pub(crate) fn atfim_prefix(
             // The "average over children" is then exactly the texel — no
             // child set exists, so there is nothing to offload and no
             // camera angle to compare: it is an ordinary texel fetch.
-            degenerate: offsets.iter().all(|&o| o == (0, 0)),
+            degenerate: (ex / d, ey / d) == (0, 0),
             base: (x0, y0),
             fx,
             fy,
@@ -447,9 +462,8 @@ impl TexturePath {
     ) {
         assert!(!frags.is_empty(), "a quad needs at least one fragment");
         let mut recs = std::mem::take(&mut self.scratch.recs);
-        let mut fill = std::mem::take(&mut self.scratch.fill);
         recs.reset();
-        Filler::new(self.design, self.sampler).fill_quad(frags, tex, layout, &mut recs, &mut fill);
+        Filler::new(self.design, self.sampler).fill_quad(frags, tex, layout, &mut recs);
         let mut cursor = Cursor::default();
         self.sample_quad_rec(
             cluster,
@@ -462,7 +476,6 @@ impl TexturePath {
             out,
         );
         self.scratch.recs = recs;
-        self.scratch.fill = fill;
     }
 
     /// Phase 2 of one quad: consumes the quad's `frag_count` phase-1
@@ -656,19 +669,33 @@ impl TexturePath {
         mem: &mut MemoryBackend,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut parts = std::mem::take(&mut scratch.parts);
+        let mut parts = std::mem::take(&mut self.scratch.parts);
+        let mut offsets = std::mem::take(&mut self.scratch.offsets);
+        let mut quad_miss = std::mem::take(&mut self.scratch.quad_miss);
+        let mut plain_lines = std::mem::take(&mut self.scratch.plain_lines);
         parts.clear();
         for pre in pres {
-            parts.push(self.atfim_fragment_rest(cluster, pre, tex, &mut scratch.offsets));
+            parts.push(self.atfim_fragment_rest(cluster, pre, tex, &mut offsets));
         }
-        self.atfim_quad_tail(cluster, issue, &parts, mem, out, &mut scratch);
-        scratch.parts = parts;
-        self.scratch = scratch;
+        self.atfim_quad_tail(
+            cluster,
+            issue,
+            &parts,
+            mem,
+            out,
+            &mut quad_miss,
+            &mut plain_lines,
+        );
+        self.scratch.parts = parts;
+        self.scratch.offsets = offsets;
+        self.scratch.quad_miss = quad_miss;
+        self.scratch.plain_lines = plain_lines;
     }
 
     /// The order-sensitive A-TFIM quad tail: address generation, plain
-    /// reads, the offload package, per-fragment filtering.
+    /// reads, the offload package, per-fragment filtering. `quad_miss`
+    /// and `plain_lines` are scratch.
+    #[allow(clippy::too_many_arguments)]
     fn atfim_quad_tail(
         &mut self,
         cluster: usize,
@@ -676,7 +703,8 @@ impl TexturePath {
         parts: &[AtfimFragment],
         mem: &mut MemoryBackend,
         out: &mut Vec<(Rgba, Cycle)>,
-        scratch: &mut PathScratch,
+        quad_miss: &mut Vec<u64>,
+        plain_lines: &mut Vec<u64>,
     ) {
         // Address generation for the quad's parents.
         let total_parents: u32 = parts.iter().map(|p| p.parents).sum();
@@ -685,7 +713,6 @@ impl TexturePath {
             .generate_addresses(cluster, issue, total_parents.max(1));
 
         // One offload package for all quad misses.
-        let quad_miss = &mut scratch.quad_miss;
         quad_miss.clear();
         for p in parts {
             for &l in p.miss_lines.as_slice() {
@@ -695,7 +722,6 @@ impl TexturePath {
             }
         }
         // Degenerate-kernel misses are ordinary texel reads.
-        let plain_lines = &mut scratch.plain_lines;
         plain_lines.clear();
         for p in parts {
             for &l in p.plain_miss_lines.as_slice() {
@@ -806,7 +832,6 @@ impl TexturePath {
         offsets: &mut Vec<(i64, i64)>,
     ) -> Rgba {
         let level = usize::from(lv.level);
-        let lane_kernels = self.sampler.config().kernels.is_lanes();
         let mut have_offsets = false;
         let mut corners = [Rgba::TRANSPARENT; 4];
         for (ci, (cx, cy)) in CORNERS.into_iter().enumerate() {
@@ -826,15 +851,7 @@ impl TexturePath {
                     atfim_offsets(&pre.fp, pre.fine_scale, lv.div, offsets);
                     have_offsets = true;
                 }
-                let (x, y) = (lv.base.0 + cx, lv.base.1 + cy);
-                // Bit-identical kernel pair; the lane variant
-                // accumulates channel-major (see `pimgfx_texture::filter`
-                // lane kernels).
-                if lane_kernels {
-                    filter::average_children_lanes(tex, x, y, level, offsets)
-                } else {
-                    filter::average_children(tex, x, y, level, offsets)
-                }
+                filter::average_children(tex, lv.base.0 + cx, lv.base.1 + cy, level, offsets)
             });
         }
         corners[0]
@@ -1048,11 +1065,10 @@ pub(crate) fn texel_derivs(tex: &MippedTexture, frag: &Fragment) -> (Vec2, Vec2)
 /// the lines feed LRU caches, so reordering them would change hit/miss
 /// sequences and therefore timing.
 ///
-/// Addressing runs as a batch over the flat trace first
-/// ([`TextureLayout::texel_line_addrs_into`], via the `addrs` scratch),
-/// then the dedup folds the resulting flat `u64` slice — the same split
-/// the lane kernels use: bulk arithmetic over SoA buffers, order-sensitive
-/// logic scalar.
+/// Phase 1 records the same lines straight from the filter's reads
+/// (`lanepre::LineSink`); this two-pass form is what its tests and the
+/// serial oracle check it against.
+#[cfg(test)]
 pub(crate) fn dedup_lines_into(
     fetches: &[pimgfx_texture::TexelFetch],
     layout: &TextureLayout,
@@ -1112,19 +1128,17 @@ impl TexturePath {
         mem: &mut MemoryBackend,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut trace = self.scratch.trace.take().unwrap_or_default();
         let sampler = self.sampler;
         for frag in frags {
             let (ddx, ddy) = texel_derivs(tex, frag);
-            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fill.fetches);
-            let texels = info
-                .conventional_texels
-                .max(scratch.fill.fetches.len() as u32);
+            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut trace.fetches);
+            let texels = info.conventional_texels.max(trace.fetches.len() as u32);
             dedup_lines_into(
-                scratch.fill.fetches.fetches(),
+                trace.fetches.fetches(),
                 layout,
-                &mut scratch.fill.line_addrs,
-                &mut scratch.fill.lines,
+                &mut trace.line_addrs,
+                &mut trace.lines,
             );
             self.conventional_fragment(
                 cluster,
@@ -1132,12 +1146,12 @@ impl TexturePath {
                 texels,
                 info.aniso_ratio,
                 info.color,
-                &scratch.fill.lines,
+                &trace.lines,
                 mem,
                 out,
             );
         }
-        self.scratch = scratch;
+        self.scratch.trace = Some(trace);
     }
 
     /// S-TFIM: one request package per quad to the cluster's MTU; the
@@ -1153,32 +1167,27 @@ impl TexturePath {
         mem: &mut MemoryBackend,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut trace = self.scratch.trace.take().unwrap_or_default();
         let sampler = self.sampler;
-        scratch.stfim_lines.clear();
+        self.scratch.stfim_lines.clear();
         let mut texel_total = 0u32;
         for frag in frags {
             let (ddx, ddy) = texel_derivs(tex, frag);
-            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut scratch.fill.fetches);
-            let texels = info
-                .conventional_texels
-                .max(scratch.fill.fetches.len() as u32);
+            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut trace.fetches);
+            let texels = info.conventional_texels.max(trace.fetches.len() as u32);
             self.stats.conventional_texels += u64::from(texels);
             self.stats.record_aniso(info.aniso_ratio);
             texel_total += texels;
-            layout.texel_line_addrs_into(
-                scratch.fill.fetches.fetches(),
-                &mut scratch.fill.line_addrs,
-            );
-            for &line in &scratch.fill.line_addrs {
-                if !scratch.stfim_lines.contains(&line) {
-                    scratch.stfim_lines.push(line);
+            layout.texel_line_addrs_into(trace.fetches.fetches(), &mut trace.line_addrs);
+            for &line in &trace.line_addrs {
+                if !self.scratch.stfim_lines.contains(&line) {
+                    self.scratch.stfim_lines.push(line);
                 }
             }
             // Completion is quad-wide and not known yet; patched below.
             out.push((info.color, issue));
         }
-        self.scratch = scratch;
+        self.scratch.trace = Some(trace);
         self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
     }
 
@@ -1196,15 +1205,27 @@ impl TexturePath {
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         // GPU-side functional + cache pass, per fragment.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut parts = std::mem::take(&mut scratch.parts);
+        let mut parts = std::mem::take(&mut self.scratch.parts);
+        let mut offsets = std::mem::take(&mut self.scratch.offsets);
+        let mut quad_miss = std::mem::take(&mut self.scratch.quad_miss);
+        let mut plain_lines = std::mem::take(&mut self.scratch.plain_lines);
         parts.clear();
         for f in frags {
-            parts.push(self.atfim_fragment(cluster, f, tex, layout, &mut scratch));
+            parts.push(self.atfim_fragment(cluster, f, tex, layout, &mut offsets));
         }
-        self.atfim_quad_tail(cluster, issue, &parts, mem, out, &mut scratch);
-        scratch.parts = parts;
-        self.scratch = scratch;
+        self.atfim_quad_tail(
+            cluster,
+            issue,
+            &parts,
+            mem,
+            out,
+            &mut quad_miss,
+            &mut plain_lines,
+        );
+        self.scratch.parts = parts;
+        self.scratch.offsets = offsets;
+        self.scratch.quad_miss = quad_miss;
+        self.scratch.plain_lines = plain_lines;
     }
 
     /// The A-TFIM GPU-side pass for one fragment: probe angle-tagged
@@ -1215,7 +1236,7 @@ impl TexturePath {
         frag: &Fragment,
         tex: &MippedTexture,
         layout: &TextureLayout,
-        scratch: &mut PathScratch,
+        offsets: &mut Vec<(i64, i64)>,
     ) -> AtfimFragment {
         let (ddx, ddy) = texel_derivs(tex, frag);
         let fp = self.sampler.footprint(ddx, ddy);
@@ -1235,21 +1256,20 @@ impl TexturePath {
         self.stats.conventional_texels += u64::from(fp.conventional_texel_count());
         self.stats.record_aniso(fp.aniso_ratio);
 
-        let lanes = self.sampler.config().kernels.is_lanes();
         let mut lines = ParentLines::default();
         let mut level_color =
-            |path: &mut Self, scratch: &mut PathScratch, level: usize, div: i64| -> Rgba {
+            |path: &mut Self, offsets: &mut Vec<(i64, i64)>, level: usize, div: i64| -> Rgba {
                 let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
                 let img = tex.level(level);
                 let wrap = tex.wrap();
                 let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, &mut scratch.offsets);
+                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, offsets);
                 if div != 1 {
-                    for o in scratch.offsets.iter_mut() {
+                    for o in offsets.iter_mut() {
                         *o = (o.0 / div, o.1 / div);
                     }
                 }
-                let offsets = &scratch.offsets;
+                let offsets = &*offsets;
                 // Degenerate kernel: every probe lands on the parent texel
                 // itself (common at the coarser of the two blended levels).
                 // The "average over children" is then exactly the texel — no
@@ -1275,14 +1295,7 @@ impl TexturePath {
                         (wx, wy),
                     );
                     corners[ci] = path.parent_value(block, wx, wy, hit, angle, || {
-                        // Bit-identical kernel pair; the lane variant
-                        // accumulates channel-major (see
-                        // `pimgfx_texture::filter` lane kernels).
-                        if lanes {
-                            filter::average_children_lanes(tex, x0 + cx, y0 + cy, level, offsets)
-                        } else {
-                            filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
-                        }
+                        filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
                     });
                 }
                 corners[0]
@@ -1290,11 +1303,11 @@ impl TexturePath {
                     .lerp(corners[2].lerp(corners[3], fx), fy)
             };
 
-        let c_fine = level_color(self, scratch, fine, 1);
+        let c_fine = level_color(self, offsets, fine, 1);
         let color = if coarse == fine || w == 0.0 {
             c_fine
         } else {
-            let c_coarse = level_color(self, scratch, coarse, 2);
+            let c_coarse = level_color(self, offsets, coarse, 2);
             c_fine.lerp(c_coarse, w)
         };
         lines.finish(
@@ -1379,6 +1392,57 @@ mod tests {
         // Reuse without clearing in between: still identical.
         dedup_lines_into(&fetches, &layout, &mut addrs, &mut got);
         assert_eq!(got, want);
+    }
+
+    /// The phase-1 A-TFIM prefix decides "degenerate" from the kernel's
+    /// farthest probe alone and wraps each corner axis once; both must
+    /// equal the full computation — every probe offset divided by the
+    /// level's divisor is zero, and each corner wrapped on its own — over
+    /// seeded random fragments (NaN/∞ derivatives, 1×1 mips and
+    /// span-capped kernels included) at both anisotropy caps.
+    #[test]
+    fn atfim_prefix_matches_full_offset_scan_oracle() {
+        let (textures, layouts) = crate::testkit::textures();
+        let quads = crate::testkit::quads(0xa7f1_0018, &textures, 1500);
+        let mut offsets = Vec::new();
+        let (mut degenerate, mut live, mut halved_away) = (0, 0, 0);
+        for max_aniso in [1, 16] {
+            let sampler = Sampler::new(SamplerConfig {
+                max_aniso,
+                reordered: true,
+                ..SamplerConfig::default()
+            });
+            for frag in quads.iter().flatten() {
+                let t = frag.texture.index();
+                let (tex, layout) = (&textures[t], &layouts[t]);
+                let pre = atfim_prefix(&sampler, frag, tex, layout);
+                let levels = if pre.two_levels { 2 } else { 1 };
+                for lv in &pre.levels[..levels] {
+                    atfim_offsets(&pre.fp, pre.fine_scale, lv.div, &mut offsets);
+                    let scan = offsets.iter().all(|&o| o == (0, 0));
+                    assert_eq!(lv.degenerate, scan, "{frag:?} level {}", lv.level);
+                    if scan {
+                        degenerate += 1;
+                        let mut undivided = Vec::new();
+                        atfim_offsets(&pre.fp, pre.fine_scale, 1, &mut undivided);
+                        if undivided.iter().any(|&o| o != (0, 0)) {
+                            halved_away += 1;
+                        }
+                    } else {
+                        live += 1;
+                    }
+                    let img = tex.level(usize::from(lv.level));
+                    let wrap = tex.wrap();
+                    let (x0, y0) = lv.base;
+                    let xs = [wrap.wrap(x0, img.width()), wrap.wrap(x0 + 1, img.width())];
+                    let ys = [wrap.wrap(y0, img.height()), wrap.wrap(y0 + 1, img.height())];
+                    assert_eq!((lv.xs, lv.ys), (xs, ys), "{frag:?} level {}", lv.level);
+                }
+            }
+        }
+        // Both outcomes occur, including coarse levels whose offsets
+        // only vanish after the division.
+        assert!(degenerate > 100 && live > 100 && halved_away > 10);
     }
 
     #[test]

@@ -162,13 +162,9 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Outstanding items (queued + popped-but-not-done).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         self.lock().outstanding
-    }
-
-    /// The configured outstanding-work bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// True when nothing is queued or in flight.

@@ -10,6 +10,7 @@
 //! approximation of the approximation — can be compared against ground
 //! truth.
 
+use crate::filter::texel_at;
 use crate::footprint::Footprint;
 use crate::mipmap::MippedTexture;
 use pimgfx_types::{F32x4, Rgba, Vec2};
@@ -24,6 +25,12 @@ const MAX_TEXELS: u32 = 4096;
 /// Returns the filtered color and the number of texels integrated.
 /// The integral runs on the mip level selected by the footprint's minor
 /// axis, like the hardware filter, so the two are directly comparable.
+///
+/// The ellipse-membership test `Q = A dx² + B dx dy + C dy²` runs for
+/// [`F32x4::LANES`] consecutive texels per step — each lane applies the
+/// scalar expression to its own `dx`, so the accepted texel set and the
+/// Gaussian weights match a texel-at-a-time scan — and the weighted sum
+/// rides an [`F32x4`] in scan order.
 ///
 /// # Examples
 ///
@@ -47,93 +54,6 @@ pub fn filter(
     let (level, _, _) = fp.mip_levels(tex.max_level());
     let scale = 1.0 / (1u32 << level.min(31)) as f32;
 
-    // Footprint axes in texels of the chosen level.
-    let ax = duv_dx * scale;
-    let ay = duv_dy * scale;
-    let img = tex.level(level);
-    let center = Vec2::new(
-        uv.x * img.width() as f32 - 0.5,
-        uv.y * img.height() as f32 - 0.5,
-    );
-
-    // Implicit ellipse  A x² + B x y + C y² = F  from the Jacobian
-    // (Heckbert's construction).
-    let mut a = ax.y * ax.y + ay.y * ay.y + 1.0;
-    let mut b = -2.0 * (ax.x * ax.y + ay.x * ay.y);
-    let mut c = ax.x * ax.x + ay.x * ay.x + 1.0;
-    let f = a * c - b * b * 0.25;
-    if f <= 0.0 {
-        // Degenerate: fall back to the nearest texel.
-        let x = center.x.round() as i64;
-        let y = center.y.round() as i64;
-        return (read(tex, x, y, level), 1);
-    }
-    // Normalize so the ellipse boundary is at Q = F.
-    let inv_f = 1.0 / f;
-    a *= inv_f;
-    b *= inv_f;
-    c *= inv_f;
-
-    // Bounding box of the ellipse.
-    let half_w = (c / (a * c - b * b * 0.25)).sqrt();
-    let half_h = (a / (a * c - b * b * 0.25)).sqrt();
-    let x0 = (center.x - half_w).floor() as i64;
-    let x1 = (center.x + half_w).ceil() as i64;
-    let y0 = (center.y - half_h).floor() as i64;
-    let y1 = (center.y + half_h).ceil() as i64;
-
-    let mut acc = Rgba::TRANSPARENT;
-    let mut weight_sum = 0.0f32;
-    let mut texels = 0u32;
-    'scan: for ty in y0..=y1 {
-        for tx in x0..=x1 {
-            let dx = tx as f32 - center.x;
-            let dy = ty as f32 - center.y;
-            let q = a * dx * dx + b * dx * dy + c * dy * dy;
-            if q <= 1.0 {
-                // Gaussian falloff over the elliptical radius.
-                let w = (-2.0 * q).exp();
-                acc += read(tex, tx, ty, level) * w;
-                weight_sum += w;
-                texels += 1;
-                if texels >= MAX_TEXELS {
-                    break 'scan;
-                }
-            }
-        }
-    }
-    if weight_sum <= 0.0 {
-        let x = center.x.round() as i64;
-        let y = center.y.round() as i64;
-        return (read(tex, x, y, level), 1);
-    }
-    (acc * (1.0 / weight_sum), texels)
-}
-
-fn read(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
-    let img = tex.level(level);
-    let wrap = tex.wrap();
-    img.texel(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
-}
-
-/// Lane-kernel variant of [`filter`] (`KernelMode::Lanes`): the
-/// ellipse-membership test `Q = A dx² + B dx dy + C dy²` is evaluated
-/// for [`F32x4::LANES`] consecutive texels per step — each lane applies
-/// the scalar expression to its own `dx`, so the per-texel `Q` values,
-/// the accepted texel set, and the Gaussian weights are bit-identical —
-/// and the weighted accumulation rides an [`F32x4`] in the same scan
-/// order. Returns exactly what [`filter`] returns.
-pub fn filter_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    duv_dx: Vec2,
-    duv_dy: Vec2,
-    max_aniso: u32,
-) -> (Rgba, u32) {
-    let fp = Footprint::from_derivatives(duv_dx, duv_dy, max_aniso);
-    let (level, _, _) = fp.mip_levels(tex.max_level());
-    let scale = 1.0 / (1u32 << level.min(31)) as f32;
-
     let ax = duv_dx * scale;
     let ay = duv_dy * scale;
     let img = tex.level(level);
@@ -149,7 +69,7 @@ pub fn filter_lanes(
     if f <= 0.0 {
         let x = center.x.round() as i64;
         let y = center.y.round() as i64;
-        return (crate::filter::texel_at_fast(tex, x, y, level), 1);
+        return (texel_at(tex, x, y, level), 1);
     }
     let inv_f = 1.0 / f;
     a *= inv_f;
@@ -187,7 +107,7 @@ pub fn filter_lanes(
             for (i, &q) in q_chunk.iter().enumerate().take(chunk) {
                 if q <= 1.0 {
                     let w = (-2.0 * q).exp();
-                    let t = crate::filter::texel_at_fast(tex, tx + i as i64, ty, level);
+                    let t = texel_at(tex, tx + i as i64, ty, level);
                     acc = acc + F32x4::from_rgba(t) * w;
                     weight_sum += w;
                     texels += 1;
@@ -202,7 +122,7 @@ pub fn filter_lanes(
     if weight_sum <= 0.0 {
         let x = center.x.round() as i64;
         let y = center.y.round() as i64;
-        return (crate::filter::texel_at_fast(tex, x, y, level), 1);
+        return (texel_at(tex, x, y, level), 1);
     }
     ((acc * (1.0 / weight_sum)).to_rgba(), texels)
 }
@@ -210,8 +130,84 @@ pub fn filter_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::oracle;
     use crate::image::TextureImage;
     use crate::sampler::{Sampler, SamplerConfig};
+
+    /// The texel-at-a-time scalar EWA the lane-chunked [`filter`] replaced.
+    fn oracle_filter(
+        tex: &MippedTexture,
+        uv: Vec2,
+        duv_dx: Vec2,
+        duv_dy: Vec2,
+        max_aniso: u32,
+    ) -> (Rgba, u32) {
+        let fp = Footprint::from_derivatives(duv_dx, duv_dy, max_aniso);
+        let (level, _, _) = fp.mip_levels(tex.max_level());
+        let scale = 1.0 / (1u32 << level.min(31)) as f32;
+
+        // Footprint axes in texels of the chosen level.
+        let ax = duv_dx * scale;
+        let ay = duv_dy * scale;
+        let img = tex.level(level);
+        let center = Vec2::new(
+            uv.x * img.width() as f32 - 0.5,
+            uv.y * img.height() as f32 - 0.5,
+        );
+
+        // Implicit ellipse  A x² + B x y + C y² = F  from the Jacobian
+        // (Heckbert's construction).
+        let mut a = ax.y * ax.y + ay.y * ay.y + 1.0;
+        let mut b = -2.0 * (ax.x * ax.y + ay.x * ay.y);
+        let mut c = ax.x * ax.x + ay.x * ay.x + 1.0;
+        let f = a * c - b * b * 0.25;
+        if f <= 0.0 {
+            // Degenerate: fall back to the nearest texel.
+            let x = center.x.round() as i64;
+            let y = center.y.round() as i64;
+            return (oracle::texel_at(tex, x, y, level), 1);
+        }
+        // Normalize so the ellipse boundary is at Q = F.
+        let inv_f = 1.0 / f;
+        a *= inv_f;
+        b *= inv_f;
+        c *= inv_f;
+
+        // Bounding box of the ellipse.
+        let half_w = (c / (a * c - b * b * 0.25)).sqrt();
+        let half_h = (a / (a * c - b * b * 0.25)).sqrt();
+        let x0 = (center.x - half_w).floor() as i64;
+        let x1 = (center.x + half_w).ceil() as i64;
+        let y0 = (center.y - half_h).floor() as i64;
+        let y1 = (center.y + half_h).ceil() as i64;
+
+        let mut acc = Rgba::TRANSPARENT;
+        let mut weight_sum = 0.0f32;
+        let mut texels = 0u32;
+        'scan: for ty in y0..=y1 {
+            for tx in x0..=x1 {
+                let dx = tx as f32 - center.x;
+                let dy = ty as f32 - center.y;
+                let q = a * dx * dx + b * dx * dy + c * dy * dy;
+                if q <= 1.0 {
+                    // Gaussian falloff over the elliptical radius.
+                    let w = (-2.0 * q).exp();
+                    acc += oracle::texel_at(tex, tx, ty, level) * w;
+                    weight_sum += w;
+                    texels += 1;
+                    if texels >= MAX_TEXELS {
+                        break 'scan;
+                    }
+                }
+            }
+        }
+        if weight_sum <= 0.0 {
+            let x = center.x.round() as i64;
+            let y = center.y.round() as i64;
+            return (oracle::texel_at(tex, x, y, level), 1);
+        }
+        (acc * (1.0 / weight_sum), texels)
+    }
 
     fn gradient() -> MippedTexture {
         MippedTexture::with_full_chain(TextureImage::from_fn(64, 64, |x, y| {
@@ -284,10 +280,11 @@ mod tests {
         assert!(out.max_channel_diff(expect) < 0.1);
     }
 
-    /// The lane EWA must reproduce the scalar reference bit-for-bit:
-    /// same accepted texel set, same weights, same accumulation order.
+    /// The lane-chunked EWA must reproduce the scalar oracle bit for
+    /// bit: same accepted texel set, same weights, same accumulation
+    /// order.
     #[test]
-    fn lanes_filter_bit_identical_to_scalar() {
+    fn filter_bit_identical_to_oracle() {
         let tex = gradient();
         for (dx, dy) in [
             (1.0f32, 1.0f32),
@@ -302,8 +299,8 @@ mod tests {
                 Vec2::new(0.02, 0.97),
                 Vec2::new(0.99, 0.01),
             ] {
-                let (s, ns) = filter(&tex, uv, Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
-                let (l, nl) = filter_lanes(&tex, uv, Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
+                let (s, ns) = oracle_filter(&tex, uv, Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
+                let (l, nl) = filter(&tex, uv, Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
                 assert_eq!(ns, nl, "texel count differs at {uv:?} ({dx},{dy})");
                 assert_eq!(s.r.to_bits(), l.r.to_bits(), "at {uv:?} ({dx},{dy})");
                 assert_eq!(s.g.to_bits(), l.g.to_bits());

@@ -10,6 +10,13 @@
 //! so every probe shares the same fractional weights and the identity is
 //! exact up to floating-point rounding — `tests::reorder` and the
 //! property tests check it.
+//!
+//! Every kernel here is the fast form: interior footprints skip the wrap
+//! fold, texels unpack through the table of `PackedRgba::to_rgba_fast`,
+//! and colors ride the four lanes of an [`F32x4`] with the exact scalar
+//! formula per channel. The scalar reference kernels they replaced live
+//! on as test oracles (`oracle`); the tests assert bit-identical colors
+//! and identical fetch sequences against them.
 
 use crate::footprint::Footprint;
 use crate::mipmap::MippedTexture;
@@ -59,16 +66,18 @@ pub struct SampleTrace {
     pub aniso_ratio: u32,
 }
 
-/// A sink for the deduplicated fetch trace a filter produces.
+/// A sink for the texel reads a filter performs.
 ///
-/// Two implementations exist: the plain `Vec<TexelFetch>` (linear-scan
-/// dedup — simple, and what the public filter examples use) and
-/// [`FetchSet`] (hashed dedup with reusable storage — the simulator's
-/// hot path). Both record fetches in **first-occurrence order**, so the
-/// resulting trace — and therefore every cache access and timing input
-/// derived from it — is identical whichever sink is used.
+/// A filter calls [`FetchSink::record`] once per texel read, repeats
+/// included, in its fixed read order; the sink keeps what it needs in
+/// **first-occurrence order**. The plain `Vec<TexelFetch>` (linear-scan
+/// dedup) and [`FetchSet`] (hashed dedup with reusable storage) keep
+/// the distinct fetches and record the same trace. The simulator's
+/// replay passes a sink that keeps only the distinct cache lines: a
+/// repeated texel maps to a line already kept, so its line list equals
+/// the deduplicated lines of the deduplicated trace.
 pub trait FetchSink {
-    /// Records `fetch` unless an identical fetch was already recorded.
+    /// Takes one texel read.
     fn record(&mut self, fetch: TexelFetch);
 }
 
@@ -186,35 +195,19 @@ impl FetchSink for FetchSet {
     }
 }
 
-/// Reads one texel with wrap applied, without recording a fetch — the
-/// read half of `read_texel`, for texel reads that happen *inside* an
-/// averaging unit (A-TFIM child reads) and are accounted as internal
-/// traffic, not as fetch-trace entries.
+/// Reads one texel with wrap applied, without recording a fetch — for
+/// texel reads that happen *inside* an averaging unit (A-TFIM child
+/// reads) and are accounted as internal traffic, not as fetch-trace
+/// entries. A coordinate inside the image skips the wrap fold, which is
+/// the identity there.
+#[inline]
 pub fn texel_at(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
     let img = tex.level(level);
+    if x >= 0 && y >= 0 && x < i64::from(img.width()) && y < i64::from(img.height()) {
+        return img.texel_fast(x as u32, y as u32);
+    }
     let wrap = tex.wrap();
-    img.texel(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
-}
-
-/// Wraps a texel coordinate pair and reads the texture, recording the
-/// (wrapped) fetch.
-fn read_texel(
-    tex: &MippedTexture,
-    x: i64,
-    y: i64,
-    level: usize,
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let img = tex.level(level);
-    let wrap = tex.wrap();
-    let wx = wrap.wrap(x, img.width());
-    let wy = wrap.wrap(y, img.height());
-    fetches.record(TexelFetch {
-        x: wx,
-        y: wy,
-        level: level as u8,
-    });
-    img.texel(wx, wy)
+    img.texel_fast(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
 }
 
 /// Bilinear 2×2 weights for a uv position (in texels of `level`).
@@ -228,17 +221,34 @@ fn bilinear_setup(uv_texels: Vec2) -> (i64, i64, f32, f32) {
     (x0 as i64, y0 as i64, px - x0, py - y0)
 }
 
+/// Wraps the bilinear corner columns `x0, x0 + 1` (or rows) of a level
+/// of size `n`: one fold, then the successor via
+/// [`WrapMode::wrap_succ`](crate::WrapMode::wrap_succ).
+#[inline]
+fn wrap_pair(tex: &MippedTexture, x0: i64, n: u32) -> [u32; 2] {
+    let wrap = tex.wrap();
+    let w0 = wrap.wrap(x0, n);
+    [w0, wrap.wrap_succ(w0, x0, n)]
+}
+
 /// Point-samples the nearest texel.
 pub fn point(tex: &MippedTexture, uv: Vec2, level: usize, fetches: &mut impl FetchSink) -> Rgba {
     let img = tex.level(level);
-    let x = (uv.x * img.width() as f32).floor() as i64;
-    let y = (uv.y * img.height() as f32).floor() as i64;
-    read_texel(tex, x, y, level, fetches)
+    let wrap = tex.wrap();
+    let x = wrap.wrap((uv.x * img.width() as f32).floor() as i64, img.width());
+    let y = wrap.wrap((uv.y * img.height() as f32).floor() as i64, img.height());
+    fetches.record(TexelFetch {
+        x,
+        y,
+        level: level as u8,
+    });
+    img.texel_fast(x, y)
 }
 
 /// Bilinear 2×2 filter on one level. `uv` is normalized [0,1) texture
 /// space; `offset` shifts the sample in integer texels of that level (the
-/// anisotropic probe step).
+/// anisotropic probe step). Records the fetches in `t00 t10 t01 t11`
+/// order.
 pub fn bilinear_at(
     tex: &MippedTexture,
     uv: Vec2,
@@ -250,11 +260,39 @@ pub fn bilinear_at(
     let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
     let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
     let (x0, y0) = (x0 + offset.0, y0 + offset.1);
-    let t00 = read_texel(tex, x0, y0, level, fetches);
-    let t10 = read_texel(tex, x0 + 1, y0, level, fetches);
-    let t01 = read_texel(tex, x0, y0 + 1, level, fetches);
-    let t11 = read_texel(tex, x0 + 1, y0 + 1, level, fetches);
-    t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy)
+    let interior =
+        x0 >= 0 && y0 >= 0 && x0 + 1 < i64::from(img.width()) && y0 + 1 < i64::from(img.height());
+    let [t00, t10, t01, t11] = if interior {
+        let (x, y) = (x0 as u32, y0 as u32);
+        let level = level as u8;
+        fetches.record(TexelFetch { x, y, level });
+        fetches.record(TexelFetch { x: x + 1, y, level });
+        fetches.record(TexelFetch { x, y: y + 1, level });
+        fetches.record(TexelFetch {
+            x: x + 1,
+            y: y + 1,
+            level,
+        });
+        img.gather2x2_fast(x, y)
+    } else {
+        // Border: fold each axis once and derive the `+1` neighbor —
+        // two `rem_euclid` divisions instead of eight.
+        let [wx0, wx1] = wrap_pair(tex, x0, img.width());
+        let [wy0, wy1] = wrap_pair(tex, y0, img.height());
+        let level8 = level as u8;
+        let mut tap = |x: u32, y: u32| {
+            fetches.record(TexelFetch {
+                x,
+                y,
+                level: level8,
+            });
+            img.texel_fast(x, y)
+        };
+        [tap(wx0, wy0), tap(wx1, wy0), tap(wx0, wy1), tap(wx1, wy1)]
+    };
+    let top = F32x4::from_rgba(t00).lerp(F32x4::from_rgba(t10), fx);
+    let bot = F32x4::from_rgba(t01).lerp(F32x4::from_rgba(t11), fx);
+    top.lerp(bot, fy).to_rgba()
 }
 
 /// Bilinear filter without a probe offset.
@@ -281,29 +319,28 @@ pub fn trilinear(tex: &MippedTexture, uv: Vec2, lod: f32, fetches: &mut impl Fet
 }
 
 /// Integer texel probe offsets along the major axis for an `n`-probe
-/// anisotropic kernel at `level`. Offsets are symmetric around zero and
-/// texel-aligned so all probes share bilinear weights (see module docs).
-pub fn probe_offsets(fp: &Footprint, n: u32, level_scale: f32) -> Vec<(i64, i64)> {
-    let mut out = Vec::new();
-    probe_offsets_into(fp, n, level_scale, &mut out);
-    out
-}
-
-/// [`probe_offsets`] writing into a caller-provided scratch buffer
-/// (cleared first), so a per-fragment sampling loop reuses one
-/// allocation instead of building a fresh `Vec` per kernel.
+/// anisotropic kernel at `level_scale`, written into `out` (cleared
+/// first). Offsets are symmetric around zero and texel-aligned so all
+/// probes share bilinear weights (see module docs).
 pub fn probe_offsets_into(fp: &Footprint, n: u32, level_scale: f32, out: &mut Vec<(i64, i64)>) {
     out.clear();
     let (n, step) = probe_plan(fp, n, level_scale);
-    out.reserve(n as usize);
-    for i in 0..n {
-        out.push(probe_offset(fp, n, step, i));
-    }
+    out.extend((0..n).map(|i| probe_offset(fp, n, step, i)));
+}
+
+/// The offset of the first probe of the kernel [`probe_offsets_into`]
+/// builds: the one farthest from the center. Probe offsets are
+/// symmetric, and each component's magnitude grows with the probe's
+/// distance from the middle through the f32 multiply and `round` (and
+/// through any later truncating division), so every offset is zero
+/// exactly when this one is.
+pub fn probe_extent(fp: &Footprint, n: u32, level_scale: f32) -> (i64, i64) {
+    let (n, step) = probe_plan(fp, n, level_scale);
+    probe_offset(fp, n, step, 0)
 }
 
 /// Span-capped probe count and texel step shared by every probe-offset
-/// builder (the scalar `Vec` builders above and the allocation-free lane
-/// kernels below), so the cap policy cannot drift between kernel modes.
+/// builder, so the cap policy cannot drift between them.
 fn probe_plan(fp: &Footprint, n: u32, level_scale: f32) -> (u32, f32) {
     // Probes span the major axis; step ≈ major_len / n, in texels of the
     // addressed level (coarser levels shrink the footprint by 2^level).
@@ -335,24 +372,26 @@ pub fn anisotropic_conventional(
     fetches: &mut impl FetchSink,
 ) -> Rgba {
     let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let mut acc = Rgba::TRANSPARENT;
     // Probe offsets are computed in fine-level texels and halved (with
     // rounding) for the coarse level, staying texel-aligned on both.
     // The effective probe count may be smaller than the nominal ratio
     // (span-capped), so the average divides by the *actual* count.
     let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let offsets = probe_offsets(fp, fp.aniso_ratio, fine_scale);
-    for &(dx, dy) in &offsets {
+    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
+    let two_level = coarse != fine && w != 0.0;
+    let mut acc = F32x4::ZERO;
+    for i in 0..n {
+        let (dx, dy) = probe_offset(fp, n, step, i);
         let c_fine = bilinear_at(tex, uv, fine, (dx, dy), fetches);
-        let c = if coarse == fine || w == 0.0 {
-            c_fine
-        } else {
+        let c = if two_level {
             let c_coarse = bilinear_at(tex, uv, coarse, (dx / 2, dy / 2), fetches);
             c_fine.lerp(c_coarse, w)
+        } else {
+            c_fine
         };
-        acc += c;
+        acc = acc + F32x4::from_rgba(c);
     }
-    acc * (1.0 / offsets.len().max(1) as f32)
+    (acc * (1.0 / n.max(1) as f32)).to_rgba()
 }
 
 /// A-TFIM reordered anisotropic filter (Fig. 7B): for each of the 8
@@ -372,31 +411,37 @@ pub fn anisotropic_reordered(
 ) -> Rgba {
     let (fine, coarse, w) = fp.mip_levels(tex.max_level());
     let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let offsets = probe_offsets(fp, fp.aniso_ratio, fine_scale);
-    let n = offsets.len() as u32;
+    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
 
     // The averaged parent at each of the four bilinear corners of `level`.
-    let mut level_parents = |level: usize, div: i64| -> (Rgba, Rgba, Rgba, Rgba, f32, f32) {
+    let mut level_parents = |level: usize, div: i64| -> (F32x4, F32x4, F32x4, F32x4, f32, f32) {
         let img = tex.level(level);
         let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
         let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
-        let mut corners = [Rgba::TRANSPARENT; 4];
-        let corner_off = [(0i64, 0i64), (1, 0), (0, 1), (1, 1)];
-        for (ci, &(cx, cy)) in corner_off.iter().enumerate() {
-            let mut acc = Rgba::TRANSPARENT;
-            for &(dx, dy) in &offsets {
+        let xs = wrap_pair(tex, x0, img.width());
+        let ys = wrap_pair(tex, y0, img.height());
+        let mut corners = [F32x4::ZERO; 4];
+        for (ci, (cx, cy)) in CORNERS.into_iter().enumerate() {
+            let mut acc = F32x4::ZERO;
+            for i in 0..n {
+                let (dx, dy) = probe_offset(fp, n, step, i);
                 // Child reads happen inside the averaging unit: they are
                 // counted, not recorded as external fetches.
-                acc += texel_at(tex, x0 + cx + dx / div, y0 + cy + dy / div, level);
+                acc = acc
+                    + F32x4::from_rgba(texel_at(
+                        tex,
+                        x0 + cx + dx / div,
+                        y0 + cy + dy / div,
+                        level,
+                    ));
                 *child_reads += 1;
             }
             corners[ci] = acc * (1.0 / n as f32);
             // The *parent* fetch recorded on the GPU side is the
             // unshifted corner texel.
-            let wrap = tex.wrap();
             parent_fetches.record(TexelFetch {
-                x: wrap.wrap(x0 + cx, img.width()),
-                y: wrap.wrap(y0 + cy, img.height()),
+                x: xs[cx as usize],
+                y: ys[cy as usize],
                 level: level as u8,
             });
         }
@@ -406,12 +451,15 @@ pub fn anisotropic_reordered(
     let (t00, t10, t01, t11, fx, fy) = level_parents(fine, 1);
     let c_fine = t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy);
     if coarse == fine || w == 0.0 {
-        return c_fine;
+        return c_fine.to_rgba();
     }
     let (s00, s10, s01, s11, gx, gy) = level_parents(coarse, 2);
     let c_coarse = s00.lerp(s10, gx).lerp(s01.lerp(s11, gx), gy);
-    c_fine.lerp(c_coarse, w)
+    c_fine.lerp(c_coarse, w).to_rgba()
 }
+
+/// Bilinear corner offsets in `t00 t10 t01 t11` order.
+const CORNERS: [(i64, i64); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
 
 /// Returns the 2×2 bilinear corner anchor (unwrapped, possibly negative)
 /// and the fractional weights for sampling `uv` on `level`. The four
@@ -435,224 +483,192 @@ pub fn average_children(
     level: usize,
     offsets: &[(i64, i64)],
 ) -> Rgba {
-    let mut acc = Rgba::TRANSPARENT;
-    for &(dx, dy) in offsets {
-        acc += texel_at(tex, base_x + dx, base_y + dy, level);
-    }
-    acc * (1.0 / offsets.len().max(1) as f32)
-}
-
-// --- lane kernels (`KernelMode::Lanes`) -------------------------------
-//
-// Each `*_lanes` function below is the vectorized twin of the scalar
-// kernel of the same name: identical fetches in identical order and a
-// bit-identical color. Three mechanical transformations are applied, all
-// value-preserving:
-//
-// 1. *Interior fast path* — when a kernel's whole texel footprint lies
-//    inside the image, the wrap fold is the identity, so the expensive
-//    `rem_euclid` per coordinate is skipped. Border footprints fall back
-//    to the exact wrapped reads.
-// 2. *Table-driven unpack* — `PackedRgba::to_rgba_fast` replaces four
-//    `u8 → f32` divisions per texel with loads of the identical
-//    precomputed quotients.
-// 3. *Channel-major lanes* — the four RGBA channels ride the four lanes
-//    of an `F32x4`, whose `lerp`/`add`/`mul` apply the scalar formula
-//    per lane in the scalar order (no reassociation, no FMA).
-//
-// The equivalence tests at the bottom of this file assert bit-identity
-// against the scalar kernels across interior, border, and degenerate
-// footprints.
-
-/// [`texel_at`] with the interior fast path and table unpack —
-/// bit-identical values for every coordinate.
-#[inline]
-pub fn texel_at_fast(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
-    let img = tex.level(level);
-    if x >= 0 && y >= 0 && x < i64::from(img.width()) && y < i64::from(img.height()) {
-        return img.texel_fast(x as u32, y as u32);
-    }
-    let wrap = tex.wrap();
-    img.texel_fast(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
-}
-
-/// Lane-kernel variant of [`bilinear_at`]: the same four fetches in the
-/// same `t00 t10 t01 t11` order and a bit-identical color.
-pub fn bilinear_at_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    level: usize,
-    offset: (i64, i64),
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let img = tex.level(level);
-    let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
-    let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
-    let (x0, y0) = (x0 + offset.0, y0 + offset.1);
-    let interior =
-        x0 >= 0 && y0 >= 0 && x0 + 1 < i64::from(img.width()) && y0 + 1 < i64::from(img.height());
-    let [t00, t10, t01, t11] = if interior {
-        let (x, y) = (x0 as u32, y0 as u32);
-        let level = level as u8;
-        fetches.record(TexelFetch { x, y, level });
-        fetches.record(TexelFetch { x: x + 1, y, level });
-        fetches.record(TexelFetch { x, y: y + 1, level });
-        fetches.record(TexelFetch {
-            x: x + 1,
-            y: y + 1,
-            level,
-        });
-        img.gather2x2_fast(x, y)
-    } else {
-        // Border: fold each axis once, then derive the `+1` neighbor via
-        // `wrap_succ` — two `rem_euclid` divisions instead of eight, same
-        // wrapped indices, same fetch order.
-        let wrap = tex.wrap();
-        let (w, h) = (img.width(), img.height());
-        let wx0 = wrap.wrap(x0, w);
-        let wy0 = wrap.wrap(y0, h);
-        let wx1 = wrap.wrap_succ(wx0, x0, w);
-        let wy1 = wrap.wrap_succ(wy0, y0, h);
-        let level8 = level as u8;
-        let mut tap = |x: u32, y: u32| {
-            fetches.record(TexelFetch {
-                x,
-                y,
-                level: level8,
-            });
-            img.texel_fast(x, y)
-        };
-        [tap(wx0, wy0), tap(wx1, wy0), tap(wx0, wy1), tap(wx1, wy1)]
-    };
-    let top = F32x4::from_rgba(t00).lerp(F32x4::from_rgba(t10), fx);
-    let bot = F32x4::from_rgba(t01).lerp(F32x4::from_rgba(t11), fx);
-    top.lerp(bot, fy).to_rgba()
-}
-
-/// Lane-kernel variant of [`trilinear`].
-pub fn trilinear_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    lod: f32,
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let fp = Footprint {
-        lod,
-        aniso_ratio: 1,
-        major_axis: Vec2::new(1.0, 0.0),
-        major_len: 0.0,
-    };
-    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let c_fine = bilinear_at_lanes(tex, uv, fine, (0, 0), fetches);
-    if coarse == fine || w == 0.0 {
-        return c_fine;
-    }
-    let c_coarse = bilinear_at_lanes(tex, uv, coarse, (0, 0), fetches);
-    c_fine.lerp(c_coarse, w)
-}
-
-/// Lane-kernel variant of [`anisotropic_conventional`]. On top of the
-/// lane bilinear taps, the probe loop streams offsets from
-/// `probe_plan` instead of materializing a `Vec`, and the probe
-/// accumulator rides an [`F32x4`] — per-channel accumulation order is
-/// unchanged, so the average is bit-identical.
-pub fn anisotropic_conventional_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    fp: &Footprint,
-    fetches: &mut impl FetchSink,
-) -> Rgba {
-    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
-    let two_level = coarse != fine && w != 0.0;
     let mut acc = F32x4::ZERO;
-    for i in 0..n {
-        let (dx, dy) = probe_offset(fp, n, step, i);
-        let c_fine = bilinear_at_lanes(tex, uv, fine, (dx, dy), fetches);
-        let c = if two_level {
-            let c_coarse = bilinear_at_lanes(tex, uv, coarse, (dx / 2, dy / 2), fetches);
-            c_fine.lerp(c_coarse, w)
-        } else {
-            c_fine
-        };
-        acc = acc + F32x4::from_rgba(c);
+    for &(dx, dy) in offsets {
+        acc = acc + F32x4::from_rgba(texel_at(tex, base_x + dx, base_y + dy, level));
     }
-    (acc * (1.0 / n.max(1) as f32)).to_rgba()
+    (acc * (1.0 / offsets.len().max(1) as f32)).to_rgba()
 }
 
-/// Lane-kernel variant of [`anisotropic_reordered`]: same parent
-/// fetches, same child-read count, bit-identical color.
-pub fn anisotropic_reordered_lanes(
-    tex: &MippedTexture,
-    uv: Vec2,
-    fp: &Footprint,
-    parent_fetches: &mut impl FetchSink,
-    child_reads: &mut u64,
-) -> Rgba {
-    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-    let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-    let (n, step) = probe_plan(fp, fp.aniso_ratio, fine_scale);
+/// The scalar reference kernels the production kernels above replaced:
+/// per-texel wrap folds, the division-based texel unpack, `Rgba`
+/// arithmetic and `Vec`-built probe offsets. They exist only as test
+/// oracles — every production kernel must match its twin here bit for
+/// bit, color and fetch order alike.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{bilinear_setup, probe_offset, probe_plan, FetchSink, TexelFetch};
+    use crate::footprint::Footprint;
+    use crate::mipmap::MippedTexture;
+    use pimgfx_types::{Rgba, Vec2};
 
-    let mut level_parents = |level: usize, div: i64| -> (F32x4, F32x4, F32x4, F32x4, f32, f32) {
+    /// Scalar twin of [`super::texel_at`].
+    pub fn texel_at(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
+        let img = tex.level(level);
+        let wrap = tex.wrap();
+        img.texel(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
+    }
+
+    fn read_texel(
+        tex: &MippedTexture,
+        x: i64,
+        y: i64,
+        level: usize,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let img = tex.level(level);
+        let wrap = tex.wrap();
+        let wx = wrap.wrap(x, img.width());
+        let wy = wrap.wrap(y, img.height());
+        fetches.record(TexelFetch {
+            x: wx,
+            y: wy,
+            level: level as u8,
+        });
+        img.texel(wx, wy)
+    }
+
+    /// Scalar twin of [`super::point`].
+    pub fn point(
+        tex: &MippedTexture,
+        uv: Vec2,
+        level: usize,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let img = tex.level(level);
+        let x = (uv.x * img.width() as f32).floor() as i64;
+        let y = (uv.y * img.height() as f32).floor() as i64;
+        read_texel(tex, x, y, level, fetches)
+    }
+
+    /// Scalar twin of [`super::bilinear_at`].
+    pub fn bilinear_at(
+        tex: &MippedTexture,
+        uv: Vec2,
+        level: usize,
+        offset: (i64, i64),
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
         let img = tex.level(level);
         let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
         let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
-        let mut corners = [F32x4::ZERO; 4];
-        let corner_off = [(0i64, 0i64), (1, 0), (0, 1), (1, 1)];
-        for (ci, &(cx, cy)) in corner_off.iter().enumerate() {
-            let mut acc = F32x4::ZERO;
-            for i in 0..n {
-                let (dx, dy) = probe_offset(fp, n, step, i);
-                // Child reads happen inside the averaging unit: they are
-                // counted, not recorded as external fetches.
-                acc = acc
-                    + F32x4::from_rgba(texel_at_fast(
-                        tex,
-                        x0 + cx + dx / div,
-                        y0 + cy + dy / div,
-                        level,
-                    ));
-                *child_reads += 1;
-            }
-            corners[ci] = acc * (1.0 / n as f32);
-            // The *parent* fetch recorded on the GPU side is the
-            // unshifted corner texel.
-            let wrap = tex.wrap();
-            parent_fetches.record(TexelFetch {
-                x: wrap.wrap(x0 + cx, img.width()),
-                y: wrap.wrap(y0 + cy, img.height()),
-                level: level as u8,
-            });
+        let (x0, y0) = (x0 + offset.0, y0 + offset.1);
+        let t00 = read_texel(tex, x0, y0, level, fetches);
+        let t10 = read_texel(tex, x0 + 1, y0, level, fetches);
+        let t01 = read_texel(tex, x0, y0 + 1, level, fetches);
+        let t11 = read_texel(tex, x0 + 1, y0 + 1, level, fetches);
+        t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy)
+    }
+
+    /// Scalar twin of [`super::trilinear`].
+    pub fn trilinear(
+        tex: &MippedTexture,
+        uv: Vec2,
+        lod: f32,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let fp = Footprint {
+            lod,
+            aniso_ratio: 1,
+            major_axis: Vec2::new(1.0, 0.0),
+            major_len: 0.0,
+        };
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let c_fine = bilinear_at(tex, uv, fine, (0, 0), fetches);
+        if coarse == fine || w == 0.0 {
+            return c_fine;
         }
-        (corners[0], corners[1], corners[2], corners[3], fx, fy)
-    };
-
-    let (t00, t10, t01, t11, fx, fy) = level_parents(fine, 1);
-    let c_fine = t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy);
-    if coarse == fine || w == 0.0 {
-        return c_fine.to_rgba();
+        let c_coarse = bilinear_at(tex, uv, coarse, (0, 0), fetches);
+        c_fine.lerp(c_coarse, w)
     }
-    let (s00, s10, s01, s11, gx, gy) = level_parents(coarse, 2);
-    let c_coarse = s00.lerp(s10, gx).lerp(s01.lerp(s11, gx), gy);
-    c_fine.lerp(c_coarse, w).to_rgba()
-}
 
-/// Lane-kernel variant of [`average_children`]: the probe accumulator
-/// rides an [`F32x4`] and interior reads skip the wrap fold —
-/// bit-identical to the scalar Combination Unit arithmetic.
-pub fn average_children_lanes(
-    tex: &MippedTexture,
-    base_x: i64,
-    base_y: i64,
-    level: usize,
-    offsets: &[(i64, i64)],
-) -> Rgba {
-    let mut acc = F32x4::ZERO;
-    for &(dx, dy) in offsets {
-        acc = acc + F32x4::from_rgba(texel_at_fast(tex, base_x + dx, base_y + dy, level));
+    /// The probe offsets as a fresh `Vec`.
+    pub fn probe_offsets(fp: &Footprint, n: u32, level_scale: f32) -> Vec<(i64, i64)> {
+        let (n, step) = probe_plan(fp, n, level_scale);
+        (0..n).map(|i| probe_offset(fp, n, step, i)).collect()
     }
-    (acc * (1.0 / offsets.len().max(1) as f32)).to_rgba()
+
+    /// Scalar twin of [`super::anisotropic_conventional`].
+    pub fn anisotropic_conventional(
+        tex: &MippedTexture,
+        uv: Vec2,
+        fp: &Footprint,
+        fetches: &mut impl FetchSink,
+    ) -> Rgba {
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let mut acc = Rgba::TRANSPARENT;
+        let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+        let offsets = probe_offsets(fp, fp.aniso_ratio, fine_scale);
+        for &(dx, dy) in &offsets {
+            let c_fine = bilinear_at(tex, uv, fine, (dx, dy), fetches);
+            let c = if coarse == fine || w == 0.0 {
+                c_fine
+            } else {
+                let c_coarse = bilinear_at(tex, uv, coarse, (dx / 2, dy / 2), fetches);
+                c_fine.lerp(c_coarse, w)
+            };
+            acc += c;
+        }
+        acc * (1.0 / offsets.len().max(1) as f32)
+    }
+
+    /// Scalar twin of [`super::anisotropic_reordered`].
+    pub fn anisotropic_reordered(
+        tex: &MippedTexture,
+        uv: Vec2,
+        fp: &Footprint,
+        parent_fetches: &mut impl FetchSink,
+        child_reads: &mut u64,
+    ) -> Rgba {
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+        let offsets = probe_offsets(fp, fp.aniso_ratio, fine_scale);
+        let n = offsets.len() as u32;
+        let mut level_parents = |level: usize, div: i64| -> (Rgba, Rgba, Rgba, Rgba, f32, f32) {
+            let img = tex.level(level);
+            let uv_texels = Vec2::new(uv.x * img.width() as f32, uv.y * img.height() as f32);
+            let (x0, y0, fx, fy) = bilinear_setup(uv_texels);
+            let mut corners = [Rgba::TRANSPARENT; 4];
+            for (ci, (cx, cy)) in super::CORNERS.into_iter().enumerate() {
+                let mut acc = Rgba::TRANSPARENT;
+                for &(dx, dy) in &offsets {
+                    acc += texel_at(tex, x0 + cx + dx / div, y0 + cy + dy / div, level);
+                    *child_reads += 1;
+                }
+                corners[ci] = acc * (1.0 / n as f32);
+                let wrap = tex.wrap();
+                parent_fetches.record(TexelFetch {
+                    x: wrap.wrap(x0 + cx, img.width()),
+                    y: wrap.wrap(y0 + cy, img.height()),
+                    level: level as u8,
+                });
+            }
+            (corners[0], corners[1], corners[2], corners[3], fx, fy)
+        };
+        let (t00, t10, t01, t11, fx, fy) = level_parents(fine, 1);
+        let c_fine = t00.lerp(t10, fx).lerp(t01.lerp(t11, fx), fy);
+        if coarse == fine || w == 0.0 {
+            return c_fine;
+        }
+        let (s00, s10, s01, s11, gx, gy) = level_parents(coarse, 2);
+        let c_coarse = s00.lerp(s10, gx).lerp(s01.lerp(s11, gx), gy);
+        c_fine.lerp(c_coarse, w)
+    }
+
+    /// Scalar twin of [`super::average_children`].
+    pub fn average_children(
+        tex: &MippedTexture,
+        base_x: i64,
+        base_y: i64,
+        level: usize,
+        offsets: &[(i64, i64)],
+    ) -> Rgba {
+        let mut acc = Rgba::TRANSPARENT;
+        for &(dx, dy) in offsets {
+            acc += texel_at(tex, base_x + dx, base_y + dy, level);
+        }
+        acc * (1.0 / offsets.len().max(1) as f32)
+    }
 }
 
 #[cfg(test)]
@@ -762,7 +778,8 @@ mod tests {
     #[test]
     fn probe_offsets_are_centered() {
         let fp = Footprint::from_derivatives(Vec2::new(8.0, 0.0), Vec2::new(0.0, 1.0), 16);
-        let offs = probe_offsets(&fp, fp.aniso_ratio, 1.0);
+        let mut offs = Vec::new();
+        probe_offsets_into(&fp, fp.aniso_ratio, 1.0, &mut offs);
         assert_eq!(offs.len(), 8);
         let sum_x: i64 = offs.iter().map(|o| o.0).sum();
         assert_eq!(sum_x, 0, "offsets are symmetric");
@@ -904,7 +921,7 @@ mod tests {
         let fp = Footprint::from_derivatives(Vec2::new(8.0, 0.0), Vec2::new(0.0, 1.0), 16);
         let mut scratch = vec![(9i64, 9i64); 3]; // stale garbage must be cleared
         probe_offsets_into(&fp, fp.aniso_ratio, 1.0, &mut scratch);
-        assert_eq!(scratch, probe_offsets(&fp, fp.aniso_ratio, 1.0));
+        assert_eq!(scratch, oracle::probe_offsets(&fp, fp.aniso_ratio, 1.0));
     }
 
     /// UV positions that exercise interior footprints, all four borders
@@ -929,36 +946,41 @@ mod tests {
         assert_eq!(a.a.to_bits(), b.a.to_bits(), "a differs: {ctx}");
     }
 
-    /// The lane bilinear must match the scalar reference bit-for-bit —
+    /// The bilinear kernel must match its scalar oracle bit-for-bit —
     /// color AND recorded fetch sequence — on interior and border
     /// footprints alike.
     #[test]
-    fn lanes_bilinear_bit_identical_to_scalar() {
+    fn bilinear_bit_identical_to_oracle() {
         for tex in [gradient_tex(), checker_tex()] {
             for uv in lane_test_uvs() {
                 for level in [0usize, 1, 2] {
                     for offset in [(0i64, 0i64), (3, 0), (-2, 1), (40, -40)] {
                         let mut fs = Vec::new();
-                        let s = bilinear_at(&tex, uv, level, offset, &mut fs);
+                        let s = oracle::bilinear_at(&tex, uv, level, offset, &mut fs);
                         let mut fl = Vec::new();
-                        let l = bilinear_at_lanes(&tex, uv, level, offset, &mut fl);
+                        let l = bilinear_at(&tex, uv, level, offset, &mut fl);
                         assert_rgba_bits_eq(s, l, &format!("{uv:?} L{level} {offset:?}"));
                         assert_eq!(fs, fl, "fetch trace differs at {uv:?} L{level}");
                     }
                 }
+                let (mut fs, mut fl) = (Vec::new(), Vec::new());
+                let s = oracle::point(&tex, uv, 1, &mut fs);
+                let l = point(&tex, uv, 1, &mut fl);
+                assert_rgba_bits_eq(s, l, &format!("point {uv:?}"));
+                assert_eq!(fs, fl);
             }
         }
     }
 
     #[test]
-    fn lanes_trilinear_bit_identical_to_scalar() {
+    fn trilinear_bit_identical_to_oracle() {
         let tex = checker_tex();
         for uv in lane_test_uvs() {
             for lod in [0.0f32, 0.4, 1.0, 2.7, 99.0] {
                 let mut fs = Vec::new();
-                let s = trilinear(&tex, uv, lod, &mut fs);
+                let s = oracle::trilinear(&tex, uv, lod, &mut fs);
                 let mut fl = Vec::new();
-                let l = trilinear_lanes(&tex, uv, lod, &mut fl);
+                let l = trilinear(&tex, uv, lod, &mut fl);
                 assert_rgba_bits_eq(s, l, &format!("{uv:?} lod {lod}"));
                 assert_eq!(fs, fl);
             }
@@ -966,15 +988,15 @@ mod tests {
     }
 
     #[test]
-    fn lanes_aniso_conventional_bit_identical_to_scalar() {
+    fn aniso_conventional_bit_identical_to_oracle() {
         for tex in [gradient_tex(), checker_tex()] {
             for (dx, dy) in [(8.0, 1.0), (4.0, 0.5), (16.0, 2.0), (2.0, 2.0), (1.0, 1.0)] {
                 let fp = Footprint::from_derivatives(Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
                 for uv in lane_test_uvs() {
                     let mut fs = Vec::new();
-                    let s = anisotropic_conventional(&tex, uv, &fp, &mut fs);
+                    let s = oracle::anisotropic_conventional(&tex, uv, &fp, &mut fs);
                     let mut fl = Vec::new();
-                    let l = anisotropic_conventional_lanes(&tex, uv, &fp, &mut fl);
+                    let l = anisotropic_conventional(&tex, uv, &fp, &mut fl);
                     assert_rgba_bits_eq(s, l, &format!("{uv:?} fp ({dx},{dy})"));
                     assert_eq!(fs, fl, "fetch trace differs at {uv:?} fp ({dx},{dy})");
                 }
@@ -983,17 +1005,17 @@ mod tests {
     }
 
     #[test]
-    fn lanes_aniso_reordered_bit_identical_to_scalar() {
+    fn aniso_reordered_bit_identical_to_oracle() {
         for tex in [gradient_tex(), checker_tex()] {
             for (dx, dy) in [(8.0, 1.0), (4.0, 0.5), (2.0, 2.0)] {
                 let fp = Footprint::from_derivatives(Vec2::new(dx, 0.0), Vec2::new(0.0, dy), 16);
                 for uv in lane_test_uvs() {
                     let mut fs = Vec::new();
                     let mut cs = 0u64;
-                    let s = anisotropic_reordered(&tex, uv, &fp, &mut fs, &mut cs);
+                    let s = oracle::anisotropic_reordered(&tex, uv, &fp, &mut fs, &mut cs);
                     let mut fl = Vec::new();
                     let mut cl = 0u64;
-                    let l = anisotropic_reordered_lanes(&tex, uv, &fp, &mut fl, &mut cl);
+                    let l = anisotropic_reordered(&tex, uv, &fp, &mut fl, &mut cl);
                     assert_rgba_bits_eq(s, l, &format!("{uv:?} fp ({dx},{dy})"));
                     assert_eq!(fs, fl, "parent fetches differ");
                     assert_eq!(cs, cl, "child-read count differs");
@@ -1003,27 +1025,89 @@ mod tests {
     }
 
     #[test]
-    fn lanes_average_children_bit_identical_to_scalar() {
+    fn average_children_bit_identical_to_oracle() {
         let tex = checker_tex();
         let offsets = [(0i64, 0i64), (2, 0), (-3, 1), (50, -50)];
         for (bx, by) in [(4i64, 4i64), (0, 0), (-2, 31), (31, 31)] {
             for take in [1usize, 2, 4] {
-                let s = average_children(&tex, bx, by, 0, &offsets[..take]);
-                let l = average_children_lanes(&tex, bx, by, 0, &offsets[..take]);
+                let s = oracle::average_children(&tex, bx, by, 0, &offsets[..take]);
+                let l = average_children(&tex, bx, by, 0, &offsets[..take]);
                 assert_rgba_bits_eq(s, l, &format!("base ({bx},{by}) n {take}"));
             }
         }
     }
 
     #[test]
-    fn texel_at_fast_bit_identical_to_texel_at() {
+    fn texel_at_bit_identical_to_oracle() {
         let tex = gradient_tex();
         for (x, y) in [(0i64, 0i64), (15, 15), (-1, 7), (16, 3), (-20, 40)] {
             for level in [0usize, 2] {
-                let s = texel_at(&tex, x, y, level);
-                let l = texel_at_fast(&tex, x, y, level);
+                let s = oracle::texel_at(&tex, x, y, level);
+                let l = texel_at(&tex, x, y, level);
                 assert_rgba_bits_eq(s, l, &format!("({x},{y}) L{level}"));
             }
         }
+    }
+
+    /// Footprint with a given major axis, length and ratio (the probe
+    /// helpers read nothing else).
+    fn axis_footprint(axis: Vec2, major_len: f32, aniso_ratio: u32) -> Footprint {
+        Footprint {
+            lod: 0.0,
+            aniso_ratio,
+            major_axis: axis,
+            major_len,
+        }
+    }
+
+    /// `probe_extent(..) / div == (0, 0)` must equal "every probe offset
+    /// divided by `div` is zero" — the A-TFIM degenerate-kernel test —
+    /// over seeded random footprints, single-probe and span-capped
+    /// kernels, and NaN/∞ axes.
+    #[test]
+    fn probe_extent_decides_all_zero_offsets() {
+        let mut rng = pimgfx_types::TinyRng::seed_from_u64(0x5eed_0e17);
+        let mut cases: Vec<(Footprint, u32, f32)> = Vec::new();
+        for _ in 0..4000 {
+            let angle = rng.next_f32() * std::f32::consts::TAU;
+            let axis = Vec2::new(angle.cos(), angle.sin());
+            // Spans from sub-texel to many texels, so both the span cap
+            // and the one-texel step floor are live.
+            let len = rng.next_f32() * rng.next_f32() * 40.0;
+            let ratio = 1 + (rng.next_u64() % 16) as u32;
+            let scale = 1.0 / (1u32 << (rng.next_u64() % 5)) as f32;
+            cases.push((axis_footprint(axis, len, ratio), ratio, scale));
+        }
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for (axis, len) in [
+                (Vec2::new(bad, 0.0), 8.0),
+                (Vec2::new(0.6, bad), 8.0),
+                (Vec2::new(1.0, 0.0), bad),
+                (Vec2::new(bad, bad), bad),
+            ] {
+                for ratio in [1, 2, 7, 16] {
+                    cases.push((axis_footprint(axis, len, ratio), ratio, 1.0));
+                }
+            }
+        }
+        // n = 1: the single probe sits on the center.
+        cases.push((axis_footprint(Vec2::new(0.8, 0.6), 30.0, 1), 1, 1.0));
+        let mut offsets = Vec::new();
+        let (mut degenerate, mut live) = (0, 0);
+        for (fp, n, scale) in cases {
+            probe_offsets_into(&fp, n, scale, &mut offsets);
+            let (ex, ey) = probe_extent(&fp, n, scale);
+            for div in [1i64, 2] {
+                let scan = offsets.iter().all(|&(x, y)| (x / div, y / div) == (0, 0));
+                let fast = (ex / div, ey / div) == (0, 0);
+                assert_eq!(scan, fast, "{fp:?} n {n} scale {scale} div {div}");
+                if scan {
+                    degenerate += 1;
+                } else {
+                    live += 1;
+                }
+            }
+        }
+        assert!(degenerate > 100 && live > 100, "{degenerate} / {live}");
     }
 }

@@ -98,6 +98,7 @@ impl TextureLayout {
     /// # Panics
     ///
     /// Panics if the level or coordinates are out of range.
+    #[inline]
     pub fn texel_addr(&self, x: u32, y: u32, level: usize) -> u64 {
         let (w, h, level_off) = self.levels[level];
         assert!(
@@ -113,6 +114,7 @@ impl TextureLayout {
     }
 
     /// The cache-line (block) address containing texel `(x, y, level)`.
+    #[inline]
     pub fn texel_line_addr(&self, x: u32, y: u32, level: usize) -> u64 {
         let a = self.texel_addr(x, y, level);
         a - (a % BLOCK_BYTES)

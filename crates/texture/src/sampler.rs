@@ -1,15 +1,14 @@
 //! Sampler configuration and the user-facing sampling entry point.
 
 use crate::filter::{
-    anisotropic_conventional, anisotropic_conventional_lanes, anisotropic_reordered,
-    anisotropic_reordered_lanes, bilinear, bilinear_at_lanes, point, trilinear, trilinear_lanes,
-    FetchSet, FilterMode, SampleTrace,
+    anisotropic_conventional, anisotropic_reordered, bilinear, point, trilinear, FetchSet,
+    FetchSink, FilterMode, SampleTrace, TexelFetch,
 };
 use crate::footprint::Footprint;
 use crate::mipmap::MippedTexture;
-use pimgfx_types::{KernelMode, Vec2};
+use pimgfx_types::Vec2;
 
-/// Sampler state: filter mode, anisotropy cap, kernel implementation.
+/// Sampler state: filter mode and anisotropy cap.
 ///
 /// Matches the knobs the paper sweeps — `max_aniso = 1` reproduces the
 /// "anisotropic filtering disabled" experiment of Fig. 4, and
@@ -23,10 +22,6 @@ pub struct SamplerConfig {
     /// When true, run anisotropic averaging *first* (the A-TFIM order of
     /// Fig. 7B); the sample trace then records parent fetches only.
     pub reordered: bool,
-    /// Which kernel implementation [`Sampler::sample_into`] runs: the
-    /// scalar reference or the bit-identical lane kernels. Defaults to
-    /// [`KernelMode::active`] (flipped by the `simd` cargo feature).
-    pub kernels: KernelMode,
 }
 
 impl Default for SamplerConfig {
@@ -35,7 +30,6 @@ impl Default for SamplerConfig {
             filter: FilterMode::Anisotropic,
             max_aniso: 16,
             reordered: false,
-            kernels: KernelMode::active(),
         }
     }
 }
@@ -59,8 +53,9 @@ pub struct Sampler {
 }
 
 /// The scalar half of a [`SampleTrace`]: everything [`Sampler::sample`]
-/// returns except the fetch list, which [`Sampler::sample_into`] leaves in
-/// the caller's reusable [`FetchSet`] instead of a fresh `Vec`.
+/// returns except the fetch list, which [`Sampler::sample_into`] and
+/// [`Sampler::sample_with`] leave in the caller's sink instead of a
+/// fresh `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleInfo {
     /// Filtered RGBA result.
@@ -70,6 +65,24 @@ pub struct SampleInfo {
     pub conventional_texels: u32,
     /// The anisotropy ratio actually applied.
     pub aniso_ratio: u32,
+}
+
+/// Forwards every read to `inner` and counts the distinct texels among
+/// the at most eight a point, bilinear or trilinear kernel reads.
+struct CountDistinct<'a, S> {
+    inner: &'a mut S,
+    seen: [TexelFetch; 8],
+    len: usize,
+}
+
+impl<S: FetchSink> FetchSink for CountDistinct<'_, S> {
+    fn record(&mut self, fetch: TexelFetch) {
+        if !self.seen[..self.len].contains(&fetch) {
+            self.seen[self.len] = fetch;
+            self.len += 1;
+        }
+        self.inner.record(fetch);
+    }
 }
 
 impl Sampler {
@@ -108,77 +121,21 @@ impl Sampler {
     ///
     /// Returns the filtered color plus the texel-fetch trace used by the
     /// timing layer.
-    ///
-    /// This entry point always runs the **scalar reference kernels**
-    /// regardless of [`SamplerConfig::kernels`] — it is the yardstick
-    /// the lane kernels are tested against (see
-    /// `sample_into_matches_sample_across_modes`, which with
-    /// `kernels = Lanes` becomes the lane/scalar equivalence check).
     pub fn sample(&self, tex: &MippedTexture, uv: Vec2, duv_dx: Vec2, duv_dy: Vec2) -> SampleTrace {
-        let fp = self.footprint(duv_dx, duv_dy);
         let mut fetches = Vec::new();
-        match self.config.filter {
-            FilterMode::Point => {
-                let (fine, _, _) = fp.mip_levels(tex.max_level());
-                let color = point(tex, uv, fine, &mut fetches);
-                SampleTrace {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    fetches,
-                    aniso_ratio: 1,
-                }
-            }
-            FilterMode::Bilinear => {
-                let (fine, _, _) = fp.mip_levels(tex.max_level());
-                let color = bilinear(tex, uv, fine, &mut fetches);
-                SampleTrace {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    fetches,
-                    aniso_ratio: 1,
-                }
-            }
-            FilterMode::Trilinear => {
-                let color = trilinear(tex, uv, fp.lod, &mut fetches);
-                SampleTrace {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    fetches,
-                    aniso_ratio: 1,
-                }
-            }
-            FilterMode::Anisotropic => {
-                if self.config.reordered {
-                    let mut children = 0;
-                    let color = anisotropic_reordered(tex, uv, &fp, &mut fetches, &mut children);
-                    SampleTrace {
-                        color,
-                        conventional_texels: children as u32,
-                        fetches,
-                        aniso_ratio: fp.aniso_ratio,
-                    }
-                } else {
-                    let color = anisotropic_conventional(tex, uv, &fp, &mut fetches);
-                    // ALU work is one read+MAC per probe texel, *including*
-                    // re-reads of texels shared between probes (the fetch
-                    // list is deduplicated for the memory side only).
-                    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-                    let levels = if coarse == fine || w == 0.0 { 1 } else { 2 };
-                    SampleTrace {
-                        color,
-                        conventional_texels: fp.aniso_ratio * 4 * levels,
-                        fetches,
-                        aniso_ratio: fp.aniso_ratio,
-                    }
-                }
-            }
+        let info = self.sample_with(tex, uv, duv_dx, duv_dy, &mut fetches);
+        SampleTrace {
+            color: info.color,
+            fetches,
+            conventional_texels: info.conventional_texels,
+            aniso_ratio: info.aniso_ratio,
         }
     }
 
     /// [`Sampler::sample`] writing its fetch trace into a caller-provided
-    /// [`FetchSet`] (cleared first) instead of allocating a `Vec` — the
-    /// simulator's per-fragment hot path. The recorded fetches and the
-    /// returned scalars are identical to [`Sampler::sample`]'s.
+    /// [`FetchSet`] (cleared first) instead of allocating a `Vec`. The
+    /// recorded fetches and the returned scalars are identical to
+    /// [`Sampler::sample`]'s.
     pub fn sample_into(
         &self,
         tex: &MippedTexture,
@@ -188,71 +145,69 @@ impl Sampler {
         fetches: &mut FetchSet,
     ) -> SampleInfo {
         fetches.clear();
+        self.sample_with(tex, uv, duv_dx, duv_dy, fetches)
+    }
+
+    /// The one sampling pass behind [`Sampler::sample`] and
+    /// [`Sampler::sample_into`]: runs the configured filter, handing
+    /// every texel read to `sink`, and returns the color and texel
+    /// counts. `conventional_texels` does not depend on the sink: the
+    /// anisotropic modes count `ratio × 4 × levels` (or the A-TFIM child
+    /// reads), the others their distinct texels.
+    pub fn sample_with(
+        &self,
+        tex: &MippedTexture,
+        uv: Vec2,
+        duv_dx: Vec2,
+        duv_dy: Vec2,
+        sink: &mut impl FetchSink,
+    ) -> SampleInfo {
         let fp = self.footprint(duv_dx, duv_dy);
-        let lanes = self.config.kernels.is_lanes();
-        match self.config.filter {
-            FilterMode::Point => {
-                let (fine, _, _) = fp.mip_levels(tex.max_level());
-                let color = point(tex, uv, fine, fetches);
-                SampleInfo {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    aniso_ratio: 1,
+        if self.config.filter != FilterMode::Anisotropic {
+            let mut distinct = CountDistinct {
+                inner: sink,
+                seen: [TexelFetch {
+                    x: 0,
+                    y: 0,
+                    level: 0,
+                }; 8],
+                len: 0,
+            };
+            let color = match self.config.filter {
+                FilterMode::Point => {
+                    point(tex, uv, fp.mip_levels(tex.max_level()).0, &mut distinct)
                 }
-            }
-            FilterMode::Bilinear => {
-                let (fine, _, _) = fp.mip_levels(tex.max_level());
-                let color = if lanes {
-                    bilinear_at_lanes(tex, uv, fine, (0, 0), fetches)
-                } else {
-                    bilinear(tex, uv, fine, fetches)
-                };
-                SampleInfo {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    aniso_ratio: 1,
+                FilterMode::Bilinear => {
+                    bilinear(tex, uv, fp.mip_levels(tex.max_level()).0, &mut distinct)
                 }
-            }
-            FilterMode::Trilinear => {
-                let color = if lanes {
-                    trilinear_lanes(tex, uv, fp.lod, fetches)
-                } else {
-                    trilinear(tex, uv, fp.lod, fetches)
-                };
-                SampleInfo {
-                    color,
-                    conventional_texels: fetches.len() as u32,
-                    aniso_ratio: 1,
-                }
-            }
-            FilterMode::Anisotropic => {
-                if self.config.reordered {
-                    let mut children = 0;
-                    let color = if lanes {
-                        anisotropic_reordered_lanes(tex, uv, &fp, fetches, &mut children)
-                    } else {
-                        anisotropic_reordered(tex, uv, &fp, fetches, &mut children)
-                    };
-                    SampleInfo {
-                        color,
-                        conventional_texels: children as u32,
-                        aniso_ratio: fp.aniso_ratio,
-                    }
-                } else {
-                    let color = if lanes {
-                        anisotropic_conventional_lanes(tex, uv, &fp, fetches)
-                    } else {
-                        anisotropic_conventional(tex, uv, &fp, fetches)
-                    };
-                    let (fine, coarse, w) = fp.mip_levels(tex.max_level());
-                    let levels = if coarse == fine || w == 0.0 { 1 } else { 2 };
-                    SampleInfo {
-                        color,
-                        conventional_texels: fp.aniso_ratio * 4 * levels,
-                        aniso_ratio: fp.aniso_ratio,
-                    }
-                }
-            }
+                _ => trilinear(tex, uv, fp.lod, &mut distinct),
+            };
+            return SampleInfo {
+                color,
+                conventional_texels: distinct.len as u32,
+                aniso_ratio: 1,
+            };
+        }
+        if self.config.reordered {
+            let mut children = 0;
+            let color = anisotropic_reordered(tex, uv, &fp, sink, &mut children);
+            return SampleInfo {
+                color,
+                conventional_texels: children as u32,
+                aniso_ratio: fp.aniso_ratio,
+            };
+        }
+        let color = anisotropic_conventional(tex, uv, &fp, sink);
+        // ALU work is one read+MAC per probe texel, *including* re-reads
+        // of texels shared between probes (the fetch list is
+        // deduplicated for the memory side only). The span cap can only
+        // drop probes, so this also bounds the distinct texel count.
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let levels = if coarse == fine || w == 0.0 { 1 } else { 2 };
+        SampleInfo {
+            color,
+            conventional_texels: fp.aniso_ratio * 4 * levels,
+            aniso_ratio: fp.aniso_ratio,
         }
     }
 }
@@ -260,7 +215,8 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::TextureImage;
+    use crate::filter::oracle;
+    use crate::image::{TextureImage, WrapMode};
     use pimgfx_types::Rgba;
 
     fn tex() -> MippedTexture {
@@ -380,19 +336,10 @@ mod tests {
             FilterMode::Trilinear,
             FilterMode::Anisotropic,
         ] {
-            // `sample` always runs the scalar reference, so with
-            // `kernels = Lanes` this doubles as the lane/scalar
-            // bit-equality check at the sampler level.
-            for (reordered, kernels) in [
-                (false, KernelMode::Scalar),
-                (true, KernelMode::Scalar),
-                (false, KernelMode::Lanes),
-                (true, KernelMode::Lanes),
-            ] {
+            for reordered in [false, true] {
                 let s = Sampler::new(SamplerConfig {
                     filter,
                     reordered,
-                    kernels,
                     ..SamplerConfig::default()
                 });
                 for (uv, dx, dy) in [
@@ -413,6 +360,130 @@ mod tests {
                     assert_eq!(full.conventional_texels, info.conventional_texels);
                     assert_eq!(full.aniso_ratio, info.aniso_ratio);
                     assert_eq!(full.fetches.as_slice(), set.fetches());
+                }
+            }
+        }
+    }
+
+    /// One sampling case: texture index, uv, and the two derivatives.
+    type Case = (usize, Vec2, Vec2, Vec2);
+
+    /// Seeded random sampling cases: non-power-of-two textures under
+    /// every wrap mode (down to 1×1 mips), positions past the borders,
+    /// and derivatives from magnified to heavily minified, isotropic to
+    /// grazing. Returns the textures and `(texture, uv, ddx, ddy)` cases.
+    fn random_cases(seed: u64, count: usize) -> (Vec<MippedTexture>, Vec<Case>) {
+        let mut rng = pimgfx_types::TinyRng::seed_from_u64(seed);
+        let mut textures = Vec::new();
+        for (w, h) in [(37u32, 23u32), (5, 64), (1, 1), (3, 1), (64, 64)] {
+            for wrap in [WrapMode::Repeat, WrapMode::Clamp, WrapMode::Mirror] {
+                let img = TextureImage::from_fn(w, h, |x, y| {
+                    let v = (x * 7 + y * 13) % 17;
+                    Rgba::new(
+                        v as f32 / 16.0,
+                        x as f32 / w as f32,
+                        y as f32 / h as f32,
+                        1.0,
+                    )
+                });
+                textures.push(MippedTexture::with_full_chain(img).with_wrap(wrap));
+            }
+        }
+        let cases = (0..count)
+            .map(|_| {
+                let t = (rng.next_u64() % textures.len() as u64) as usize;
+                let uv = Vec2::new(rng.gen_range_f32(-0.3, 1.3), rng.gen_range_f32(-0.3, 1.3));
+                let angle = rng.gen_range_f32(0.0, std::f32::consts::TAU);
+                let major = rng.gen_range_f32(0.0, 6.0).exp2() * 0.25;
+                let minor = major / rng.gen_range_f32(0.0, 5.0).exp2();
+                let ddx = Vec2::new(angle.cos() * major, angle.sin() * major);
+                let ddy = Vec2::new(-angle.sin() * minor, angle.cos() * minor);
+                (t, uv, ddx, ddy)
+            })
+            .collect();
+        (textures, cases)
+    }
+
+    /// The sampling pass as it ran on the scalar kernels.
+    fn oracle_sample(
+        s: &Sampler,
+        tex: &MippedTexture,
+        uv: Vec2,
+        dx: Vec2,
+        dy: Vec2,
+    ) -> SampleTrace {
+        let fp = s.footprint(dx, dy);
+        let mut fetches = Vec::new();
+        let (fine, coarse, w) = fp.mip_levels(tex.max_level());
+        let (color, conventional_texels, aniso_ratio) = match s.config().filter {
+            FilterMode::Point => {
+                let c = oracle::point(tex, uv, fine, &mut fetches);
+                (c, fetches.len() as u32, 1)
+            }
+            FilterMode::Bilinear => {
+                let c = oracle::bilinear_at(tex, uv, fine, (0, 0), &mut fetches);
+                (c, fetches.len() as u32, 1)
+            }
+            FilterMode::Trilinear => {
+                let c = oracle::trilinear(tex, uv, fp.lod, &mut fetches);
+                (c, fetches.len() as u32, 1)
+            }
+            FilterMode::Anisotropic if s.config().reordered => {
+                let mut children = 0;
+                let c = oracle::anisotropic_reordered(tex, uv, &fp, &mut fetches, &mut children);
+                (c, children as u32, fp.aniso_ratio)
+            }
+            FilterMode::Anisotropic => {
+                let c = oracle::anisotropic_conventional(tex, uv, &fp, &mut fetches);
+                let levels = if coarse == fine || w == 0.0 { 1 } else { 2 };
+                (c, fp.aniso_ratio * 4 * levels, fp.aniso_ratio)
+            }
+        };
+        SampleTrace {
+            color,
+            fetches,
+            conventional_texels,
+            aniso_ratio,
+        }
+    }
+
+    /// Every filter mode, both orders and both anisotropy caps, over
+    /// seeded random cases: the sampler's colors (to the bit), fetch
+    /// traces and texel counts equal the scalar oracle's, and the texel
+    /// count bounds the distinct fetches (`ratio × 4 × levels` in the
+    /// conventional anisotropic mode).
+    #[test]
+    fn sampler_matches_scalar_oracle() {
+        let (textures, cases) = random_cases(0x0dd5_1ce5, 600);
+        let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
+        let mut set = FetchSet::new();
+        for filter in [
+            FilterMode::Point,
+            FilterMode::Bilinear,
+            FilterMode::Trilinear,
+            FilterMode::Anisotropic,
+        ] {
+            for reordered in [false, true] {
+                for max_aniso in [1, 16] {
+                    let s = Sampler::new(SamplerConfig {
+                        filter,
+                        max_aniso,
+                        reordered,
+                    });
+                    for &(t, uv, dx, dy) in &cases {
+                        let tex = &textures[t];
+                        let want = oracle_sample(&s, tex, uv, dx, dy);
+                        let got = s.sample(tex, uv, dx, dy);
+                        let ctx = format!("{filter:?} r={reordered} a={max_aniso} t{t} {uv:?}");
+                        assert_eq!(bits(want.color), bits(got.color), "{ctx}");
+                        assert_eq!(want.fetches, got.fetches, "{ctx}");
+                        assert_eq!(want.conventional_texels, got.conventional_texels, "{ctx}");
+                        assert_eq!(want.aniso_ratio, got.aniso_ratio, "{ctx}");
+                        let info = s.sample_into(tex, uv, dx, dy, &mut set);
+                        assert_eq!(info.conventional_texels, want.conventional_texels, "{ctx}");
+                        assert_eq!(set.fetches(), want.fetches.as_slice(), "{ctx}");
+                        assert!(info.conventional_texels as usize >= set.len(), "{ctx}");
+                    }
                 }
             }
         }

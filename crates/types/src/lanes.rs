@@ -1,4 +1,4 @@
-//! Portable lane kernels for the SIMD replay backend.
+//! The lane vector of the texture filter kernels.
 //!
 //! The workspace forbids `unsafe` (lint wall), so vectorization is done
 //! with *portable chunked kernels*: small fixed-width array types that
@@ -8,14 +8,8 @@
 //! reference it replaces — see `docs/PERFORMANCE.md` for the
 //! byte-identity vs documented-ULP acceptance policy.
 //!
-//! Two things live here:
-//!
-//! * [`KernelMode`] — the runtime dispatch switch between the scalar
-//!   reference kernels and the lane kernels. Both paths are always
-//!   compiled; the `simd` cargo feature only flips the *default* mode,
-//!   which keeps SIMD-on/off equivalence testable inside one binary.
-//! * [`F32x4`] / [`F32x8`] — the lane vectors. `F32x4` maps one RGBA
-//!   color across 4 lanes (channel-major); `F32x8` maps a pair.
+//! [`F32x4`] maps one RGBA color across its four lanes (channel-major),
+//! which is how the texture filter kernels accumulate colors.
 //!
 //! # Examples
 //!
@@ -29,42 +23,7 @@
 //! ```
 
 use crate::color::Rgba;
-use std::ops::{Add, Mul, Sub};
-
-/// Which replay kernels to run: the scalar reference or the lane kernels.
-///
-/// The scalar kernels are the *reference implementation*; the lane
-/// kernels are required (and tested) to reproduce them bit-for-bit
-/// unless a kernel carries an explicit `float:reassoc-ok` marker with a
-/// documented ULP bound. Defaults are chosen by [`KernelMode::active`],
-/// but every consumer threads an explicit mode through its config so
-/// both paths can run in one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelMode {
-    /// Straight-line scalar loops — the reference implementation.
-    #[cfg_attr(not(feature = "simd"), default)]
-    Scalar,
-    /// Portable chunked lane kernels (4–8 lanes per step).
-    #[cfg_attr(feature = "simd", default)]
-    Lanes,
-}
-
-impl KernelMode {
-    /// The build's default mode: [`KernelMode::Lanes`] when the `simd`
-    /// cargo feature is enabled, [`KernelMode::Scalar`] otherwise.
-    #[inline]
-    #[must_use]
-    pub fn active() -> Self {
-        Self::default()
-    }
-
-    /// `true` when this mode selects the lane kernels.
-    #[inline]
-    #[must_use]
-    pub fn is_lanes(self) -> bool {
-        matches!(self, Self::Lanes)
-    }
-}
+use std::ops::{Add, Mul};
 
 /// Four `f32` lanes, operated on element-wise.
 ///
@@ -76,136 +35,13 @@ impl KernelMode {
 #[repr(transparent)]
 pub struct F32x4(pub [f32; 4]);
 
-/// Eight `f32` lanes — two channel-major RGBA colors side by side.
-///
-/// Used where the replay loop pairs adjacent fragments (e.g. the two
-/// bilinear taps of a trilinear sample, or two quad fragments) so one
-/// chunked operation covers both.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[repr(transparent)]
-pub struct F32x8(pub [f32; 8]);
-
-macro_rules! lane_impl {
-    ($name:ident, $n:literal) => {
-        impl $name {
-            /// All lanes zero.
-            pub const ZERO: Self = Self([0.0; $n]);
-
-            /// Number of lanes.
-            pub const LANES: usize = $n;
-
-            /// Broadcasts `v` into every lane.
-            #[inline]
-            #[must_use]
-            pub const fn splat(v: f32) -> Self {
-                Self([v; $n])
-            }
-
-            /// Wraps an array of lane values.
-            #[inline]
-            #[must_use]
-            pub const fn from_array(v: [f32; $n]) -> Self {
-                Self(v)
-            }
-
-            /// Returns the lane values.
-            #[inline]
-            #[must_use]
-            pub const fn to_array(self) -> [f32; $n] {
-                self.0
-            }
-
-            /// Per-lane linear interpolation `self * (1 - t) + rhs * t`
-            /// — the exact [`Rgba::lerp`] formula applied lane-wise, so
-            /// results are bit-identical to the scalar kernel.
-            #[inline]
-            #[must_use]
-            pub fn lerp(self, rhs: Self, t: f32) -> Self {
-                let mut out = [0.0f32; $n];
-                let mut i = 0;
-                while i < $n {
-                    out[i] = self.0[i] * (1.0 - t) + rhs.0[i] * t;
-                    i += 1;
-                }
-                Self(out)
-            }
-
-            /// Per-lane clamp into `[0, 1]` (the `Rgba::clamped` op).
-            #[inline]
-            #[must_use]
-            pub fn clamp01(self) -> Self {
-                let mut out = self.0;
-                let mut i = 0;
-                while i < $n {
-                    out[i] = out[i].clamp(0.0, 1.0);
-                    i += 1;
-                }
-                Self(out)
-            }
-        }
-
-        impl Add for $name {
-            type Output = Self;
-            #[inline]
-            fn add(self, rhs: Self) -> Self {
-                let mut out = [0.0f32; $n];
-                let mut i = 0;
-                while i < $n {
-                    out[i] = self.0[i] + rhs.0[i];
-                    i += 1;
-                }
-                Self(out)
-            }
-        }
-
-        impl Sub for $name {
-            type Output = Self;
-            #[inline]
-            fn sub(self, rhs: Self) -> Self {
-                let mut out = [0.0f32; $n];
-                let mut i = 0;
-                while i < $n {
-                    out[i] = self.0[i] - rhs.0[i];
-                    i += 1;
-                }
-                Self(out)
-            }
-        }
-
-        impl Mul for $name {
-            type Output = Self;
-            #[inline]
-            fn mul(self, rhs: Self) -> Self {
-                let mut out = [0.0f32; $n];
-                let mut i = 0;
-                while i < $n {
-                    out[i] = self.0[i] * rhs.0[i];
-                    i += 1;
-                }
-                Self(out)
-            }
-        }
-
-        impl Mul<f32> for $name {
-            type Output = Self;
-            #[inline]
-            fn mul(self, rhs: f32) -> Self {
-                let mut out = [0.0f32; $n];
-                let mut i = 0;
-                while i < $n {
-                    out[i] = self.0[i] * rhs;
-                    i += 1;
-                }
-                Self(out)
-            }
-        }
-    };
-}
-
-lane_impl!(F32x4, 4);
-lane_impl!(F32x8, 8);
-
 impl F32x4 {
+    /// All lanes zero.
+    pub const ZERO: Self = Self([0.0; 4]);
+
+    /// Number of lanes.
+    pub const LANES: usize = 4;
+
     /// Loads one color channel-major: lanes `[r, g, b, a]`.
     #[inline]
     #[must_use]
@@ -219,60 +55,38 @@ impl F32x4 {
     pub const fn to_rgba(self) -> Rgba {
         Rgba::new(self.0[0], self.0[1], self.0[2], self.0[3])
     }
+
+    /// Per-lane linear interpolation `self * (1 - t) + rhs * t` — the
+    /// exact [`Rgba::lerp`] formula applied lane-wise, so results are
+    /// bit-identical to the scalar kernel.
+    #[inline]
+    #[must_use]
+    pub fn lerp(self, rhs: Self, t: f32) -> Self {
+        Self(std::array::from_fn(|i| {
+            self.0[i] * (1.0 - t) + rhs.0[i] * t
+        }))
+    }
 }
 
-impl F32x8 {
-    /// Loads two colors channel-major: lanes `[a.r..a.a, b.r..b.a]`.
+impl Add for F32x4 {
+    type Output = Self;
     #[inline]
-    #[must_use]
-    pub const fn from_rgba2(a: Rgba, b: Rgba) -> Self {
-        Self([a.r, a.g, a.b, a.a, b.r, b.g, b.b, b.a])
+    fn add(self, rhs: Self) -> Self {
+        Self(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
     }
+}
 
-    /// Stores the lanes back to two colors.
+impl Mul<f32> for F32x4 {
+    type Output = Self;
     #[inline]
-    #[must_use]
-    pub const fn to_rgba2(self) -> (Rgba, Rgba) {
-        (
-            Rgba::new(self.0[0], self.0[1], self.0[2], self.0[3]),
-            Rgba::new(self.0[4], self.0[5], self.0[6], self.0[7]),
-        )
-    }
-
-    /// Per-lane lerp with *two* interpolation factors: lanes 0–3 use
-    /// `t0`, lanes 4–7 use `t1`. Each half matches [`Rgba::lerp`]
-    /// bit-for-bit.
-    #[inline]
-    #[must_use]
-    pub fn lerp2(self, rhs: Self, t0: f32, t1: f32) -> Self {
-        let mut out = [0.0f32; 8];
-        let mut i = 0;
-        while i < 4 {
-            out[i] = self.0[i] * (1.0 - t0) + rhs.0[i] * t0;
-            i += 1;
-        }
-        while i < 8 {
-            out[i] = self.0[i] * (1.0 - t1) + rhs.0[i] * t1;
-            i += 1;
-        }
-        Self(out)
+    fn mul(self, rhs: f32) -> Self {
+        Self(self.0.map(|v| v * rhs))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_mode_tracks_feature() {
-        let expect = if cfg!(feature = "simd") {
-            KernelMode::Lanes
-        } else {
-            KernelMode::Scalar
-        };
-        assert_eq!(KernelMode::active(), expect);
-        assert_eq!(KernelMode::default(), expect);
-    }
 
     #[test]
     fn lane_lerp_is_bit_identical_to_rgba_lerp() {
@@ -290,18 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_lerp2_matches_two_scalar_lerps() {
-        let a0 = Rgba::new(0.25, 0.5, 0.75, 1.0);
-        let a1 = Rgba::new(0.9, 0.1, 0.4, 0.2);
-        let b0 = Rgba::new(0.6, 0.3, 0.2, 0.8);
-        let b1 = Rgba::new(0.05, 0.95, 0.55, 0.45);
-        let wide = F32x8::from_rgba2(a0, a1).lerp2(F32x8::from_rgba2(b0, b1), 0.3, 0.8);
-        let (c0, c1) = wide.to_rgba2();
-        assert_eq!(c0, a0.lerp(b0, 0.3));
-        assert_eq!(c1, a1.lerp(b1, 0.8));
-    }
-
-    #[test]
     fn arithmetic_matches_rgba_ops() {
         let a = Rgba::new(0.1, 0.2, 0.3, 0.4);
         let b = Rgba::new(0.5, 0.6, 0.7, 0.8);
@@ -309,11 +111,5 @@ mod tests {
         assert_eq!(sum, a + b);
         let scaled = (F32x4::from_rgba(a) * 2.5).to_rgba();
         assert_eq!(scaled, a * 2.5);
-    }
-
-    #[test]
-    fn clamp01_matches_clamped() {
-        let c = Rgba::new(-0.5, 1.5, 0.5, 2.0);
-        assert_eq!(F32x4::from_rgba(c).clamp01().to_rgba(), c.clamped());
     }
 }

@@ -48,7 +48,7 @@ pub mod error;
 pub mod fxhash;
 /// Typed identifiers (textures, clusters, vaults, requests, frames).
 pub mod ids;
-/// Portable lane kernels and the scalar/lanes [`KernelMode`] switch.
+/// The `F32x4` lane vector the texture filter kernels compute with.
 pub mod lanes;
 /// 4×4 column-major matrices for the geometry pipeline.
 pub mod mat;
@@ -65,7 +65,7 @@ pub use color::{PackedRgba, Rgba};
 pub use error::{ConfigError, Error, Result};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{ClusterId, FrameId, RequestId, TextureId, VaultId};
-pub use lanes::{F32x4, F32x8, KernelMode};
+pub use lanes::F32x4;
 pub use mat::Mat4;
 pub use rect::{Rect, TileCoord};
 pub use rng::TinyRng;
