@@ -542,7 +542,9 @@ impl Harness {
             // One cell on the calling thread: the whole budget is
             // available to the lane level.
             let lanes = self.replay_lanes(1)?;
-            let (report, wall) = simulate_cell(&scene, variant, &self.streams, lanes)?;
+            let (report, wall) = simulate_group(&scene, &[variant], &self.streams, lanes)?
+                .pop()
+                .ok_or_else(|| ConfigError::new("harness", "a replay group returned no report"))?;
             self.walls
                 .insert((Self::column_label(workload, res), variant.label()), wall);
             self.reports.insert(key.clone(), report);
@@ -555,12 +557,13 @@ impl Harness {
     /// Fans every not-yet-memoized cell of `sweep` out across the
     /// worker [`pool`] and memoizes the results.
     ///
-    /// Cells are deduplicated (first occurrence wins) and scheduled
-    /// dynamically; unique scenes are built first — also in parallel —
-    /// so no worker ever rebuilds a column another variant already
-    /// needs. The merge is deterministic (input order), which together
-    /// with the serial printers makes parallel output byte-identical to
-    /// serial output.
+    /// Cells are deduplicated (first occurrence wins), each column's
+    /// cells are split into [`replay_groups`], and the groups are
+    /// scheduled dynamically as pool units; unique scenes are built
+    /// first — also in parallel — so no worker ever rebuilds a column
+    /// another variant already needs. The merge is deterministic (input
+    /// order), which together with the serial printers makes parallel
+    /// output byte-identical to serial output.
     ///
     /// # Errors
     ///
@@ -582,11 +585,10 @@ impl Harness {
                 todo.push((w, r, v, label));
             }
         }
-        let workers = pool::worker_count(todo.len())?;
         if todo.is_empty() {
             return Ok(SweepStats {
                 cells_executed: 0,
-                workers,
+                workers: pool::worker_count(0)?,
                 wall: start.elapsed(),
             });
         }
@@ -614,49 +616,73 @@ impl Harness {
             streams.get(scene)?;
         }
 
-        // Phase 2: simulate all cells. Jobs are handed to the pool in
-        // LPT order — heaviest expected cell first (longest-processing-
-        // time list scheduling) — so a straggler like an a-tfim
-        // 1280×1024 cell starts early instead of serializing the tail
-        // of the fan-out. The atomic-cursor pool pulls jobs in slice
-        // order; the scatter below restores `todo` order before any
-        // result is memoized, so downstream bytes are unaffected by the
-        // schedule.
+        // Phase 2: simulate all cells, one replay group per pool unit
+        // (see [`replay_groups`]). Units are handed to the pool in LPT
+        // order — heaviest expected unit first (longest-processing-time
+        // list scheduling) — so a straggler like an a-tfim 1280×1024
+        // cell starts early instead of serializing the tail of the
+        // fan-out. The atomic-cursor pool pulls units in slice order;
+        // the scatter below restores `todo` order before any result is
+        // memoized, so downstream bytes are unaffected by the schedule.
+        let mut units: Vec<Unit> = Vec::new();
+        for &(w, r) in &columns {
+            let cells: Vec<usize> = (0..todo.len())
+                .filter(|&i| (todo[i].0, todo[i].1) == (w, r))
+                .collect();
+            let variants: Vec<Variant> = cells.iter().map(|&i| todo[i].2).collect();
+            for group in replay_groups(&variants)? {
+                let members: Vec<Variant> = group.iter().map(|&g| variants[g]).collect();
+                units.push(Unit {
+                    workload: w,
+                    res: r,
+                    weight: r.pixels() * group_cost(&members),
+                    cells: group.iter().map(|&g| cells[g]).collect(),
+                    variants: members,
+                });
+            }
+        }
+        let workers = pool::worker_count(units.len())?;
         let lanes = self.replay_lanes(workers)?;
-        let mut order: Vec<usize> = (0..todo.len()).collect();
-        // Stable descending sort by weight: equal-weight cells keep
+        // Stable descending sort by weight: equal-weight units keep
         // their sweep order, making the schedule itself deterministic.
-        order.sort_by(|&a, &b| {
-            let (_, ra, va, _) = &todo[a];
-            let (_, rb, vb, _) = &todo[b];
-            cell_cost_weight(*ra, *va)
-                .cmp(&cell_cost_weight(*rb, *vb))
-                .reverse()
-                .then(a.cmp(&b))
-        });
-        let scheduled: Vec<&(Workload, Resolution, Variant, String)> =
-            order.iter().map(|&i| &todo[i]).collect();
-        let lpt_results: Vec<HarnessResult<(RenderReport, WallSplit)>> =
-            pool::run_ordered(&scheduled, workers, |&&(w, r, v, _)| {
-                simulate_cell(&scenes.get(w, r), v, streams, lanes)
+        units.sort_by_key(|u| std::cmp::Reverse(u.weight));
+        let unit_results: Vec<Result<Vec<(RenderReport, WallSplit)>>> =
+            pool::run_ordered(&units, workers, |u| {
+                simulate_group(&scenes.get(u.workload, u.res), &u.variants, streams, lanes)
             });
-        // Scatter back to sweep order.
-        let mut results: Vec<Option<HarnessResult<(RenderReport, WallSplit)>>> =
+        let wall = start.elapsed();
+
+        // Scatter back to sweep order. A group's members finish together,
+        // so its wall counts once toward the pool's busy time.
+        let mut lb_batch = LoadBalanceAccum::default();
+        let mut results: Vec<Option<Result<(RenderReport, WallSplit)>>> =
             (0..todo.len()).map(|_| None).collect();
-        for (slot, result) in order.into_iter().zip(lpt_results) {
-            results[slot] = Some(result);
+        for (unit, result) in units.iter().zip(unit_results) {
+            match result {
+                Ok(cells) => {
+                    if let Some((_, split)) = cells.first() {
+                        let unit_ms = split.frontend_ms + split.backend_ms;
+                        lb_batch.sum_cell_ms += unit_ms;
+                        lb_batch.max_cell_ms = lb_batch.max_cell_ms.max(unit_ms);
+                    }
+                    for (&slot, cell) in unit.cells.iter().zip(cells) {
+                        results[slot] = Some(Ok(cell));
+                    }
+                }
+                // The group's first cell carries its error.
+                Err(e) => results[unit.cells[0]] = Some(Err(e)),
+            }
         }
 
-        let wall = start.elapsed();
         let cells_executed = todo.len();
-        let mut lb_batch = LoadBalanceAccum::default();
         for ((w, r, v, label), result) in todo.into_iter().zip(results) {
-            // lint:allow(no-panic) — the scatter loop above writes every slot exactly once
-            let (report, wall) = result.expect("scatter filled every slot")?;
-            let cell_ms = wall.frontend_ms + wall.backend_ms;
+            // A failed group's other cells have no result: the error
+            // returns first, at the group's first cell in sweep order.
+            let Some(result) = result else {
+                continue;
+            };
+            let (report, wall) = result?;
             lb_batch.cells += 1;
-            lb_batch.sum_cell_ms += cell_ms;
-            lb_batch.max_cell_ms = lb_batch.max_cell_ms.max(cell_ms);
             self.walls
                 .insert((Self::column_label(w, r), v.label()), wall);
             self.reports.insert((w, r, label), report);
@@ -785,65 +811,158 @@ pub fn bench_scene() -> SceneTrace {
     pimgfx_workloads::build_scene_unchecked(&profile, Resolution::R320x240, 1)
 }
 
-/// Expected relative cost of one cell, for LPT scheduling: pixel count
-/// scaled by a per-variant class weight. The a-tfim family keeps class
-/// 2 although it no longer costs twice a baseline replay: since the
-/// parent-value store became line-blocked, the traced `sweep-quick`
-/// `sim.replay_ms.a-tfim` is 0.67–1.02× `sim.replay_ms.baseline`
-/// (median 0.82 over 12 runs on a 2-vCPU Xeon host, 2 workers). Equal weights, which that
-/// ratio suggests, lowered `pool.utilization` in 5 of 6 same-seed
-/// pairs: ranking the a-tfim family first leaves the cheapest cells
-/// (aniso-off, b-pim, s-tfim at the small resolution) for the tail. The
-/// weight only orders the job hand-off — results are merged in sweep
-/// order regardless — so a misclassified cell costs wall time, never
-/// bytes.
-fn cell_cost_weight(res: Resolution, variant: Variant) -> u64 {
-    let class = match variant {
+/// One pool unit of a [`Harness::precompute`] fan-out: a replay group
+/// of one column's cells.
+struct Unit {
+    workload: Workload,
+    res: Resolution,
+    /// LPT weight: pixels × [`group_cost`].
+    weight: u64,
+    /// Indices of the group's cells in the fan-out's cell list.
+    cells: Vec<usize>,
+    variants: Vec<Variant>,
+}
+
+/// Expected one-lane replay cost of a variant per pixel, in hundredths
+/// of a solo baseline replay: `(solo, own)`. `solo` is the whole replay
+/// alone; `own` is the member's timing step — texture units, memory,
+/// logic layer, windows, ROP — the part it still pays inside a replay
+/// group, which runs phase 1 and the functional step once. Measured as
+/// one-lane replays of Wolfenstein 640×480 on a 2-vCPU Xeon host
+/// (docs/PERFORMANCE.md "Where the time went: shared replay"): S-TFIM's
+/// timing step is the dearest, its MTUs read every request line in the
+/// vaults; A-TFIM's phase 1 is cheap but its functional step —
+/// angle-tagged probes, parent reuse and recompute — is not, so a solo
+/// A-TFIM replay costs the most. The costs only order the pool's
+/// hand-off and size the groups; results are merged in sweep order
+/// regardless, so a misjudged cost costs wall time, never bytes.
+fn variant_cost(variant: Variant) -> (u64, u64) {
+    match variant {
+        Variant::Design(Design::Baseline) | Variant::Design(Design::BPim) => (100, 9),
+        Variant::Design(Design::STfim) => (96, 22),
+        Variant::AnisoOff => (76, 6),
         Variant::Design(Design::ATfim)
         | Variant::AtfimThreshold(_)
         | Variant::AtfimNoRecalc
         | Variant::AtfimNoConsolidation
-        | Variant::AtfimNoCompression => 2,
-        _ => 1,
-    };
-    res.pixels() * class
+        | Variant::AtfimNoCompression => (130, 11),
+    }
 }
 
-/// Simulates one `(scene, variant)` cell: the worker-thread body of
-/// every sweep (each worker owns its [`Simulator`]; only the scene and
-/// the frontend stream are shared, read-only).
+/// Expected one-lane cost of replaying `members` as one group, per
+/// pixel (see [`variant_cost`]): the costliest member's shared part once,
+/// plus every member's own timing step. Identical configurations replay
+/// once, so a twin adds nothing.
+fn group_cost(members: &[Variant]) -> u64 {
+    let mut configs: Vec<SimConfig> = Vec::new();
+    let (mut shared, mut own) = (0, 0);
+    for &v in members {
+        if let Ok(c) = v.config() {
+            if configs.contains(&c) {
+                continue;
+            }
+            configs.push(c);
+        }
+        let (solo, timing) = variant_cost(v);
+        shared = shared.max(solo - timing);
+        own += timing;
+    }
+    shared + own
+}
+
+/// Partitions one column's cells — `variants` — into replay groups,
+/// each a list of indices into `variants` in order; every index lands in
+/// exactly one group. Cells group when their configurations share a
+/// [`SimConfig::replay_key`], so a group's members differ only in
+/// timing and replay together
+/// ([`Simulator::render_replay_group`]): on `repro --quick`'s variants,
+/// {baseline, b-pim} and {a-tfim, a-tfim@0.01pi, a-tfim-noconsol}, every
+/// other cell alone.
+///
+/// A group's members finish together, so each member's latency is the
+/// group's, and a group is capped: its expected one-lane cost — the
+/// costliest member's shared part once, plus every member's own timing
+/// step, by measured per-variant costs — stays within 15% of every
+/// member's solo replay. Identical configurations always share a group,
+/// since they replay once. [`Harness::precompute`],
+/// [`run_variants_parallel`] and `pimgfx-serve` jobs all group through
+/// this function.
+///
+/// # Errors
+///
+/// Propagates configuration validation errors.
+pub fn replay_groups(variants: &[Variant]) -> Result<Vec<Vec<usize>>> {
+    let configs = variants
+        .iter()
+        .map(|v| v.config())
+        .collect::<Result<Vec<_>>>()?;
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, c) in configs.iter().enumerate() {
+        let twin = groups
+            .iter()
+            .position(|g| g.iter().any(|&m| configs[m] == *c));
+        // The last group of this key is the one still filling.
+        let open = groups
+            .iter()
+            .rposition(|g| configs[g[0]].replay_key() == c.replay_key());
+        let fits = |g: &Vec<usize>| {
+            let mut members: Vec<Variant> = g.iter().map(|&m| variants[m]).collect();
+            members.push(variants[i]);
+            let cost = group_cost(&members) * 100;
+            members.iter().all(|&m| cost <= variant_cost(m).0 * 115)
+        };
+        match (twin, open) {
+            (Some(g), _) => groups[g].push(i),
+            (None, Some(g)) if fits(&groups[g]) => groups[g].push(i),
+            _ => groups.push(vec![i]),
+        }
+    }
+    Ok(groups)
+}
+
+/// Simulates one replay group of a column — `variants`, a group from
+/// [`replay_groups`] — the worker-thread body of every sweep (each
+/// worker owns its simulators; only the scene and the frontend stream
+/// are shared, read-only).
 ///
 /// The variant-invariant frontend comes from the stream cache (built on
-/// first use, replayed by every later variant of the column); the
-/// variant-specific backend replays it with `lanes` phase-1 helper
-/// threads (every design, A-TFIM included), which is byte-identical to
-/// a direct `render_trace` at any lane count. The returned [`WallSplit`] attributes the cell's wall time to
-/// the two passes and records the effective lane count.
-fn simulate_cell(
+/// first use, replayed by every later group of the column); the group's
+/// backend replays it once with `lanes` lanes (every design, A-TFIM
+/// included), which is byte-identical to a direct `render_trace` of
+/// each member at any lane count. Every member's [`WallSplit`] is the
+/// group's: the members finish together.
+fn simulate_group(
     scene: &Arc<SceneTrace>,
-    variant: Variant,
+    variants: &[Variant],
     streams: &FragmentStreamCache,
     lanes: usize,
-) -> HarnessResult<(RenderReport, WallSplit)> {
-    let config = variant.config()?;
-    let mut sim = Simulator::new(config)?;
+) -> Result<Vec<(RenderReport, WallSplit)>> {
+    let configs = variants
+        .iter()
+        .map(|v| v.config())
+        .collect::<Result<Vec<_>>>()?;
+    let Some(lead) = configs.first() else {
+        return Ok(Vec::new());
+    };
     // The manifest records the lane count the replay actually runs with.
-    let lanes_eff = sim.replay_lanes(lanes);
-    if sim.config().tile_px != streams.tile_px() {
+    let lanes_eff = lead.replay_lanes(lanes);
+    if lead.tile_px != streams.tile_px() {
         // A variant binned at a different tile size cannot replay the
         // shared stream; render directly (no variant does this today).
-        // det:boundary — backend wall-time for WallSplit reporting.
-        let start = Instant::now();
-        let report = sim.render_trace(scene)?;
-        let backend_ms = start.elapsed().as_secs_f64() * 1000.0;
-        return Ok((
-            report,
-            WallSplit {
+        let mut out = Vec::with_capacity(configs.len());
+        for config in configs {
+            // det:boundary — backend wall-time for WallSplit reporting.
+            let start = Instant::now();
+            let report = Simulator::new(config)?.render_trace(scene)?;
+            let backend_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let split = WallSplit {
                 frontend_ms: 0.0,
                 backend_ms,
                 replay_lanes: 1,
-            },
-        ));
+            };
+            out.push((report, split));
+        }
+        return Ok(out);
     }
     // det:boundary — frontend wall-time for WallSplit reporting.
     let start = Instant::now();
@@ -851,16 +970,13 @@ fn simulate_cell(
     let frontend_ms = start.elapsed().as_secs_f64() * 1000.0;
     // det:boundary — backend wall-time for WallSplit reporting.
     let start = Instant::now();
-    let report = sim.render_replay_lanes(&stream, lanes_eff)?;
-    let backend_ms = start.elapsed().as_secs_f64() * 1000.0;
-    Ok((
-        report,
-        WallSplit {
-            frontend_ms,
-            backend_ms,
-            replay_lanes: lanes_eff,
-        },
-    ))
+    let reports = Simulator::render_replay_group(&configs, &stream, lanes_eff)?;
+    let split = WallSplit {
+        frontend_ms,
+        backend_ms: start.elapsed().as_secs_f64() * 1000.0,
+        replay_lanes: lanes_eff,
+    };
+    Ok(reports.into_iter().map(|r| (r, split)).collect())
 }
 
 /// Runs one variant over a scene and returns its report (bench body).
@@ -874,58 +990,38 @@ pub fn run_variant(scene: &SceneTrace, variant: Variant) -> Result<RenderReport>
     sim.render_trace(scene)
 }
 
-/// Runs one variant over a scene through a shared frontend-stream cache
-/// — the replay counterpart of [`run_variant`], with byte-identical
-/// results. Used by `pimgfx-serve`, where many variants of one job (and
-/// consecutive jobs on the same column) share the frontend pass.
+/// Replays one group of variants — a group from [`replay_groups`] — over
+/// a scene through a shared frontend-stream cache on `lanes` lanes,
+/// returning one report per variant, in order, each byte-identical to
+/// [`run_variant`]'s. `pimgfx-serve` passes each job's
+/// [`pool::job_threads`] lanes here, so concurrent jobs, their groups
+/// and the lanes share one thread budget.
 ///
 /// # Errors
 ///
-/// Propagates configuration and simulation failures. Falls back to a
-/// direct render when the variant's tile size does not match the
+/// Propagates configuration and simulation failures. Falls back to
+/// direct renders when the variants' tile size does not match the
 /// cache's.
-pub fn run_variant_replay(
+pub fn run_group_replay(
     scene: &Arc<SceneTrace>,
-    variant: Variant,
-    streams: &FragmentStreamCache,
-) -> Result<RenderReport> {
-    run_variant_replay_lanes(scene, variant, streams, 1)
-}
-
-/// [`run_variant_replay`] with an explicit replay lane count: the
-/// backend replays with `lanes` phase-1 helper threads (byte-identical
-/// to serial at any count — see `crates/core/src/lane_equivalence.rs`).
-/// `pimgfx-serve` passes each job's [`pool::job_threads`] lanes here,
-/// so concurrent jobs, their cells and the lanes share one thread
-/// budget.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures. Falls back to a
-/// direct render when the variant's tile size does not match the
-/// cache's.
-pub fn run_variant_replay_lanes(
-    scene: &Arc<SceneTrace>,
-    variant: Variant,
+    variants: &[Variant],
     streams: &FragmentStreamCache,
     lanes: usize,
-) -> Result<RenderReport> {
-    let config = variant.config()?;
-    let mut sim = Simulator::new(config)?;
-    if sim.config().tile_px != streams.tile_px() {
-        return sim.render_trace(scene);
-    }
-    let stream = streams.get(scene)?;
-    sim.render_replay_lanes(&stream, lanes)
+) -> Result<Vec<RenderReport>> {
+    Ok(simulate_group(scene, variants, streams, lanes)?
+        .into_iter()
+        .map(|(report, _)| report)
+        .collect())
 }
 
 /// Runs several variants of one scene through the worker [`pool`],
 /// returning reports in `variants` order (the parallel counterpart of
 /// mapping [`run_variant`] — used by the `fig*` micro-benchmarks to
 /// time sweep fan-out). The frontend stream is built once, on the whole
-/// thread budget, before the fan-out; every variant then replays it on
-/// its share of the budget ([`pool::configured_replay_lanes`]), so
-/// workers × lanes never exceeds the budget.
+/// thread budget, before the fan-out; the variants then replay it in
+/// [`replay_groups`], each group on its share of the budget
+/// ([`pool::configured_replay_lanes`]), so workers × lanes never exceeds
+/// the budget.
 ///
 /// # Errors
 ///
@@ -935,15 +1031,25 @@ pub fn run_variants_parallel(
     scene: &Arc<SceneTrace>,
     variants: &[Variant],
 ) -> Result<Vec<RenderReport>> {
-    let workers = pool::worker_count(variants.len())?;
+    let groups = replay_groups(variants)?;
+    let workers = pool::worker_count(groups.len())?;
     let lanes = pool::configured_replay_lanes(workers)?;
     let streams = FragmentStreamCache::new(SimConfig::default().tile_px);
     streams.get(scene)?;
-    pool::run_ordered(variants, workers, |&v| {
-        run_variant_replay_lanes(scene, v, &streams, lanes)
-    })
-    .into_iter()
-    .collect()
+    let results = pool::run_ordered(&groups, workers, |group| {
+        let members: Vec<Variant> = group.iter().map(|&i| variants[i]).collect();
+        run_group_replay(scene, &members, &streams, lanes)
+    });
+    let mut reports: Vec<Option<RenderReport>> = variants.iter().map(|_| None).collect();
+    for (group, result) in groups.iter().zip(results) {
+        for (&i, report) in group.iter().zip(result?) {
+            reports[i] = Some(report);
+        }
+    }
+    reports
+        .into_iter()
+        .map(|r| r.ok_or_else(|| ConfigError::new("harness", "a variant was left unreplayed")))
+        .collect()
 }
 
 /// Minimal std-only micro-benchmark harness for the `benches/fig*.rs`
@@ -1212,6 +1318,57 @@ doom3,1.50
         assert_eq!(h.scenes().capacity(), Some(3));
         assert_eq!(h.scenes().evictions(), 0);
         assert_eq!(Harness::new(2).scenes().capacity(), None);
+    }
+
+    /// The union of every section's variants, first occurrence first —
+    /// the cells of one `repro` column.
+    fn repro_variants() -> Vec<Variant> {
+        let mut out: Vec<Variant> = Vec::new();
+        for section in SECTIONS {
+            for v in section_variants(section) {
+                if !out.iter().any(|o| o.label() == v.label()) {
+                    out.push(v);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn replay_groups_of_a_repro_column() {
+        let variants = repro_variants();
+        let groups = replay_groups(&variants).expect("valid");
+        let labels: Vec<Vec<String>> = groups
+            .iter()
+            .map(|g| g.iter().map(|&i| variants[i].label()).collect())
+            .collect();
+        let grouped: Vec<&Vec<String>> = labels.iter().filter(|g| g.len() > 1).collect();
+        assert_eq!(
+            grouped,
+            [
+                &vec!["baseline", "b-pim"],
+                &vec!["a-tfim", "a-tfim@0.01pi", "a-tfim-noconsol"],
+            ],
+            "{labels:?}"
+        );
+        // S-TFIM's timing step is too dear to share a group; a third
+        // A-TFIM configuration would slow the other two too much.
+        assert!(labels.contains(&vec!["s-tfim".to_string()]));
+        assert!(labels.contains(&vec!["a-tfim-nocompress".to_string()]));
+        // Every cell lands in exactly one group.
+        let mut all: Vec<usize> = groups.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..variants.len()).collect::<Vec<_>>());
+        // No member's latency rises by more than 15% over its solo
+        // replay.
+        for g in &groups {
+            let members: Vec<Variant> = g.iter().map(|&i| variants[i]).collect();
+            let cost = group_cost(&members);
+            for &m in &members {
+                assert!(cost * 100 <= group_cost(&[m]) * 115, "{members:?}");
+            }
+        }
+        assert!(replay_groups(&[]).expect("valid").is_empty());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 use pimgfx::Design;
 use pimgfx_bench::manifest::CellSummary;
 use pimgfx_bench::{
-    bench_scene, pool, run_variant, run_variants_parallel, CsvSink, Harness, Sweep, Variant,
+    bench_scene, pool, replay_groups, run_variant, run_variants_parallel, CsvSink, Harness, Sweep,
+    Variant,
 };
-use pimgfx_workloads::{synthesize, trace_io, Game, Resolution, SyntheticSpec};
+use pimgfx_workloads::{synthesize, trace_io, Game, Resolution, SyntheticSpec, Workload};
 use std::sync::Arc;
 
 /// The sweep under test: one small column, three designs. Small enough
@@ -100,6 +101,79 @@ fn parallel_precompute_matches_serial_run_byte_for_byte() {
         serial_csv, parallel_csv,
         "parallel sweep must produce byte-identical CSV output"
     );
+}
+
+/// Replay groups are an optimization only: a sweep whose cells replay
+/// in groups — the conventional designs together, the A-TFIM default
+/// with its 0.01π twin and an ablation — must produce the manifest cells
+/// and CSV bytes of cells replayed one by one.
+#[test]
+fn grouped_precompute_matches_solo_cells_byte_for_byte() {
+    let column = Workload::Synthetic(SyntheticSpec {
+        seed: 0xC0FFEE,
+        triangles: 400,
+        textures: 2,
+        texture_size: 32,
+        kind_mask: 0x3,
+        grazing_milli: 500,
+        overdraw: 1,
+        path_frames: 2,
+    });
+    let variants = [
+        Variant::Design(Design::Baseline),
+        Variant::Design(Design::BPim),
+        Variant::Design(Design::STfim),
+        Variant::Design(Design::ATfim),
+        Variant::AtfimThreshold(0.01),
+        Variant::AtfimNoConsolidation,
+        Variant::AtfimNoCompression,
+        Variant::AtfimThreshold(0.05),
+    ];
+    let groups = replay_groups(&variants).expect("groups");
+    assert!(groups.len() < variants.len(), "{groups:?}");
+    let sweep = Sweep::matrix(&[(column, Resolution::R320x240)], &variants);
+
+    let mut solo = Harness::new(1);
+    for &(w, r, v) in sweep.cells() {
+        solo.run(w, r, v).expect("solo cell");
+    }
+    let mut grouped = Harness::new(1);
+    for lanes in [1, 2] {
+        grouped.set_replay_lanes(Some(lanes));
+        let mut fresh = Harness::new(1);
+        fresh.set_replay_lanes(Some(lanes));
+        fresh.precompute(&sweep).expect("grouped sweep");
+        assert_eq!(summaries(&solo), summaries(&fresh), "lanes={lanes}");
+        grouped = fresh;
+    }
+
+    let solo_dir = temp_dir("solo");
+    let grouped_dir = temp_dir("grouped");
+    let solo_csv = csv_bytes(&solo, &solo_dir);
+    let grouped_csv = csv_bytes(&grouped, &grouped_dir);
+    std::fs::remove_dir_all(&solo_dir).ok();
+    std::fs::remove_dir_all(&grouped_dir).ok();
+    assert_eq!(solo_csv, grouped_csv, "grouped replay changed CSV bytes");
+
+    // `run_variants_parallel` groups the same way.
+    let scene = Arc::new(synthesize(
+        &match column {
+            Workload::Synthetic(spec) => spec,
+            Workload::Game(_) => unreachable!("synthetic column"),
+        },
+        Resolution::R320x240,
+        1,
+    ));
+    let direct: Vec<CellSummary> = variants
+        .iter()
+        .map(|&v| CellSummary::from_report("syn", "v", &run_variant(&scene, v).expect("cell")))
+        .collect();
+    let parallel: Vec<CellSummary> = run_variants_parallel(&scene, &variants)
+        .expect("grouped variants")
+        .iter()
+        .map(|r| CellSummary::from_report("syn", "v", r))
+        .collect();
+    assert_eq!(direct, parallel);
 }
 
 #[test]

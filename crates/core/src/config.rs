@@ -217,6 +217,61 @@ impl SimConfig {
         }
         Ok(())
     }
+
+    /// The lane count a replay of this configuration runs with when
+    /// asked for `lanes`: clamped to `1..=clusters`.
+    pub fn replay_lanes(&self, lanes: usize) -> usize {
+        crate::lanepre::lane_workers(lanes, self.shader.clusters)
+    }
+
+    /// Every field a replay's phase 1 and functional step read — what
+    /// decides colors, cache outcomes and A-TFIM parent reuse. Two
+    /// configurations with equal keys differ only in timing, so they can
+    /// replay as one group
+    /// ([`Simulator::render_replay_group`](crate::Simulator::render_replay_group)):
+    /// one phase 1 and one functional step feed both timing models.
+    ///
+    /// The key names the design family (Baseline, B-PIM and S-TFIM run
+    /// the conventional sampler; A-TFIM its reordered one), the sampler,
+    /// both cache geometries, the tile size, the cluster and texture-unit
+    /// counts (which pick a tile's L1), the cube count (which places the
+    /// textures) and block compression (which transcodes them), and for
+    /// A-TFIM the angle threshold. Every other field is timing.
+    pub fn replay_key(&self) -> ReplayKey {
+        let atfim = self.design == Design::ATfim;
+        ReplayKey {
+            atfim,
+            sampler: SamplerConfig {
+                reordered: atfim,
+                ..self.sampler
+            },
+            l1_cache: self.l1_cache,
+            l2_cache: self.l2_cache,
+            tile_px: self.tile_px,
+            clusters: self.shader.clusters,
+            units: self.texture_units.units,
+            hmc_cubes: self.hmc_cubes,
+            compressed_textures: self.compressed_textures,
+            angle_threshold: atfim.then(|| self.angle_threshold.as_f32().to_bits()),
+        }
+    }
+}
+
+/// The functional identity of a [`SimConfig`]: see
+/// [`SimConfig::replay_key`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReplayKey {
+    atfim: bool,
+    sampler: SamplerConfig,
+    l1_cache: CacheConfig,
+    l2_cache: CacheConfig,
+    tile_px: u32,
+    clusters: usize,
+    units: usize,
+    hmc_cubes: usize,
+    compressed_textures: bool,
+    /// The threshold's bits (A-TFIM only).
+    angle_threshold: Option<u32>,
 }
 
 /// Builder for [`SimConfig`].
@@ -340,8 +395,102 @@ impl SimConfigBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Valid variations of `base` in every timing-only field: each keeps
+    /// [`SimConfig::replay_key`]. Shared with the lane-equivalence suite,
+    /// which replays them as one group.
+    pub(crate) fn timing_variations(base: &SimConfig) -> Vec<SimConfig> {
+        let vary = |f: &dyn Fn(&mut SimConfig)| {
+            let mut c = base.clone();
+            f(&mut c);
+            c.validate().expect("a valid variation");
+            c
+        };
+        let mut out = vec![
+            vary(&|c| c.gddr5.bandwidth_gb_s *= 0.5),
+            vary(&|c| c.gddr5.channels = 4),
+            vary(&|c| c.hmc.external_gb_s *= 0.5),
+            vary(&|c| c.hmc.internal_gb_s *= 2.0),
+            vary(&|c| c.hmc.vaults = 8),
+            vary(&|c| c.mtu.filter_alus = 2),
+            vary(&|c| c.mtus = 4),
+            vary(&|c| c.atfim.consolidate = false),
+            vary(&|c| c.atfim.parent_buffer_entries = 16),
+            vary(&|c| c.atfim.stage_latency += 7),
+            vary(&|c| c.compress_offload = !c.compress_offload),
+            vary(&|c| c.shader.shaders_per_cluster = 4),
+            vary(&|c| c.shader.pipeline_latency += 5),
+            vary(&|c| c.texture_units.filter_alus = 2),
+            vary(&|c| c.texture_units.addr_texels_per_cycle = 2),
+            vary(&|c| c.texture_units.pipeline_latency += 3),
+            // The sampler's order is the design's, whatever it says.
+            vary(&|c| c.sampler.reordered = !c.sampler.reordered),
+        ];
+        if base.design == Design::ATfim {
+            return out;
+        }
+        // Conventional designs: the threshold is unread, and Baseline,
+        // B-PIM and S-TFIM share one functional step.
+        out.push(vary(&|c| {
+            c.angle_threshold = Radians::from_pi_fraction(0.1)
+        }));
+        for d in [Design::Baseline, Design::BPim, Design::STfim] {
+            out.push(vary(&|c| c.design = d));
+        }
+        out
+    }
+
+    #[test]
+    fn replay_key_names_every_functional_field() {
+        for design in Design::ALL {
+            let base = SimConfig::builder().design(design).build().expect("valid");
+            let key = base.replay_key();
+            for c in timing_variations(&base) {
+                assert_eq!(c.replay_key(), key, "{design}: timing-only {c:?}");
+            }
+            let vary = |f: &dyn Fn(&mut SimConfig)| {
+                let mut c = base.clone();
+                f(&mut c);
+                c
+            };
+            let mut functional = vec![
+                vary(&|c| c.sampler.max_aniso = 4),
+                vary(&|c| c.sampler.filter = FilterMode::Trilinear),
+                vary(&|c| c.l1_cache.size_bytes *= 2),
+                vary(&|c| c.l1_cache.ways = 8),
+                vary(&|c| c.l2_cache.size_bytes *= 2),
+                vary(&|c| c.tile_px = 8),
+                vary(&|c| {
+                    c.shader.clusters = 8;
+                    c.texture_units.units = 8;
+                    c.mtus = 8;
+                }),
+                vary(&|c| c.compressed_textures = true),
+                vary(&|c| {
+                    c.design = if design == Design::ATfim {
+                        Design::BPim
+                    } else {
+                        Design::ATfim
+                    };
+                    c.hmc_cubes = base.hmc_cubes;
+                }),
+            ];
+            if design != Design::Baseline {
+                functional.push(vary(&|c| c.hmc_cubes = 2));
+            }
+            if design == Design::ATfim {
+                functional.push(vary(&|c| {
+                    c.angle_threshold = Radians::from_pi_fraction(0.05)
+                }));
+                functional.push(vary(&|c| c.angle_threshold = Radians::PI));
+            }
+            for c in functional {
+                assert_ne!(c.replay_key(), key, "{design}: functional {c:?}");
+            }
+        }
+    }
 
     #[test]
     fn default_is_table_one() {

@@ -7,9 +7,11 @@
 //!    addressing, and A-TFIM's footprint, angle tag and wrapped parent
 //!    corners. These depend only on the fragment, the texture, and the
 //!    immutable layout: no caches, no servers, no cross-quad order.
-//! 2. **Order-sensitive timing work** — L1/L2 probes, DRAM/HMC/MTU
-//!    servers, the A-TFIM parent store, and the ROP. These mutate shared
-//!    state whose evolution depends on the exact global tile order.
+//! 2. **Order-sensitive work** — L1/L2 probes, DRAM/HMC/MTU servers,
+//!    the A-TFIM parent store, and the ROP. These mutate shared state
+//!    whose evolution depends on the exact global tile order. Phase 2
+//!    runs it as a functional step (probes, parent store) and a timing
+//!    step per design (servers, ROP); see [`crate::texpath`].
 //!
 //! Replay splits each frame's tiles, in stream order, into **chunks**:
 //! contiguous tile runs of about [`CHUNK_FRAGMENTS`] fragments, closed
@@ -125,16 +127,16 @@ pub(crate) struct ChunkRecords {
     /// Per-fragment anisotropy ratio (conventional and S-TFIM designs).
     pub aniso: Vec<u32>,
     /// Per-fragment prefix into [`ChunkRecords::lines`] (conventional
-    /// designs); `line_start.len() == fragment count + 1`.
+    /// and S-TFIM designs); `line_start.len() == fragment count + 1`.
     pub line_start: Vec<u32>,
     /// Deduplicated per-fragment cache-line addresses, first-occurrence
-    /// order (conventional designs).
+    /// order (conventional and S-TFIM designs).
     pub lines: Vec<u64>,
-    /// Per-quad prefix into [`ChunkRecords::quad_lines`] (S-TFIM);
-    /// `quad_line_start.len() == quad count + 1`.
+    /// Per-quad prefix into [`ChunkRecords::quad_lines`] when an S-TFIM
+    /// design replays; `quad_line_start.len() == quad count + 1`.
     pub quad_line_start: Vec<u32>,
-    /// Deduplicated per-quad request lines, first-occurrence order
-    /// (S-TFIM).
+    /// Per quad, the request lines an S-TFIM package carries: the
+    /// first-occurrence union of its fragments' lines.
     pub quad_lines: Vec<u64>,
     /// Per-fragment pure prefix of the A-TFIM GPU-side pass.
     pub atfim: Vec<AtfimPrefix>,
@@ -174,10 +176,9 @@ pub(crate) struct Cursor {
 /// The [`FetchSink`] of conventional and S-TFIM phase 1: it keeps cache
 /// lines, not texels. Each texel read maps to its line through the
 /// texture's layout, and the line is appended to `lines` unless
-/// `lines[start..]` (the fragment's lines, or the quad's) already holds
-/// it. A repeated texel maps to a line appended at its first read, so
-/// the lines come out in the order a texel dedup followed by a line
-/// dedup produces.
+/// `lines[start..]` (the fragment's lines) already holds it. A repeated
+/// texel maps to a line appended at its first read, so the lines come
+/// out in the order a texel dedup followed by a line dedup produces.
 struct LineSink<'a> {
     layout: &'a TextureLayout,
     lines: &'a mut Vec<u64>,
@@ -223,12 +224,29 @@ impl FetchSink for LineSink<'_> {
 pub(crate) struct Filler {
     design: Design,
     sampler: Sampler,
+    /// Conventional records: also record each quad's S-TFIM request
+    /// lines.
+    quad_lines: bool,
 }
 
 impl Filler {
-    /// A filler for `design` sampling through `sampler`.
+    /// A filler for `design` sampling through `sampler`; it records
+    /// quad request lines for S-TFIM.
     pub fn new(design: Design, sampler: Sampler) -> Self {
-        Self { design, sampler }
+        Self {
+            design,
+            sampler,
+            quad_lines: design == Design::STfim,
+        }
+    }
+
+    /// This filler, recording quad request lines when `on` (a replay
+    /// group with an S-TFIM member).
+    pub fn with_quad_lines(self, on: bool) -> Self {
+        Self {
+            quad_lines: on,
+            ..self
+        }
     }
 
     /// Appends one quad's phase-1 records to `recs`.
@@ -240,8 +258,9 @@ impl Filler {
         recs: &mut ChunkRecords,
     ) {
         match self.design {
-            Design::Baseline | Design::BPim => self.fill_conventional(quad, tex, layout, recs),
-            Design::STfim => self.fill_stfim(quad, tex, layout, recs),
+            Design::Baseline | Design::BPim | Design::STfim => {
+                self.fill_conventional(quad, tex, layout, recs);
+            }
             Design::ATfim => {
                 for frag in quad {
                     recs.atfim
@@ -263,9 +282,10 @@ impl Filler {
         }
     }
 
-    /// Conventional phase 1: the full sampler pass, recording each
-    /// fragment's distinct cache lines — everything the conventional
-    /// path computes before its first cache probe.
+    /// Conventional and S-TFIM phase 1: the full sampler pass,
+    /// recording each fragment's distinct cache lines — everything the
+    /// conventional path computes before its first cache probe — and,
+    /// for S-TFIM, the quad's request lines.
     fn fill_conventional(
         &self,
         quad: &[Fragment],
@@ -273,6 +293,7 @@ impl Filler {
         layout: &TextureLayout,
         recs: &mut ChunkRecords,
     ) {
+        let quad_start = recs.quad_lines.len();
         for frag in quad {
             let (ddx, ddy) = texpath::texel_derivs(tex, frag);
             let start = recs.lines.len();
@@ -282,28 +303,21 @@ impl Filler {
             recs.texels.push(info.conventional_texels);
             recs.aniso.push(info.aniso_ratio);
             recs.line_start.push(recs.lines.len() as u32);
+            if self.quad_lines {
+                // A fragment's own lines are distinct, so only the
+                // earlier fragments' can repeat them.
+                let earlier = recs.quad_lines.len();
+                for i in start..recs.lines.len() {
+                    let line = recs.lines[i];
+                    if !recs.quad_lines[quad_start..earlier].contains(&line) {
+                        recs.quad_lines.push(line);
+                    }
+                }
+            }
         }
-    }
-
-    /// S-TFIM phase 1: the sampler pass, recording the quad's distinct
-    /// request lines in first-occurrence order across its fragments.
-    fn fill_stfim(
-        &self,
-        quad: &[Fragment],
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        recs: &mut ChunkRecords,
-    ) {
-        let start = recs.quad_lines.len();
-        for frag in quad {
-            let (ddx, ddy) = texpath::texel_derivs(tex, frag);
-            let mut sink = LineSink::new(layout, &mut recs.quad_lines, start);
-            let info = self.sampler.sample_with(tex, frag.uv, ddx, ddy, &mut sink);
-            recs.colors.push(info.color);
-            recs.texels.push(info.conventional_texels);
-            recs.aniso.push(info.aniso_ratio);
+        if self.quad_lines {
+            recs.quad_line_start.push(recs.quad_lines.len() as u32);
         }
-        recs.quad_line_start.push(recs.quad_lines.len() as u32);
     }
 }
 
@@ -503,9 +517,12 @@ mod tests {
     /// Conventional and S-TFIM records filled through the line sink
     /// must equal the texel-trace path they replaced — the sampler's
     /// `FetchSet` trace, its texel count `max`ed with the distinct
-    /// fetches, then `dedup_lines_into` per fragment (or the quad-wide
-    /// first-occurrence dedup) — over seeded random quads, every filter
-    /// mode and both anisotropy caps.
+    /// fetches, then `dedup_lines_into` per fragment — over seeded
+    /// random quads, every filter mode and both anisotropy caps. Both
+    /// designs fill the same per-fragment records, and an S-TFIM quad's
+    /// request lines — the first-occurrence union of its fragments'
+    /// lines — equal the quad-wide first-occurrence dedup of every texel
+    /// line the quad reads, the list S-TFIM once recorded on its own.
     #[test]
     fn phase1_records_match_texel_trace_oracle() {
         let (textures, layouts) = crate::testkit::textures();
@@ -513,6 +530,7 @@ mod tests {
         let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
         let mut fetches = pimgfx_texture::FetchSet::new();
         let (mut addrs, mut lines) = (Vec::new(), Vec::new());
+        let mut shared_lines = 0usize;
         for filter in [
             FilterMode::Point,
             FilterMode::Bilinear,
@@ -525,7 +543,7 @@ mod tests {
                     max_aniso,
                     reordered: false,
                 });
-                for design in [Design::Baseline, Design::STfim] {
+                let fill = |design: Design| {
                     let filler = Filler::new(design, sampler);
                     let mut recs = ChunkRecords::default();
                     recs.reset();
@@ -533,48 +551,73 @@ mod tests {
                         let t = quad[0].texture.index();
                         filler.fill_quad(quad, &textures[t], &layouts[t], &mut recs);
                     }
-                    let mut i = 0;
-                    for (q, quad) in quads.iter().enumerate() {
-                        let t = quad[0].texture.index();
-                        let (tex, layout) = (&textures[t], &layouts[t]);
-                        let mut quad_lines: Vec<u64> = Vec::new();
-                        for frag in quad {
-                            let ctx = format!("{filter:?} a={max_aniso} {design} frag {i}");
-                            let (ddx, ddy) = texpath::texel_derivs(tex, frag);
-                            let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut fetches);
-                            let texels = info.conventional_texels.max(fetches.len() as u32);
-                            texpath::dedup_lines_into(
-                                fetches.fetches(),
-                                layout,
-                                &mut addrs,
-                                &mut lines,
-                            );
-                            assert_eq!(bits(recs.colors[i]), bits(info.color), "{ctx}");
-                            assert_eq!(recs.texels[i], texels, "{ctx}");
-                            assert_eq!(recs.aniso[i], info.aniso_ratio, "{ctx}");
-                            if design == Design::STfim {
-                                for &l in &addrs {
-                                    if !quad_lines.contains(&l) {
-                                        quad_lines.push(l);
-                                    }
-                                }
-                            } else {
-                                let span =
-                                    recs.line_start[i] as usize..recs.line_start[i + 1] as usize;
-                                assert_eq!(recs.lines[span], lines[..], "{ctx}");
+                    recs
+                };
+                let recs = fill(Design::STfim);
+                let conventional = fill(Design::Baseline);
+                assert_eq!(
+                    format!("{:?}", (&recs.colors, &recs.texels, &recs.aniso)),
+                    format!(
+                        "{:?}",
+                        (
+                            &conventional.colors,
+                            &conventional.texels,
+                            &conventional.aniso
+                        )
+                    ),
+                    "{filter:?}"
+                );
+                assert_eq!(
+                    (&recs.line_start, &recs.lines),
+                    (&conventional.line_start, &conventional.lines)
+                );
+                assert!(conventional.quad_lines.is_empty());
+                let mut i = 0;
+                for (q, quad) in quads.iter().enumerate() {
+                    let t = quad[0].texture.index();
+                    let (tex, layout) = (&textures[t], &layouts[t]);
+                    let mut quad_lines: Vec<u64> = Vec::new();
+                    let mut union: Vec<u64> = Vec::new();
+                    for frag in quad {
+                        let ctx = format!("{filter:?} a={max_aniso} frag {i}");
+                        let (ddx, ddy) = texpath::texel_derivs(tex, frag);
+                        let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut fetches);
+                        let texels = info.conventional_texels.max(fetches.len() as u32);
+                        texpath::dedup_lines_into(
+                            fetches.fetches(),
+                            layout,
+                            &mut addrs,
+                            &mut lines,
+                        );
+                        assert_eq!(bits(recs.colors[i]), bits(info.color), "{ctx}");
+                        assert_eq!(recs.texels[i], texels, "{ctx}");
+                        assert_eq!(recs.aniso[i], info.aniso_ratio, "{ctx}");
+                        let span = recs.line_start[i] as usize..recs.line_start[i + 1] as usize;
+                        assert_eq!(recs.lines[span.clone()], lines[..], "{ctx}");
+                        for &l in &addrs {
+                            if !quad_lines.contains(&l) {
+                                quad_lines.push(l);
                             }
-                            i += 1;
                         }
-                        if design == Design::STfim {
-                            let span = recs.quad_line_start[q] as usize
-                                ..recs.quad_line_start[q + 1] as usize;
-                            assert_eq!(recs.quad_lines[span], quad_lines[..], "quad {q}");
+                        for &l in &recs.lines[span] {
+                            if union.contains(&l) {
+                                shared_lines += 1;
+                            } else {
+                                union.push(l);
+                            }
                         }
+                        i += 1;
                     }
-                    assert_eq!(i, recs.fragments());
+                    assert_eq!(union, quad_lines, "{filter:?} a={max_aniso} quad {q}");
+                    let span =
+                        recs.quad_line_start[q] as usize..recs.quad_line_start[q + 1] as usize;
+                    assert_eq!(recs.quad_lines[span], union[..], "quad {q}");
                 }
+                assert_eq!(i, recs.fragments());
             }
         }
+        // Fragments of a quad do share lines, so the union is exercised.
+        assert!(shared_lines > 1000, "{shared_lines}");
     }
 
     #[test]

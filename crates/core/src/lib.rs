@@ -78,7 +78,7 @@ pub mod prelude {
 }
 
 pub use backend::MemoryBackend;
-pub use config::{SimConfig, SimConfigBuilder, TextureUnitConfig};
+pub use config::{ReplayKey, SimConfig, SimConfigBuilder, TextureUnitConfig};
 pub use design::Design;
 pub use overhead::{analyze as analyze_overhead, OverheadReport};
 pub use sim::Simulator;

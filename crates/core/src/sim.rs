@@ -9,6 +9,18 @@
 //! DRAM banks — which is how the bandwidth-bound behavior the paper
 //! targets emerges without a hand-tuned bottleneck switch.
 //!
+//! # Replay groups
+//!
+//! The backend replay walks a prebuilt fragment stream in two steps per
+//! texture quad (see [`crate::texpath`]): a functional step — phase-1
+//! records, cache probes, A-TFIM parent reuse, the image — and a timing
+//! step per design — texture units, memory, logic layer, shader windows,
+//! ROP. Configurations with equal [`SimConfig::replay_key`]s differ only
+//! in timing, so [`Simulator::render_replay_group`] replays them
+//! together: each quad's functional step runs once and feeds every
+//! member's timing step in lockstep. A solo replay is a group of one;
+//! there is one replay path.
+//!
 //! # Thread safety
 //!
 //! [`Simulator`] is `Send + Sync` (asserted at compile time below): it
@@ -24,17 +36,17 @@ use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
 use crate::design::Design;
 use crate::geometry;
-use crate::lanepre::{self, ChunkPlan, ChunkRecords, ChunkSource, Cursor, Filler, LoadChunk};
+use crate::lanepre::{self, ChunkPlan, ChunkRecords, ChunkSource, Cursor, LoadChunk};
 use crate::rop::Rop;
 use crate::stats::{FrameStats, RenderReport};
 use crate::stream::{FragmentStream, StreamData};
-use crate::texpath::TexturePath;
+use crate::texpath::{QuadOutcome, TexFunctional, TexTiming, TexturePath};
 use pimgfx_energy::{EnergyModel, EnergyParams};
 use pimgfx_engine::trace::{stage, StageCounters, StageTrace};
 use pimgfx_engine::{Cycle, InFlightWindow};
 use pimgfx_mem::MemorySystem;
 use pimgfx_quality::FrameImage;
-use pimgfx_raster::RasterStats;
+use pimgfx_raster::{Fragment, RasterStats};
 use pimgfx_shader::{ShaderCores, ShaderProgram, TileScheduler};
 use pimgfx_texture::{MippedTexture, TextureLayout};
 use pimgfx_types::{ConfigError, Result, Rgba};
@@ -43,7 +55,23 @@ use pimgfx_workloads::SceneTrace;
 /// Base address of the simulated texture heap.
 const TEXTURE_BASE: u64 = 0x1000_0000;
 
-/// Where the phase-2 walk gets each chunk's phase-1 records.
+/// A cluster may work this many tiles ahead of its oldest unretired one
+/// — texture latency beyond that slack throttles issue, as finite
+/// in-flight fragment storage does in hardware.
+const TILE_WINDOW: usize = 4;
+
+/// How a replay gets each chunk's phase-1 records.
+#[derive(Debug, Clone, Copy)]
+enum Fill {
+    /// Filled on the calling thread at one lane, else on this many
+    /// helper threads.
+    Lanes(usize),
+    /// No records: every quad runs the serial per-quad oracle.
+    #[cfg(test)]
+    Oracle,
+}
+
+/// Where the walk gets each chunk's phase-1 records.
 enum Feed<'a, 'f> {
     /// Loaded per chunk by [`lanepre::fill_inline`] or
     /// [`lanepre::fill_streamed`].
@@ -97,6 +125,37 @@ const _: () = {
     assert_send_sync::<Simulator>();
     assert_send_sync::<crate::stats::RenderReport>();
 };
+
+/// One member of a replay group: a simulator's timing state, borrowed.
+struct Member<'s> {
+    config: &'s SimConfig,
+    mem: &'s mut MemoryBackend,
+    cores: &'s mut ShaderCores,
+    timing: &'s mut TexTiming,
+}
+
+impl<'s> Member<'s> {
+    /// A simulator's configuration and timing state, and its functional
+    /// texture half.
+    fn of(sim: &'s mut Simulator) -> (Self, &'s mut TexFunctional) {
+        let Simulator {
+            config,
+            mem,
+            cores,
+            texture,
+        } = sim;
+        let (func, timing) = texture.halves();
+        (
+            Self {
+                config,
+                mem,
+                cores,
+                timing,
+            },
+            func,
+        )
+    }
+}
 
 impl Simulator {
     /// Builds a simulator from a validated configuration.
@@ -157,7 +216,7 @@ impl Simulator {
         // a replay are byte-identical by construction.
         let workers = crate::budget::configured_workers()?;
         let data = StreamData::build(scene, self.config.tile_px, workers)?;
-        self.replay_impl(scene, &data, 1)
+        self.replay_solo(scene, &data, Fill::Lanes(1))
     }
 
     /// Renders from a prebuilt [`FragmentStream`] instead of
@@ -205,387 +264,131 @@ impl Simulator {
         stream: &FragmentStream,
         lanes: usize,
     ) -> Result<RenderReport> {
-        if stream.tile_px() != self.config.tile_px {
+        check_tile_px(stream, &self.config)?;
+        self.replay_solo(stream.scene(), stream.data(), Fill::Lanes(lanes))
+    }
+
+    /// Replays `stream` once for a group of configurations that differ
+    /// only in timing — equal [`SimConfig::replay_key`]s — returning one
+    /// report per configuration, in order, each byte-identical to what
+    /// [`render_replay_lanes`](Self::render_replay_lanes) on a fresh
+    /// simulator of that configuration returns.
+    ///
+    /// Phase 1 and the functional step (cache probes, A-TFIM parent
+    /// reuse, the image) run once per quad for the whole group; each
+    /// member's timing step (texture units, memory, logic layer, shader
+    /// windows, ROP) runs on its own hardware state. Identical
+    /// configurations replay once and share the report. `lanes` is as
+    /// for a single replay.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when `configs` is empty, a configuration
+    /// is invalid, the keys differ, or the stream was binned at a
+    /// different tile size.
+    pub fn render_replay_group(
+        configs: &[SimConfig],
+        stream: &FragmentStream,
+        lanes: usize,
+    ) -> Result<Vec<RenderReport>> {
+        let Some(first) = configs.first() else {
             return Err(ConfigError::new(
                 "simulator",
-                format!(
-                    "stream binned at tile_px {} cannot replay on tile_px {}",
-                    stream.tile_px(),
-                    self.config.tile_px
-                ),
+                "a replay group needs a member",
+            ));
+        };
+        let key = first.replay_key();
+        if configs.iter().any(|c| c.replay_key() != key) {
+            return Err(ConfigError::new(
+                "simulator",
+                "a replay group's configurations must share one replay key",
             ));
         }
-        self.replay_impl(stream.scene(), stream.data(), lanes)
+        check_tile_px(stream, first)?;
+        // Identical configurations replay once: `slots[i]` is the
+        // member configuration `i` reads its report from.
+        let mut unique: Vec<&SimConfig> = Vec::new();
+        let slots: Vec<usize> = configs
+            .iter()
+            .map(|c| match unique.iter().position(|u| *u == c) {
+                Some(m) => m,
+                None => {
+                    unique.push(c);
+                    unique.len() - 1
+                }
+            })
+            .collect();
+        let mut sims = unique
+            .into_iter()
+            .map(|c| Simulator::new(c.clone()))
+            .collect::<Result<Vec<_>>>()?;
+        let designs: Vec<Design> = sims.iter().map(|s| s.config.design).collect();
+        let lanes = first.replay_lanes(lanes);
+        let Some((lead, rest)) = sims.split_first_mut() else {
+            return Err(ConfigError::new(
+                "simulator",
+                "a replay group needs a member",
+            ));
+        };
+        let (member, func) = Member::of(lead);
+        func.feed(designs);
+        let mut members = vec![member];
+        members.extend(rest.iter_mut().map(|s| Member::of(s).0));
+        let reports = replay(
+            func,
+            &mut members,
+            stream.scene(),
+            stream.data(),
+            Fill::Lanes(lanes),
+        )?;
+        // Each report moves to its last reader and is cloned for the
+        // others.
+        let mut reports: Vec<Option<RenderReport>> = reports.into_iter().map(Some).collect();
+        let mut out = Vec::with_capacity(slots.len());
+        for (i, &m) in slots.iter().enumerate() {
+            let report = if slots[i + 1..].contains(&m) {
+                reports[m].clone()
+            } else {
+                reports[m].take()
+            };
+            out.push(report.ok_or_else(|| {
+                ConfigError::new("simulator", "a group member's report went missing")
+            })?);
+        }
+        Ok(out)
     }
 
     /// The lane count [`render_replay_lanes`](Self::render_replay_lanes)
     /// actually runs with when asked for `lanes`: clamped to
     /// `1..=clusters`.
     pub fn replay_lanes(&self, lanes: usize) -> usize {
-        lanepre::lane_workers(lanes, self.config.shader.clusters)
+        self.config.replay_lanes(lanes)
     }
 
-    /// The variant-specific backend: drives shading, texturing, ROP,
-    /// memory, and energy over an already-built fragment stream. Phase
-    /// 1 fills chunk records on the calling thread (`lanes <= 1`) or on
-    /// `lanes` helper threads ahead of the phase-2 walk (see
-    /// [`crate::lanepre`]); results are byte-identical either way.
-    fn replay_impl(
+    /// A replay of this simulator alone: a group of one, on its own
+    /// (possibly warm) state.
+    fn replay_solo(
         &mut self,
         scene: &SceneTrace,
         data: &StreamData,
-        lanes: usize,
+        fill: Fill,
     ) -> Result<RenderReport> {
-        let lanes = self.replay_lanes(lanes);
-        self.replay_with(scene, data, |sim, filler, src| {
-            if lanes <= 1 {
-                lanepre::fill_inline(filler, src, |load| sim.walk(scene, src, Feed::Chunks(load)))
-            } else {
-                lanepre::fill_streamed(filler, src, lanes, |load| {
-                    sim.walk(scene, src, Feed::Chunks(load))
-                })
-            }
-        })
+        let fill = match fill {
+            Fill::Lanes(lanes) => Fill::Lanes(self.replay_lanes(lanes)),
+            #[cfg(test)]
+            Fill::Oracle => Fill::Oracle,
+        };
+        let (member, func) = Member::of(self);
+        replay(func, &mut [member], scene, data, fill)?
+            .pop()
+            .ok_or_else(|| ConfigError::new("simulator", "a replay produced no report"))
     }
 
     /// The serial oracle replay: the walk with every quad through the
     /// serial per-quad pass, no phase-1 records.
     #[cfg(test)]
     pub(crate) fn render_replay_oracle(&mut self, stream: &FragmentStream) -> Result<RenderReport> {
-        let scene = stream.scene();
-        self.replay_with(scene, stream.data(), |sim, _, src| {
-            sim.walk(scene, src, Feed::Oracle)
-        })
-    }
-
-    /// Sets up what both phases read — texture layouts, the sampled
-    /// (possibly transcoded) textures, the chunk plan, and the phase-1
-    /// filler — and hands them to `run`.
-    fn replay_with(
-        &mut self,
-        scene: &SceneTrace,
-        data: &StreamData,
-        run: impl FnOnce(&mut Self, &Filler, ChunkSource<'_>) -> Result<RenderReport>,
-    ) -> Result<RenderReport> {
-        let layouts = self.layouts(scene);
-        let transcoded = self.transcoded(scene);
-        let textures = sampled_textures(scene, transcoded.as_deref());
-        let plan = ChunkPlan::new(data);
-        let src = ChunkSource {
-            data,
-            plan: &plan,
-            textures: &textures,
-            layouts: &layouts,
-        };
-        let filler = Filler::new(self.config.design, *self.texture.sampler());
-        run(self, &filler, src)
-    }
-
-    /// Lays the scene's textures out in the simulated address space.
-    /// With several HMC cubes, textures go round-robin into per-cube
-    /// regions so a whole mip pyramid always lives in one cube (§V-E).
-    fn layouts(&self, scene: &SceneTrace) -> Vec<TextureLayout> {
-        let cubes = self.mem.cube_count().max(1) as u64;
-        let mut layouts: Vec<TextureLayout> = Vec::with_capacity(scene.textures.len());
-        let mut next_offset = vec![0u64; cubes as usize];
-        for (i, tex) in scene.textures.iter().enumerate() {
-            let dims: Vec<(u32, u32)> = (0..tex.level_count())
-                .map(|l| (tex.level(l).width(), tex.level(l).height()))
-                .collect();
-            let cube = i as u64 % cubes;
-            let base = TEXTURE_BASE
-                + cube * crate::backend::CUBE_REGION_BYTES
-                + next_offset[cube as usize];
-            let layout = TextureLayout::new(tex.id(), base, &dims);
-            next_offset[cube as usize] += layout.total_bytes().next_multiple_of(4096);
-            layouts.push(layout);
-        }
-        layouts
-    }
-
-    /// Optional block compression: the textures transcoded through the
-    /// codec, so the functional renderer samples the lossy texels the
-    /// hardware would read.
-    fn transcoded(&self, scene: &SceneTrace) -> Option<Vec<MippedTexture>> {
-        self.config.compressed_textures.then(|| {
-            scene
-                .textures
-                .iter()
-                .map(|t| pimgfx_texture::CompressedTexture::encode(t).decode(t))
-                .collect()
-        })
-    }
-
-    /// The phase-2 walk: geometry, then every frame's tiles in stream
-    /// order with their texture quads, the ROP, and the report. `feed`
-    /// supplies each chunk's phase-1 records.
-    fn walk(
-        &mut self,
-        scene: &SceneTrace,
-        src: ChunkSource<'_>,
-        mut feed: Feed<'_, '_>,
-    ) -> Result<RenderReport> {
-        let ChunkSource {
-            data,
-            plan,
-            textures,
-            ..
-        } = src;
-        let width = scene.width();
-        let height = scene.height();
-        let mut rop = Rop::new(width, height, self.config.tile_px);
-        let scheduler = TileScheduler::new(
-            self.config.shader.clusters,
-            width.div_ceil(self.config.tile_px),
-        );
-        let fragment_program = ShaderProgram::new(scene.shader_alu_ops, 1);
-
-        let mut image = FrameImage::filled(width, height, Rgba::BLACK);
-        let mut raster_total = RasterStats::default();
-        let mut clock = Cycle::ZERO;
-        let mut frames = 0u32;
-        let mut per_frame: Vec<FrameStats> = Vec::with_capacity(scene.cameras.len());
-        let mut samples_before = 0u64;
-        let mut per_frame_trace: Vec<StageTrace> = Vec::with_capacity(scene.cameras.len());
-        let mut trace_snapshot = StageTrace::new();
-        let mut window_stalls = 0u64;
-        let mut quad_results: Vec<(Rgba, Cycle)> = Vec::new();
-        let mut recs = ChunkRecords::default();
-
-        for (f, fe) in data.frames.iter().enumerate() {
-            let frame_start = clock;
-            rop.begin_frame();
-            image.fill(Rgba::BLACK);
-
-            // 1. Geometry processing (its vertex traffic and ALU work
-            // are timing, so it runs per variant, not in the frontend).
-            let geom_done =
-                geometry::process_frame(frame_start, scene, &mut self.cores, &mut self.mem);
-
-            // 2. Fragment processing, tile by tile, over the stream's
-            // prebuilt raster output. A cluster may work a bounded
-            // number of tiles ahead of the oldest unretired one —
-            // texture latency beyond that slack throttles issue, as
-            // finite in-flight fragment storage does in hardware.
-            const TILE_WINDOW: usize = 4;
-            let mut frame_end = geom_done;
-            let mut windows: Vec<InFlightWindow> = (0..self.config.shader.clusters)
-                .map(|_| InFlightWindow::new(TILE_WINDOW, geom_done))
-                .collect();
-            for k in plan.frame_chunks(f) {
-                let mut cursor = Cursor::default();
-                let loaded = match &mut feed {
-                    Feed::Chunks(load) => load(k, &mut recs),
-                    #[cfg(test)]
-                    Feed::Oracle => true,
-                };
-                if !loaded {
-                    return Err(ConfigError::new(
-                        "simulator",
-                        "a replay helper thread stopped before filling its chunks",
-                    ));
-                }
-                for t in plan.tiles(k) {
-                    let tile = data.tile(t);
-                    let cluster = scheduler.cluster_for(tile.coord);
-                    let issue_at = windows[cluster].gate_from(geom_done);
-                    let alu_done = self.cores.shade_fragments(
-                        cluster,
-                        issue_at,
-                        tile.fragments.len() as u64,
-                        &fragment_program,
-                    );
-                    let mut tile_done = alu_done;
-                    // Texture requests are issued at 2x2-quad granularity
-                    // (the texture unit serves whole fragment groups); the
-                    // stream stores each tile's fragments quad-contiguously,
-                    // in the same first-occurrence quad order the simulator
-                    // always issued.
-                    for quad in tile.quads() {
-                        let i = quad[0].texture.index();
-                        match feed {
-                            Feed::Chunks(_) => self.texture.sample_quad_rec(
-                                cluster,
-                                issue_at,
-                                quad.len(),
-                                textures[i],
-                                &recs,
-                                &mut cursor,
-                                &mut self.mem,
-                                &mut quad_results,
-                            ),
-                            #[cfg(test)]
-                            Feed::Oracle => self.texture.sample_quad_oracle(
-                                cluster,
-                                issue_at,
-                                quad,
-                                textures[i],
-                                &src.layouts[i],
-                                &mut self.mem,
-                                &mut quad_results,
-                            ),
-                        }
-                        for (frag, &(color, done)) in quad.iter().zip(&quad_results) {
-                            tile_done = tile_done.max(done);
-                            image.put(frag.x, frag.y, color.clamped());
-                            rop.retire(frag);
-                        }
-                    }
-                    windows[cluster].retire(tile_done);
-                    frame_end = frame_end.max(tile_done);
-                }
-                match feed {
-                    Feed::Chunks(_) => {
-                        debug_assert_eq!(cursor.frag, recs.fragments(), "chunk {k} consumed");
-                    }
-                    #[cfg(test)]
-                    Feed::Oracle => {}
-                }
-            }
-
-            // 3. ROP write-back.
-            let frag_end = frame_end;
-            let rop_done = rop.flush_frame(frame_end, &mut self.mem);
-            frame_end = frame_end.max(rop_done).max(self.texture.last_completion());
-            // Opt-in diagnostic channel; stderr is the intended sink.
-            #[allow(clippy::print_stderr)]
-            if std::env::var_os("PIMGFX_TRACE_PHASES").is_some() {
-                eprintln!(
-                    "phase trace: geom {} | fragments {} | rop {} | tex_last {}",
-                    geom_done.get(),
-                    frag_end.get(),
-                    rop_done.get(),
-                    self.texture.last_completion().get()
-                );
-            }
-
-            clock = frame_end;
-            // Per-frame trace slice: the compute-side counters are
-            // cumulative, so each frame is the delta since the last
-            // snapshot (the windows are per-frame, so their stalls
-            // accumulate into a running total first).
-            window_stalls += windows.iter().map(InFlightWindow::stalls).sum::<u64>();
-            let cumulative = self.compute_trace(&rop, window_stalls);
-            per_frame_trace.push(cumulative.delta_since(&trace_snapshot));
-            trace_snapshot = cumulative;
-            let samples_now = self.texture.stats().samples;
-            per_frame.push(FrameStats {
-                frame: frames,
-                cycles: frame_end.since(frame_start).get(),
-                // The frontend captured per-frame raster counters when
-                // it built the stream.
-                fragments: fe.raster.fragments_out,
-                texture_samples: samples_now - samples_before,
-            });
-            samples_before = samples_now;
-            let r = fe.raster;
-            raster_total.triangles_in += r.triangles_in;
-            raster_total.triangles_clipped += r.triangles_clipped;
-            raster_total.hiz_rejected += r.hiz_rejected;
-            raster_total.z_tests += r.z_tests;
-            raster_total.fragments_out += r.fragments_out;
-            raster_total.tiles_touched += r.tiles_touched;
-            frames += 1;
-        }
-
-        // Energy accounting.
-        self.mem.sync_traffic();
-        let mut energy = EnergyModel::new(EnergyParams::default());
-        energy.add_shader_busy(self.cores.total_busy());
-        energy.add_texture_busy(self.texture.gpu_busy());
-        energy.add_pim_busy(self.texture.pim_busy());
-        energy.add_cache_accesses(self.texture.cache_accesses());
-        let external = self.mem.traffic().total().get();
-        let internal = self.mem.internal_bytes();
-        match self.config.design {
-            Design::Baseline => {
-                energy.add_gddr5_bytes(external);
-                energy.add_dram_bytes(internal);
-            }
-            _ => {
-                energy.add_link_bytes(external);
-                energy.add_tsv_bytes(internal + external);
-                energy.add_dram_bytes(internal);
-            }
-        }
-
-        // Conservation invariants (debug builds). Frames run back to
-        // back, so the per-frame partition must cover the run exactly;
-        // per-class traffic can never exceed the grand total; and no
-        // aggregate busy counter can exceed its unit count x wall-clock.
-        debug_assert_eq!(
-            per_frame.iter().map(|f| f.cycles).sum::<u64>(),
-            clock.get(),
-            "per-frame cycles must partition total_cycles"
-        );
-        debug_assert_eq!(
-            per_frame.iter().map(|f| f.texture_samples).sum::<u64>(),
-            self.texture.stats().samples,
-            "per-frame texture samples must sum to the trace total"
-        );
-        debug_assert_eq!(
-            per_frame.iter().map(|f| f.fragments).sum::<u64>(),
-            raster_total.fragments_out,
-            "per-frame fragments must sum to the raster total"
-        );
-        debug_assert!(
-            self.mem
-                .traffic()
-                .bytes(pimgfx_mem::TrafficClass::TextureFetch)
-                <= self.mem.traffic().total(),
-            "texture traffic cannot exceed total external traffic"
-        );
-        debug_assert!(
-            self.cores.total_busy().get()
-                <= clock
-                    .get()
-                    .saturating_mul(self.config.shader.clusters as u64),
-            "aggregate shader busy cycles cannot exceed clusters x wall-clock"
-        );
-
-        // Assemble the full stage trace: the compute-side stages plus
-        // the memory-side stages (recorded once, post-`sync_traffic`).
-        let mut trace = self.compute_trace(&rop, window_stalls);
-        self.mem.record_trace(&mut trace);
-
-        let report = RenderReport {
-            design: self.config.design,
-            frames,
-            total_cycles: clock.get(),
-            texture: *self.texture.stats(),
-            traffic: self.mem.traffic().clone(),
-            internal_bytes: internal,
-            raster: raster_total,
-            shader_busy_cycles: self.cores.total_busy().get(),
-            texture_busy_cycles: self.texture.gpu_busy().get(),
-            pim_busy_cycles: self.texture.pim_busy().get(),
-            energy: energy.report(),
-            image,
-            per_frame,
-            trace,
-            per_frame_trace,
-        };
-        debug_assert!(
-            report.audit().is_ok(),
-            "cycle-accounting audit failed: {:?}",
-            report.audit().err()
-        );
-        Ok(report)
-    }
-
-    /// Snapshot of every compute-side stage's cumulative counters:
-    /// shader ALUs, the in-flight-window stall total, the full texture
-    /// path (GPU pipes plus MTU / A-TFIM logic layers), and the ROP.
-    fn compute_trace(&self, rop: &Rop, window_stalls: u64) -> StageTrace {
-        let mut t = StageTrace::new();
-        t.record(
-            stage::SHADER_ALU,
-            StageCounters::busy(self.cores.total_busy().get()),
-        );
-        t.record(stage::SHADER_WINDOW, StageCounters::stalled(window_stalls));
-        self.texture.record_trace(&mut t);
-        rop.record_trace(&mut t);
-        t
+        self.replay_solo(stream.scene(), stream.data(), Fill::Oracle)
     }
 
     /// Resets all hardware state (between independent experiments).
@@ -594,6 +397,457 @@ impl Simulator {
         self.cores.reset();
         self.texture.reset();
     }
+}
+
+/// Rejects a stream binned at another tile size than `config`'s.
+fn check_tile_px(stream: &FragmentStream, config: &SimConfig) -> Result<()> {
+    if stream.tile_px() == config.tile_px {
+        return Ok(());
+    }
+    Err(ConfigError::new(
+        "simulator",
+        format!(
+            "stream binned at tile_px {} cannot replay on tile_px {}",
+            stream.tile_px(),
+            config.tile_px
+        ),
+    ))
+}
+
+/// Lays the scene's textures out in the simulated address space.
+/// With several HMC cubes, textures go round-robin into per-cube
+/// regions so a whole mip pyramid always lives in one cube (§V-E).
+fn layouts(config: &SimConfig, scene: &SceneTrace) -> Vec<TextureLayout> {
+    let cubes = config.hmc_cubes.max(1) as u64;
+    let mut layouts: Vec<TextureLayout> = Vec::with_capacity(scene.textures.len());
+    let mut next_offset = vec![0u64; cubes as usize];
+    for (i, tex) in scene.textures.iter().enumerate() {
+        let dims: Vec<(u32, u32)> = (0..tex.level_count())
+            .map(|l| (tex.level(l).width(), tex.level(l).height()))
+            .collect();
+        let cube = i as u64 % cubes;
+        let base =
+            TEXTURE_BASE + cube * crate::backend::CUBE_REGION_BYTES + next_offset[cube as usize];
+        let layout = TextureLayout::new(tex.id(), base, &dims);
+        next_offset[cube as usize] += layout.total_bytes().next_multiple_of(4096);
+        layouts.push(layout);
+    }
+    layouts
+}
+
+/// Optional block compression: the textures transcoded through the
+/// codec, so the functional renderer samples the lossy texels the
+/// hardware would read.
+fn transcoded(config: &SimConfig, scene: &SceneTrace) -> Option<Vec<MippedTexture>> {
+    config.compressed_textures.then(|| {
+        scene
+            .textures
+            .iter()
+            .map(|t| pimgfx_texture::CompressedTexture::encode(t).decode(t))
+            .collect()
+    })
+}
+
+/// The backend replay of a group: sets up what both phases read —
+/// texture layouts, the sampled (possibly transcoded) textures, the
+/// chunk plan — fills phase 1 as `fill` says, and walks. Phase 1
+/// fills chunk records on the calling thread (one lane) or on `lanes`
+/// helper threads ahead of the walk (see [`crate::lanepre`]); results
+/// are byte-identical either way.
+fn replay(
+    func: &mut TexFunctional,
+    members: &mut [Member<'_>],
+    scene: &SceneTrace,
+    data: &StreamData,
+    fill: Fill,
+) -> Result<Vec<RenderReport>> {
+    let lead = members[0].config;
+    let layouts = layouts(lead, scene);
+    let transcoded = transcoded(lead, scene);
+    let textures = sampled_textures(scene, transcoded.as_deref());
+    let plan = ChunkPlan::new(data);
+    let src = ChunkSource {
+        data,
+        plan: &plan,
+        textures: &textures,
+        layouts: &layouts,
+    };
+    let filler = func.filler();
+    match fill {
+        Fill::Lanes(lanes) if lanes <= 1 => lanepre::fill_inline(&filler, src, |load| {
+            walk(func, members, scene, src, Feed::Chunks(load))
+        }),
+        Fill::Lanes(lanes) => lanepre::fill_streamed(&filler, src, lanes, |load| {
+            walk(func, members, scene, src, Feed::Chunks(load))
+        }),
+        #[cfg(test)]
+        Fill::Oracle => walk(func, members, scene, src, Feed::Oracle),
+    }
+}
+
+/// One member's walk state: its ROP, clock and per-frame records, and
+/// the frame and tile it is working on.
+struct Track {
+    rop: Rop,
+    clock: Cycle,
+    per_frame: Vec<FrameStats>,
+    per_frame_trace: Vec<StageTrace>,
+    trace_snapshot: StageTrace,
+    window_stalls: u64,
+    samples_before: u64,
+    frame_start: Cycle,
+    geom_done: Cycle,
+    frame_end: Cycle,
+    windows: Vec<InFlightWindow>,
+    issue_at: Cycle,
+    tile_done: Cycle,
+}
+
+impl Track {
+    fn new(width: u32, height: u32, tile_px: u32, frames: usize) -> Self {
+        Self {
+            rop: Rop::new(width, height, tile_px),
+            clock: Cycle::ZERO,
+            per_frame: Vec::with_capacity(frames),
+            per_frame_trace: Vec::with_capacity(frames),
+            trace_snapshot: StageTrace::new(),
+            window_stalls: 0,
+            samples_before: 0,
+            frame_start: Cycle::ZERO,
+            geom_done: Cycle::ZERO,
+            frame_end: Cycle::ZERO,
+            windows: Vec::new(),
+            issue_at: Cycle::ZERO,
+            tile_done: Cycle::ZERO,
+        }
+    }
+
+    /// Retires a quad whose fragments complete at `done`.
+    #[inline]
+    fn retire(&mut self, quad: &[Fragment], done: &[Cycle]) {
+        for (frag, &d) in quad.iter().zip(done) {
+            self.tile_done = self.tile_done.max(d);
+            self.rop.retire(frag);
+        }
+    }
+}
+
+/// The phase-2 walk of a replay group: geometry, then every frame's
+/// tiles in stream order with their texture quads — each quad's
+/// functional step once, then every member's timing step — the ROP,
+/// and one report per member. `feed` supplies each chunk's phase-1
+/// records.
+fn walk(
+    func: &mut TexFunctional,
+    members: &mut [Member<'_>],
+    scene: &SceneTrace,
+    src: ChunkSource<'_>,
+    mut feed: Feed<'_, '_>,
+) -> Result<Vec<RenderReport>> {
+    let ChunkSource {
+        data,
+        plan,
+        textures,
+        ..
+    } = src;
+    let lead = members[0].config;
+    let (tile_px, clusters) = (lead.tile_px, lead.shader.clusters);
+    let width = scene.width();
+    let height = scene.height();
+    let scheduler = TileScheduler::new(clusters, width.div_ceil(tile_px));
+    let fragment_program = ShaderProgram::new(scene.shader_alu_ops, 1);
+
+    let mut image = FrameImage::filled(width, height, Rgba::BLACK);
+    let mut raster_total = RasterStats::default();
+    let mut frames = 0u32;
+    let mut tracks: Vec<Track> = members
+        .iter()
+        .map(|_| Track::new(width, height, tile_px, scene.cameras.len()))
+        .collect();
+    let mut q = QuadOutcome::default();
+    let mut done: Vec<Cycle> = Vec::new();
+    let mut recs = ChunkRecords::default();
+    #[cfg(test)]
+    let (mut oracle_out, mut oracle_colors) = (Vec::new(), Vec::new());
+
+    for (f, fe) in data.frames.iter().enumerate() {
+        image.fill(Rgba::BLACK);
+        for (m, t) in members.iter_mut().zip(&mut tracks) {
+            t.frame_start = t.clock;
+            t.rop.begin_frame();
+            // 1. Geometry processing (its vertex traffic and ALU work
+            // are timing, so it runs per variant, not in the frontend).
+            t.geom_done = geometry::process_frame(t.frame_start, scene, m.cores, m.mem);
+            t.frame_end = t.geom_done;
+            t.windows = (0..clusters)
+                .map(|_| InFlightWindow::new(TILE_WINDOW, t.geom_done))
+                .collect();
+        }
+
+        // 2. Fragment processing, tile by tile, over the stream's
+        // prebuilt raster output.
+        for k in plan.frame_chunks(f) {
+            let mut cursor = Cursor::default();
+            let loaded = match &mut feed {
+                Feed::Chunks(load) => load(k, &mut recs),
+                #[cfg(test)]
+                Feed::Oracle => true,
+            };
+            if !loaded {
+                return Err(ConfigError::new(
+                    "simulator",
+                    "a replay helper thread stopped before filling its chunks",
+                ));
+            }
+            for ti in plan.tiles(k) {
+                let tile = data.tile(ti);
+                let cluster = scheduler.cluster_for(tile.coord);
+                for (m, t) in members.iter_mut().zip(&mut tracks) {
+                    t.issue_at = t.windows[cluster].gate_from(t.geom_done);
+                    t.tile_done = m.cores.shade_fragments(
+                        cluster,
+                        t.issue_at,
+                        tile.fragments.len() as u64,
+                        &fragment_program,
+                    );
+                }
+                // Texture requests are issued at 2x2-quad granularity
+                // (the texture unit serves whole fragment groups); the
+                // stream stores each tile's fragments quad-contiguously,
+                // in the same first-occurrence quad order the simulator
+                // always issued.
+                for quad in tile.quads() {
+                    let i = quad[0].texture.index();
+                    let colors: &[Rgba] = match feed {
+                        Feed::Chunks(_) => {
+                            func.quad(cluster, quad.len(), textures[i], &recs, &mut cursor, &mut q);
+                            for (m, t) in members.iter_mut().zip(&mut tracks) {
+                                m.timing
+                                    .sample_quad(cluster, t.issue_at, &q, &recs, m.mem, &mut done);
+                                t.retire(quad, &done);
+                            }
+                            q.colors(&recs)
+                        }
+                        #[cfg(test)]
+                        Feed::Oracle => {
+                            let (m, t) = (&mut members[0], &mut tracks[0]);
+                            let mut oracle = crate::texpath::Oracle {
+                                func: &mut *func,
+                                timing: &mut *m.timing,
+                            };
+                            oracle.sample_quad(
+                                cluster,
+                                t.issue_at,
+                                quad,
+                                textures[i],
+                                &src.layouts[i],
+                                m.mem,
+                                &mut oracle_out,
+                            );
+                            done.clear();
+                            done.extend(oracle_out.iter().map(|&(_, d)| d));
+                            t.retire(quad, &done);
+                            oracle_colors.clear();
+                            oracle_colors.extend(oracle_out.iter().map(|&(c, _)| c));
+                            &oracle_colors
+                        }
+                    };
+                    for (frag, &color) in quad.iter().zip(colors) {
+                        image.put(frag.x, frag.y, color);
+                    }
+                }
+                for t in &mut tracks {
+                    t.windows[cluster].retire(t.tile_done);
+                    t.frame_end = t.frame_end.max(t.tile_done);
+                }
+            }
+            match feed {
+                Feed::Chunks(_) => {
+                    debug_assert_eq!(cursor.frag, recs.fragments(), "chunk {k} consumed");
+                }
+                #[cfg(test)]
+                Feed::Oracle => {}
+            }
+        }
+
+        // 3. ROP write-back, and the frame's accounting per member.
+        for (m, t) in members.iter_mut().zip(&mut tracks) {
+            let frag_end = t.frame_end;
+            let rop_done = t.rop.flush_frame(t.frame_end, m.mem);
+            let tex_last = m.timing.last_completion();
+            t.frame_end = t.frame_end.max(rop_done).max(tex_last);
+            // Opt-in diagnostic channel; stderr is the intended sink.
+            #[allow(clippy::print_stderr)]
+            if std::env::var_os("PIMGFX_TRACE_PHASES").is_some() {
+                eprintln!(
+                    "phase trace: geom {} | fragments {} | rop {} | tex_last {}",
+                    t.geom_done.get(),
+                    frag_end.get(),
+                    rop_done.get(),
+                    tex_last.get()
+                );
+            }
+            t.clock = t.frame_end;
+            // Per-frame trace slice: the compute-side counters are
+            // cumulative, so each frame is the delta since the last
+            // snapshot (the windows are per-frame, so their stalls
+            // accumulate into a running total first).
+            t.window_stalls += t.windows.iter().map(InFlightWindow::stalls).sum::<u64>();
+            let cumulative = compute_trace(m, &t.rop, t.window_stalls);
+            t.per_frame_trace
+                .push(cumulative.delta_since(&t.trace_snapshot));
+            t.trace_snapshot = cumulative;
+            let samples_now = m.timing.stats(func).samples;
+            t.per_frame.push(FrameStats {
+                frame: frames,
+                cycles: t.frame_end.since(t.frame_start).get(),
+                // The frontend captured per-frame raster counters when
+                // it built the stream.
+                fragments: fe.raster.fragments_out,
+                texture_samples: samples_now - t.samples_before,
+            });
+            t.samples_before = samples_now;
+        }
+        let r = fe.raster;
+        raster_total.triangles_in += r.triangles_in;
+        raster_total.triangles_clipped += r.triangles_clipped;
+        raster_total.hiz_rejected += r.hiz_rejected;
+        raster_total.z_tests += r.z_tests;
+        raster_total.fragments_out += r.fragments_out;
+        raster_total.tiles_touched += r.tiles_touched;
+        frames += 1;
+    }
+
+    // The image moves into the last member's report; the others get
+    // copies.
+    let last = members.len() - 1;
+    let mut image = Some(image);
+    let mut reports = Vec::with_capacity(members.len());
+    for (n, (m, t)) in members.iter_mut().zip(tracks).enumerate() {
+        let image = if n == last {
+            image.take()
+        } else {
+            image.clone()
+        };
+        let Some(image) = image else {
+            return Err(ConfigError::new(
+                "simulator",
+                "the group's image went missing",
+            ));
+        };
+        reports.push(report(m, func, t, frames, raster_total, image));
+    }
+    Ok(reports)
+}
+
+/// A member's report once its walk is over: energy, the conservation
+/// checks, and the full stage trace.
+fn report(
+    m: &mut Member<'_>,
+    func: &TexFunctional,
+    t: Track,
+    frames: u32,
+    raster_total: RasterStats,
+    image: FrameImage,
+) -> RenderReport {
+    let stats = m.timing.stats(func);
+    m.mem.sync_traffic();
+    let mut energy = EnergyModel::new(EnergyParams::default());
+    energy.add_shader_busy(m.cores.total_busy());
+    energy.add_texture_busy(m.timing.gpu_busy());
+    energy.add_pim_busy(m.timing.pim_busy());
+    energy.add_cache_accesses(stats.cache_accesses());
+    let external = m.mem.traffic().total().get();
+    let internal = m.mem.internal_bytes();
+    match m.config.design {
+        Design::Baseline => {
+            energy.add_gddr5_bytes(external);
+            energy.add_dram_bytes(internal);
+        }
+        _ => {
+            energy.add_link_bytes(external);
+            energy.add_tsv_bytes(internal + external);
+            energy.add_dram_bytes(internal);
+        }
+    }
+
+    // Conservation invariants (debug builds). Frames run back to
+    // back, so the per-frame partition must cover the run exactly;
+    // per-class traffic can never exceed the grand total; and no
+    // aggregate busy counter can exceed its unit count x wall-clock.
+    debug_assert_eq!(
+        t.per_frame.iter().map(|f| f.cycles).sum::<u64>(),
+        t.clock.get(),
+        "per-frame cycles must partition total_cycles"
+    );
+    debug_assert_eq!(
+        t.per_frame.iter().map(|f| f.texture_samples).sum::<u64>(),
+        stats.samples,
+        "per-frame texture samples must sum to the trace total"
+    );
+    debug_assert_eq!(
+        t.per_frame.iter().map(|f| f.fragments).sum::<u64>(),
+        raster_total.fragments_out,
+        "per-frame fragments must sum to the raster total"
+    );
+    debug_assert!(
+        m.mem
+            .traffic()
+            .bytes(pimgfx_mem::TrafficClass::TextureFetch)
+            <= m.mem.traffic().total(),
+        "texture traffic cannot exceed total external traffic"
+    );
+    debug_assert!(
+        m.cores.total_busy().get()
+            <= t.clock
+                .get()
+                .saturating_mul(m.config.shader.clusters as u64),
+        "aggregate shader busy cycles cannot exceed clusters x wall-clock"
+    );
+
+    // Assemble the full stage trace: the compute-side stages plus
+    // the memory-side stages (recorded once, post-`sync_traffic`).
+    let mut trace = compute_trace(m, &t.rop, t.window_stalls);
+    m.mem.record_trace(&mut trace);
+
+    let report = RenderReport {
+        design: m.config.design,
+        frames,
+        total_cycles: t.clock.get(),
+        texture: stats,
+        traffic: m.mem.traffic().clone(),
+        internal_bytes: internal,
+        raster: raster_total,
+        shader_busy_cycles: m.cores.total_busy().get(),
+        texture_busy_cycles: m.timing.gpu_busy().get(),
+        pim_busy_cycles: m.timing.pim_busy().get(),
+        energy: energy.report(),
+        image,
+        per_frame: t.per_frame,
+        trace,
+        per_frame_trace: t.per_frame_trace,
+    };
+    debug_assert!(
+        report.audit().is_ok(),
+        "cycle-accounting audit failed: {:?}",
+        report.audit().err()
+    );
+    report
+}
+
+/// Snapshot of every compute-side stage's cumulative counters:
+/// shader ALUs, the in-flight-window stall total, the full texture
+/// path (GPU pipes plus MTU / A-TFIM logic layers), and the ROP.
+fn compute_trace(m: &Member<'_>, rop: &Rop, window_stalls: u64) -> StageTrace {
+    let mut t = StageTrace::new();
+    t.record(
+        stage::SHADER_ALU,
+        StageCounters::busy(m.cores.total_busy().get()),
+    );
+    t.record(stage::SHADER_WINDOW, StageCounters::stalled(window_stalls));
+    m.timing.record_trace(&mut t);
+    rop.record_trace(&mut t);
+    t
 }
 
 #[cfg(test)]

@@ -86,6 +86,16 @@ impl TextureStats {
         weighted as f64 / total as f64
     }
 
+    /// Total L1+L2 accesses (the cache-energy term).
+    pub fn cache_accesses(&self) -> u64 {
+        self.l1_hits
+            + self.l1_misses
+            + self.l1_angle_misses
+            + self.l2_hits
+            + self.l2_misses
+            + self.l2_angle_misses
+    }
+
     /// L1 hit rate including angle misses as misses.
     pub fn l1_hit_rate(&self) -> f64 {
         let total = self.l1_hits + self.l1_misses + self.l1_angle_misses;

@@ -18,6 +18,20 @@
 //! the paper's texture units serve whole fragment tiles (§II-A), so one
 //! S-TFIM request package or one A-TFIM offload package covers a quad,
 //! not a single pixel.
+//!
+//! # Functional and timing halves
+//!
+//! Each quad passes through two steps. The **functional** step
+//! (`TexFunctional::quad`) decides everything that does not depend on
+//! simulated time: the colors, each conventional line's L1/L2 probe
+//! outcome, and A-TFIM's angle-tagged probes, parent-value reuse and
+//! recompute. The **timing** step (`TexTiming::sample_quad`) turns that
+//! outcome into cycles on one design's hardware: texture units, memory
+//! reads, MTU requests, offload packages. Cache state evolves in walk
+//! order whatever the clock says, so configurations that differ only in
+//! timing can share one functional half and feed each of their timing
+//! halves from it — a replay group (see [`crate::sim`]). [`TexturePath`]
+//! is one of each.
 
 use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
@@ -36,46 +50,12 @@ use pimgfx_texture::{
     TextureLayout,
 };
 use pimgfx_types::{Radians, Result, Rgba, Vec2};
+use std::ops::Range;
 
 /// Latency of an L1 texture-cache hit, cycles.
 const L1_HIT_CYCLES: u64 = 1;
 /// Latency of an L2 texture-cache hit, cycles.
 const L2_HIT_CYCLES: u64 = 8;
-
-/// Reusable per-path scratch buffers: cleared and refilled every quad so
-/// the steady-state sampling loop performs no heap allocation.
-#[derive(Debug, Default)]
-struct PathScratch {
-    /// One quad's phase-1 records, for the per-quad entry point
-    /// ([`TexturePath::sample_quad_into`]).
-    recs: ChunkRecords,
-    /// Quad-wide deduplicated request lines (S-TFIM); drained into the
-    /// MTU request each quad and its capacity reclaimed afterwards.
-    stfim_lines: Vec<u64>,
-    /// Probe offsets of the anisotropic kernel an A-TFIM parent
-    /// recompute averages over.
-    offsets: Vec<(i64, i64)>,
-    /// Quad-level deduplicated offload miss lines (A-TFIM).
-    quad_miss: Vec<u64>,
-    /// Quad-level deduplicated plain miss lines (A-TFIM).
-    plain_lines: Vec<u64>,
-    /// Per-fragment A-TFIM results for the current quad.
-    parts: Vec<AtfimFragment>,
-    /// The serial oracle's texel-trace buffers (`None` while in use).
-    #[cfg(test)]
-    trace: Option<TraceScratch>,
-}
-
-/// One fragment's texel trace and its lines, for the serial oracle.
-#[cfg(test)]
-#[derive(Debug, Default)]
-struct TraceScratch {
-    fetches: pimgfx_texture::FetchSet,
-    /// Line addresses of `fetches`, pre-dedup.
-    line_addrs: Vec<u64>,
-    /// Deduplicated lines of `fetches`.
-    lines: Vec<u64>,
-}
 
 /// An inline list of cache-line addresses, capacity 8 — a fragment's
 /// parent texels are at most 4 bilinear corners × 2 mip levels, so the
@@ -102,28 +82,69 @@ impl LineList {
     }
 }
 
-/// The texture subsystem of one simulated GPU, specialized by design.
+/// The texture subsystem of one simulated GPU, specialized by design:
+/// one functional half and one timing half.
 #[derive(Debug)]
 pub struct TexturePath {
+    func: TexFunctional,
+    timing: TexTiming,
+    /// One quad's phase-1 records, for [`TexturePath::sample_quad_into`].
+    recs: ChunkRecords,
+    /// One quad's functional outcome and completions, for
+    /// [`TexturePath::sample_quad_into`].
+    quad: QuadOutcome,
+    done: Vec<Cycle>,
+}
+
+/// The functional half of the texture path: the sampler, the L1s and
+/// the L2, and A-TFIM's parent-value store — everything that decides a
+/// fragment's color and its cache outcomes, and nothing that takes
+/// time. A replay group shares one.
+#[derive(Debug)]
+pub(crate) struct TexFunctional {
     design: Design,
     sampler: Sampler,
     angle_threshold: Radians,
-    units: TextureUnits,
+    /// Conventional and S-TFIM quads: whether the GPU caches are probed.
+    /// Off when no design fed from this half has them (S-TFIM alone).
+    probe: bool,
+    /// A design fed from this half is S-TFIM: phase 1 records each
+    /// quad's request lines.
+    stfim: bool,
     l1: Vec<TextureCache>,
     l2: TextureCache,
+    /// A-TFIM functional store: last computed value and camera angle per
+    /// parent texel, blocked by texture-cache line.
+    parents: ParentStore,
+    /// The counters the functional step decides: samples, texel counts,
+    /// the anisotropy histogram and the cache probes.
+    stats: TextureStats,
+    /// Probe offsets of the anisotropic kernel an A-TFIM parent
+    /// recompute averages over.
+    offsets: Vec<(i64, i64)>,
+}
+
+/// The timing half of the texture path: the GPU texture units and the
+/// logic-layer units a design adds — S-TFIM's MTU banks, A-TFIM's logic
+/// layers and offload unit. Each member of a replay group has its own.
+#[derive(Debug)]
+pub(crate) struct TexTiming {
+    design: Design,
+    units: TextureUnits,
     /// S-TFIM MTU banks, one per HMC cube.
     mtus: Option<Vec<MtuBank>>,
     /// A-TFIM logic layers, one per HMC cube.
     atfim: Option<Vec<AtfimLogicLayer>>,
     offload: OffloadUnit,
-    /// A-TFIM functional store: last computed value and camera angle per
-    /// parent texel, blocked by texture-cache line.
-    parents: ParentStore,
     /// Bytes per texel line on the wire (64 raw; 16 under block
     /// compression).
     line_bytes: u32,
-    /// Reusable per-quad scratch buffers (no steady-state allocation).
-    scratch: PathScratch,
+    /// Request lines of one S-TFIM quad, or the parent lines of one
+    /// A-TFIM offload batch: lent to the request and handed back, so
+    /// steady state does not allocate.
+    batch_lines: Vec<u64>,
+    /// The counters the timing step decides: latency, texels filtered
+    /// on the GPU, offload packages and child reads.
     stats: TextureStats,
 }
 
@@ -132,6 +153,43 @@ enum ProbeOutcome {
     L1Hit,
     L2Hit,
     Miss,
+}
+
+/// What the functional step decided for one quad; every timing half of
+/// a replay group reads it.
+#[derive(Debug, Default)]
+pub(crate) struct QuadOutcome {
+    /// The quad's fragments in the chunk records.
+    frags: Range<usize>,
+    /// The quad's index in the chunk records.
+    quad: usize,
+    /// A-TFIM: per fragment, its filtered color (the other designs'
+    /// colors are in the chunk records).
+    colors: Vec<Rgba>,
+    /// Conventional: per fragment, the latest hit latency among its
+    /// lines (zero when none hit) and the end of its misses in
+    /// `misses` (empty when the caches are not probed).
+    hits: Vec<(Duration, u32)>,
+    /// Conventional: the lines that missed both caches, in probe order.
+    misses: Vec<u64>,
+    /// A-TFIM: per fragment, its GPU-side result.
+    parts: Vec<AtfimFragment>,
+    /// A-TFIM: the quad's deduplicated offload miss lines.
+    quad_miss: Vec<u64>,
+    /// A-TFIM: the quad's deduplicated plain miss lines.
+    plain_lines: Vec<u64>,
+}
+
+impl QuadOutcome {
+    /// Per fragment of the quad, its filtered color; `recs` are the
+    /// records the quad was stepped from.
+    pub fn colors<'a>(&'a self, recs: &'a ChunkRecords) -> &'a [Rgba] {
+        if recs.atfim.is_empty() {
+            &recs.colors[self.frags.clone()]
+        } else {
+            &self.colors
+        }
+    }
 }
 
 /// Per-fragment functional result of the A-TFIM GPU-side pass.
@@ -212,7 +270,7 @@ struct AtfimLevel {
 /// of it depends on the fragment, the texture and its layout only, so
 /// phase 1 computes it on any thread. Nothing here is speculative — the
 /// reuse-or-recompute decision needs live cache and parent-store state
-/// and stays in [`TexturePath::atfim_fragment_rest`].
+/// and stays in [`TexFunctional::atfim_fragment_rest`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AtfimPrefix {
     fp: Footprint,
@@ -309,6 +367,27 @@ fn atfim_offsets(fp: &Footprint, fine_scale: f32, div: u8, out: &mut Vec<(i64, i
     }
 }
 
+/// The quad-level deduplicated miss lists of an A-TFIM quad: the lines
+/// one offload package carries, and the degenerate kernels' plain reads.
+fn quad_misses(parts: &[AtfimFragment], quad_miss: &mut Vec<u64>, plain_lines: &mut Vec<u64>) {
+    quad_miss.clear();
+    for p in parts {
+        for &l in p.miss_lines.as_slice() {
+            if !quad_miss.contains(&l) {
+                quad_miss.push(l);
+            }
+        }
+    }
+    plain_lines.clear();
+    for p in parts {
+        for &l in p.plain_miss_lines.as_slice() {
+            if !plain_lines.contains(&l) {
+                plain_lines.push(l);
+            }
+        }
+    }
+}
+
 impl TexturePath {
     /// Builds the texture path for a configuration.
     ///
@@ -316,73 +395,48 @@ impl TexturePath {
     ///
     /// Propagates cache-geometry errors.
     pub fn new(config: &SimConfig) -> Result<Self> {
-        let sampler_config = SamplerConfig {
-            reordered: config.design == Design::ATfim,
-            ..config.sampler
-        };
-        let l1 = (0..config.texture_units.units)
-            .map(|_| TextureCache::new(config.l1_cache))
-            .collect::<Result<Vec<_>>>()?;
         Ok(Self {
-            design: config.design,
-            sampler: Sampler::new(sampler_config),
-            angle_threshold: config.angle_threshold,
-            units: TextureUnits::new(config.texture_units),
-            l1,
-            l2: TextureCache::new(config.l2_cache)?,
-            mtus: (config.design == Design::STfim).then(|| {
-                (0..config.hmc_cubes.max(1))
-                    .map(|_| MtuBank::new(config.mtus, config.mtu))
-                    .collect()
-            }),
-            atfim: (config.design == Design::ATfim).then(|| {
-                (0..config.hmc_cubes.max(1))
-                    .map(|_| AtfimLogicLayer::new(config.atfim))
-                    .collect()
-            }),
-            offload: OffloadUnit::new(config.compress_offload),
-            parents: ParentStore::default(),
-            line_bytes: if config.compressed_textures { 16 } else { 64 },
-            scratch: PathScratch::default(),
-            stats: TextureStats::default(),
+            func: TexFunctional::new(config)?,
+            timing: TexTiming::new(config),
+            recs: ChunkRecords::default(),
+            quad: QuadOutcome::default(),
+            done: Vec::new(),
         })
     }
 
+    /// Both halves, borrowed apart.
+    pub(crate) fn halves(&mut self) -> (&mut TexFunctional, &mut TexTiming) {
+        (&mut self.func, &mut self.timing)
+    }
+
     /// The accumulated texture statistics.
-    pub fn stats(&self) -> &TextureStats {
-        &self.stats
+    pub fn stats(&self) -> TextureStats {
+        self.timing.stats(&self.func)
     }
 
     /// The sampler in use (for footprint queries).
     pub fn sampler(&self) -> &Sampler {
-        &self.sampler
+        &self.func.sampler
     }
 
     /// GPU texture-unit busy cycles (energy).
     pub fn gpu_busy(&self) -> Duration {
-        self.units.total_busy()
+        self.timing.gpu_busy()
     }
 
     /// Per-texture-unit busy cycles (load-balance diagnostics).
     pub fn per_unit_busy(&self) -> Vec<u64> {
-        self.units.per_unit_busy()
+        self.timing.units.per_unit_busy()
     }
 
     /// Logic-layer compute busy cycles (energy; zero for non-PIM paths).
     pub fn pim_busy(&self) -> Duration {
-        let mtu: Duration = self.mtus.iter().flatten().map(MtuBank::filter_busy).sum();
-        let at: Duration = self
-            .atfim
-            .iter()
-            .flatten()
-            .map(AtfimLogicLayer::compute_busy)
-            .sum();
-        mtu + at
+        self.timing.pim_busy()
     }
 
     /// Latest texture completion (frame-end accounting).
     pub fn last_completion(&self) -> Cycle {
-        self.units.last_completion()
+        self.timing.last_completion()
     }
 
     /// Records every texture-path stage into `trace`: the GPU
@@ -392,13 +446,7 @@ impl TexturePath {
     /// [`TexturePath::pim_busy`] by construction — the auditor checks
     /// exactly that.
     pub fn record_trace(&self, trace: &mut StageTrace) {
-        self.units.record_trace(trace);
-        for bank in self.mtus.iter().flatten() {
-            bank.record_trace(trace);
-        }
-        for logic in self.atfim.iter().flatten() {
-            logic.record_trace(trace);
-        }
+        self.timing.record_trace(trace);
     }
 
     /// Samples a single fragment (convenience wrapper over
@@ -442,8 +490,8 @@ impl TexturePath {
     /// Allocation-free variant of [`TexturePath::sample_quad`]: clears
     /// `out` and fills it with one `(color, completion)` per fragment,
     /// letting a caller reuse a single buffer across quads. Runs the
-    /// quad's phase 1 and then its phase 2 on the calling thread — the
-    /// same two halves a streamed replay splits across threads.
+    /// quad's phase 1, its functional step and its timing step on the
+    /// calling thread — the same three parts a streamed replay runs.
     ///
     /// # Panics
     ///
@@ -461,330 +509,145 @@ impl TexturePath {
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         assert!(!frags.is_empty(), "a quad needs at least one fragment");
-        let mut recs = std::mem::take(&mut self.scratch.recs);
-        recs.reset();
-        Filler::new(self.design, self.sampler).fill_quad(frags, tex, layout, &mut recs);
+        self.recs.reset();
+        self.func
+            .filler()
+            .fill_quad(frags, tex, layout, &mut self.recs);
         let mut cursor = Cursor::default();
-        self.sample_quad_rec(
-            cluster,
-            issue,
-            frags.len(),
-            tex,
-            &recs,
-            &mut cursor,
-            mem,
-            out,
+        let q = &mut self.quad;
+        self.func
+            .quad(cluster, frags.len(), tex, &self.recs, &mut cursor, q);
+        self.timing
+            .sample_quad(cluster, issue, q, &self.recs, mem, &mut self.done);
+        out.clear();
+        out.extend(
+            q.colors(&self.recs)
+                .iter()
+                .copied()
+                .zip(self.done.iter().copied()),
         );
-        self.scratch.recs = recs;
     }
 
-    /// Phase 2 of one quad: consumes the quad's `frag_count` phase-1
-    /// records at `cursor` and drives the order-sensitive rest — caches,
-    /// parent store, servers, stats — clearing `out` and filling it with
-    /// one `(color, completion)` per fragment. Byte-identical to the
-    /// serial per-quad pass by construction; see `crate::lanepre`.
+    /// Total L1+L2 accesses (for the cache-energy term).
+    pub fn cache_accesses(&self) -> u64 {
+        self.stats().cache_accesses()
+    }
+
+    /// Resets all state for a fresh run.
+    pub fn reset(&mut self) {
+        self.func.reset();
+        self.timing.reset();
+    }
+}
+
+impl TexFunctional {
+    /// The functional half for `config`'s design, feeding that design
+    /// alone (see [`TexFunctional::feed`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates cache-geometry errors.
+    pub fn new(config: &SimConfig) -> Result<Self> {
+        let sampler_config = SamplerConfig {
+            reordered: config.design == Design::ATfim,
+            ..config.sampler
+        };
+        let l1 = (0..config.texture_units.units)
+            .map(|_| TextureCache::new(config.l1_cache))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Self {
+            design: config.design,
+            sampler: Sampler::new(sampler_config),
+            angle_threshold: config.angle_threshold,
+            probe: config.design.has_texture_caches(),
+            stfim: config.design == Design::STfim,
+            l1,
+            l2: TextureCache::new(config.l2_cache)?,
+            parents: ParentStore::default(),
+            stats: TextureStats::default(),
+            offsets: Vec::new(),
+        })
+    }
+
+    /// Sets which designs this half feeds: the conventional cache
+    /// probes run when one of them has GPU texture caches, and phase 1
+    /// records quad request lines when one is S-TFIM.
+    pub fn feed(&mut self, designs: impl IntoIterator<Item = Design>) {
+        (self.probe, self.stfim) = (false, false);
+        for d in designs {
+            self.probe |= d.has_texture_caches();
+            self.stfim |= d == Design::STfim;
+        }
+    }
+
+    /// The phase-1 filler matching this half: its design's records,
+    /// sampled through its sampler.
+    pub fn filler(&self) -> Filler {
+        Filler::new(self.design, self.sampler).with_quad_lines(self.stfim)
+    }
+
+    /// The functional step of one quad: consumes the quad's `frag_count`
+    /// phase-1 records at `cursor`, probes the caches and (A-TFIM)
+    /// resolves every parent value, counts the functional statistics,
+    /// and writes the outcome to `q`.
     ///
     /// # Panics
     ///
     /// Panics if the records run dry (a chunk partition mismatch between
     /// the phases — a bug by definition).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sample_quad_rec(
+    #[inline]
+    pub fn quad(
         &mut self,
         cluster: usize,
-        issue: Cycle,
         frag_count: usize,
         tex: &MippedTexture,
         recs: &ChunkRecords,
         cursor: &mut Cursor,
-        mem: &mut MemoryBackend,
-        out: &mut Vec<(Rgba, Cycle)>,
+        q: &mut QuadOutcome,
     ) {
-        out.clear();
+        let frags = cursor.frag..cursor.frag + frag_count;
+        cursor.frag += frag_count;
+        q.quad = cursor.quad;
+        cursor.quad += 1;
+        self.stats.samples += frag_count as u64;
+        q.frags = frags.clone();
         match self.design {
-            Design::Baseline | Design::BPim => {
-                self.quad_conventional_rec(cluster, issue, frag_count, mem, recs, cursor, out);
-            }
-            Design::STfim => {
-                self.quad_stfim_rec(cluster, issue, frag_count, mem, recs, cursor, out);
+            Design::Baseline | Design::BPim | Design::STfim => {
+                q.hits.clear();
+                q.misses.clear();
+                for i in frags {
+                    self.stats.conventional_texels += u64::from(recs.texels[i]);
+                    self.stats.record_aniso(recs.aniso[i]);
+                    if self.probe {
+                        let lines = recs.line_start[i] as usize..recs.line_start[i + 1] as usize;
+                        let mut hit_ready = Duration::ZERO;
+                        for &line in &recs.lines[lines] {
+                            match self.probe_plain(cluster, line) {
+                                ProbeOutcome::L1Hit => {
+                                    hit_ready = hit_ready.max(Duration::new(L1_HIT_CYCLES));
+                                }
+                                ProbeOutcome::L2Hit => {
+                                    hit_ready = hit_ready.max(Duration::new(L2_HIT_CYCLES));
+                                }
+                                ProbeOutcome::Miss => q.misses.push(line),
+                            }
+                        }
+                        q.hits.push((hit_ready, q.misses.len() as u32));
+                    }
+                }
             }
             Design::ATfim => {
-                let pres = &recs.atfim[cursor.frag..cursor.frag + frag_count];
-                cursor.frag += frag_count;
-                self.quad_atfim_rec(cluster, issue, pres, tex, mem, out);
-            }
-        }
-        for (_, done) in out.iter() {
-            self.stats.samples += 1;
-            self.stats.latency_cycles += done.since(issue).get();
-        }
-    }
-
-    /// Conventional phase 2: stored color/texel/line records in, the
-    /// [`TexturePath::conventional_fragment`] tail out.
-    #[allow(clippy::too_many_arguments)]
-    fn quad_conventional_rec(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frag_count: usize,
-        mem: &mut MemoryBackend,
-        recs: &ChunkRecords,
-        cursor: &mut Cursor,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        for i in cursor.frag..cursor.frag + frag_count {
-            let lines = &recs.lines[recs.line_start[i] as usize..recs.line_start[i + 1] as usize];
-            self.conventional_fragment(
-                cluster,
-                issue,
-                recs.texels[i],
-                recs.aniso[i],
-                recs.colors[i],
-                lines,
-                mem,
-                out,
-            );
-        }
-        cursor.frag += frag_count;
-    }
-
-    /// S-TFIM phase 2: stored colors and the quad's deduplicated request
-    /// lines in, the [`TexturePath::stfim_quad_tail`] out.
-    #[allow(clippy::too_many_arguments)]
-    fn quad_stfim_rec(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frag_count: usize,
-        mem: &mut MemoryBackend,
-        recs: &ChunkRecords,
-        cursor: &mut Cursor,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        let mut texel_total = 0u32;
-        for i in cursor.frag..cursor.frag + frag_count {
-            let texels = recs.texels[i];
-            self.stats.conventional_texels += u64::from(texels);
-            self.stats.record_aniso(recs.aniso[i]);
-            texel_total += texels;
-            // Completion is quad-wide and not known yet; patched by the
-            // tail.
-            out.push((recs.colors[i], issue));
-        }
-        let q = cursor.quad;
-        let lines = &recs.quad_lines
-            [recs.quad_line_start[q] as usize..recs.quad_line_start[q + 1] as usize];
-        self.scratch.stfim_lines.clear();
-        self.scratch.stfim_lines.extend_from_slice(lines);
-        cursor.frag += frag_count;
-        cursor.quad += 1;
-        self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
-    }
-
-    /// The order-sensitive conventional per-fragment tail — address
-    /// generation, cache probes, memory fetches, filtering — shared
-    /// verbatim by the serial path and the phase-2 consume path so both
-    /// drive caches and units identically.
-    #[allow(clippy::too_many_arguments)]
-    fn conventional_fragment(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        texels: u32,
-        aniso_ratio: u32,
-        color: Rgba,
-        lines: &[u64],
-        mem: &mut MemoryBackend,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        self.stats.conventional_texels += u64::from(texels);
-        self.stats.record_aniso(aniso_ratio);
-        let addr_done = self.units.generate_addresses(cluster, issue, texels);
-        let mut data_ready = addr_done;
-        for &line in lines {
-            let ready = self.fetch_line(cluster, addr_done, line, mem);
-            data_ready = data_ready.max(ready);
-        }
-        self.stats.texels_filtered_gpu += u64::from(texels);
-        let done = self.units.filter(cluster, data_ready, texels);
-        out.push((color, done));
-    }
-
-    /// The order-sensitive S-TFIM quad tail — package to the MTU bank,
-    /// response back — shared verbatim by the serial path and the
-    /// phase-2 consume path so both drive the servers identically. The
-    /// quad's deduplicated request lines are in `scratch.stfim_lines`;
-    /// they are drained into the request and the capacity handed back
-    /// afterwards so steady state stays allocation-free.
-    fn stfim_quad_tail(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        texel_total: u32,
-        mem: &mut MemoryBackend,
-        out: &mut [(Rgba, Cycle)],
-    ) {
-        let quad_lines = std::mem::take(&mut self.scratch.stfim_lines);
-
-        // The whole request maps to one cube: all its texels belong to
-        // one texture, which the simulator placed inside one cube region.
-        let cube = mem.cube_index(quad_lines.first().copied().unwrap_or(0));
-        let hmc = mem
-            .hmc_for(quad_lines.first().copied().unwrap_or(0))
-            // lint:allow(no-panic) — design/backend pairing is rejected by SimConfig::validate, so S-TFIM always runs over HMC
-            .expect("S-TFIM requires an HMC backend (enforced by Simulator::new)");
-        hmc.record_external_traffic(TrafficClass::TextureFetch, packet::TFIM_REQUEST_BYTES);
-        let at_cube = hmc.send_to_cube(issue, packet::TFIM_REQUEST_BYTES);
-        let mut req = TextureRequest {
-            texel_line_addrs: quad_lines,
-            texel_count: texel_total,
-            line_bytes: self.line_bytes,
-        };
-        // Clusters share MTUs round-robin when fewer MTUs than clusters
-        // are configured (the paper's area-saving variant, §IV).
-        // lint:allow(no-panic) — TexturePath::new allocates MTU banks whenever the design is S-TFIM; this branch is S-TFIM-only
-        let banks = self.mtus.as_mut().expect("S-TFIM path owns MTUs");
-        let bank = &mut banks[cube];
-        let mtu = cluster % bank.len();
-        let mtu_done = bank.process(mtu, at_cube, &req, hmc);
-        hmc.record_external_traffic(TrafficClass::TextureFetch, packet::TFIM_RESPONSE_BYTES);
-        let done = hmc.send_to_host(mtu_done, packet::TFIM_RESPONSE_BYTES);
-        self.stats.offload_packages += 1;
-        self.scratch.stfim_lines = std::mem::take(&mut req.texel_line_addrs);
-        for entry in out.iter_mut() {
-            entry.1 = done;
-        }
-    }
-
-    /// A-TFIM phase 2: parent texels through angle-tagged caches from
-    /// the quad's recorded prefixes; quad-level misses offloaded in one
-    /// package to the logic layer.
-    fn quad_atfim_rec(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        pres: &[AtfimPrefix],
-        tex: &MippedTexture,
-        mem: &mut MemoryBackend,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        let mut parts = std::mem::take(&mut self.scratch.parts);
-        let mut offsets = std::mem::take(&mut self.scratch.offsets);
-        let mut quad_miss = std::mem::take(&mut self.scratch.quad_miss);
-        let mut plain_lines = std::mem::take(&mut self.scratch.plain_lines);
-        parts.clear();
-        for pre in pres {
-            parts.push(self.atfim_fragment_rest(cluster, pre, tex, &mut offsets));
-        }
-        self.atfim_quad_tail(
-            cluster,
-            issue,
-            &parts,
-            mem,
-            out,
-            &mut quad_miss,
-            &mut plain_lines,
-        );
-        self.scratch.parts = parts;
-        self.scratch.offsets = offsets;
-        self.scratch.quad_miss = quad_miss;
-        self.scratch.plain_lines = plain_lines;
-    }
-
-    /// The order-sensitive A-TFIM quad tail: address generation, plain
-    /// reads, the offload package, per-fragment filtering. `quad_miss`
-    /// and `plain_lines` are scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn atfim_quad_tail(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        parts: &[AtfimFragment],
-        mem: &mut MemoryBackend,
-        out: &mut Vec<(Rgba, Cycle)>,
-        quad_miss: &mut Vec<u64>,
-        plain_lines: &mut Vec<u64>,
-    ) {
-        // Address generation for the quad's parents.
-        let total_parents: u32 = parts.iter().map(|p| p.parents).sum();
-        let addr_done = self
-            .units
-            .generate_addresses(cluster, issue, total_parents.max(1));
-
-        // One offload package for all quad misses.
-        quad_miss.clear();
-        for p in parts {
-            for &l in p.miss_lines.as_slice() {
-                if !quad_miss.contains(&l) {
-                    quad_miss.push(l);
+                let mut offsets = std::mem::take(&mut self.offsets);
+                q.parts.clear();
+                q.colors.clear();
+                for pre in &recs.atfim[frags] {
+                    let part = self.atfim_fragment_rest(cluster, pre, tex, &mut offsets);
+                    q.colors.push(part.color);
+                    q.parts.push(part);
                 }
+                self.offsets = offsets;
+                quad_misses(&q.parts, &mut q.quad_miss, &mut q.plain_lines);
             }
-        }
-        // Degenerate-kernel misses are ordinary texel reads.
-        plain_lines.clear();
-        for p in parts {
-            for &l in p.plain_miss_lines.as_slice() {
-                if !plain_lines.contains(&l) {
-                    plain_lines.push(l);
-                }
-            }
-        }
-        let mut plain_ready = addr_done;
-        for &line in plain_lines.iter() {
-            let req = MemRequest::read(TrafficClass::TextureFetch, line, self.line_bytes);
-            plain_ready = plain_ready.max(mem.access_external(addr_done, &req));
-        }
-
-        let mut miss_ready = addr_done;
-        if !quad_miss.is_empty() {
-            let ratio = parts.iter().map(|p| p.aniso_ratio).max().unwrap_or(1);
-            let axis_x = parts.iter().filter(|p| p.major_axis_x).count() * 2 >= parts.len();
-            // Parent and child texels share a mip pyramid and therefore
-            // a cube (§V-E): one cube serves the whole batch.
-            let cube = mem.cube_index(quad_miss[0]);
-            let hmc = mem
-                .hmc_for(quad_miss[0])
-                // lint:allow(no-panic) — design/backend pairing is rejected by SimConfig::validate, so A-TFIM always runs over HMC
-                .expect("A-TFIM requires an HMC backend (enforced by Simulator::new)");
-            let pkg_bytes = self.offload.package_bytes(quad_miss);
-            hmc.record_external_traffic(TrafficClass::TextureFetch, pkg_bytes);
-            let at_cube = hmc.send_to_cube(addr_done, pkg_bytes);
-            // The batch borrows the quad's miss list and hands it back,
-            // so steady state stays allocation-free.
-            let batch = ParentFetchBatch {
-                parent_line_addrs: std::mem::take(quad_miss),
-                aniso_ratio: ratio,
-                major_axis_x: axis_x,
-                line_bytes: self.line_bytes,
-            };
-            let resp = self
-                .atfim
-                .as_mut()
-                // lint:allow(no-panic) — TexturePath::new allocates the logic layer whenever the design is A-TFIM; this branch is A-TFIM-only
-                .expect("A-TFIM path owns the logic layer")[cube]
-                .process(at_cube, &batch, hmc);
-            *quad_miss = batch.parent_line_addrs;
-            let resp_bytes = self.offload.response_bytes(quad_miss.len());
-            hmc.record_external_traffic(TrafficClass::TextureFetch, resp_bytes);
-            miss_ready = hmc.send_to_host(resp.completion, resp_bytes);
-            self.stats.offload_packages += 1;
-            self.stats.child_reads += resp.child_reads;
-            self.stats.merged_child_reads += resp.merged_reads;
-        }
-
-        // Per-fragment GPU-side bilinear/trilinear over the parents.
-        for p in parts {
-            let mut data_ready = addr_done + p.hit_ready;
-            if !p.miss_lines.is_empty() {
-                data_ready = data_ready.max(miss_ready);
-            }
-            if !p.plain_miss_lines.is_empty() {
-                data_ready = data_ready.max(plain_ready);
-            }
-            self.stats.texels_filtered_gpu += u64::from(p.parents);
-            let done = self.units.filter(cluster, data_ready, p.parents.max(1));
-            out.push((p.color, done));
         }
     }
 
@@ -929,40 +792,8 @@ impl TexturePath {
         value
     }
 
-    /// Probes L1 then L2 (without angle tags) and fetches from memory on
-    /// a double miss. Returns when the line is available to the texture
-    /// unit.
-    fn fetch_line(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        line: u64,
-        mem: &mut MemoryBackend,
-    ) -> Cycle {
-        match self.l1[cluster].access(line) {
-            CacheOutcome::Hit => {
-                self.stats.l1_hits += 1;
-                issue + Duration::new(L1_HIT_CYCLES)
-            }
-            _ => {
-                self.stats.l1_misses += 1;
-                match self.l2.access(line) {
-                    CacheOutcome::Hit => {
-                        self.stats.l2_hits += 1;
-                        issue + Duration::new(L2_HIT_CYCLES)
-                    }
-                    _ => {
-                        self.stats.l2_misses += 1;
-                        let req =
-                            MemRequest::read(TrafficClass::TextureFetch, line, self.line_bytes);
-                        mem.access_external(issue, &req)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Plain (angle-free) probe of L1 then L2 for degenerate kernels.
+    /// Plain (angle-free) probe of L1 then L2: every conventional line,
+    /// and the parent lines of degenerate A-TFIM kernels.
     fn probe_plain(&mut self, cluster: usize, line: u64) -> ProbeOutcome {
         match self.l1[cluster].access(line) {
             CacheOutcome::Hit => {
@@ -1019,23 +850,293 @@ impl TexturePath {
         }
     }
 
-    /// Total L1+L2 accesses (for the cache-energy term).
-    pub fn cache_accesses(&self) -> u64 {
-        self.stats.l1_hits
-            + self.stats.l1_misses
-            + self.stats.l1_angle_misses
-            + self.stats.l2_hits
-            + self.stats.l2_misses
-            + self.stats.l2_angle_misses
-    }
-
     /// Resets all state for a fresh run.
-    pub fn reset(&mut self) {
-        self.units.reset();
+    fn reset(&mut self) {
         for c in &mut self.l1 {
             c.reset();
         }
         self.l2.reset();
+        self.parents.clear();
+        self.stats = TextureStats::default();
+    }
+}
+
+impl TexTiming {
+    /// The timing half for `config`'s design.
+    pub fn new(config: &SimConfig) -> Self {
+        Self {
+            design: config.design,
+            units: TextureUnits::new(config.texture_units),
+            mtus: (config.design == Design::STfim).then(|| {
+                (0..config.hmc_cubes.max(1))
+                    .map(|_| MtuBank::new(config.mtus, config.mtu))
+                    .collect()
+            }),
+            atfim: (config.design == Design::ATfim).then(|| {
+                (0..config.hmc_cubes.max(1))
+                    .map(|_| AtfimLogicLayer::new(config.atfim))
+                    .collect()
+            }),
+            offload: OffloadUnit::new(config.compress_offload),
+            line_bytes: if config.compressed_textures { 16 } else { 64 },
+            batch_lines: Vec::new(),
+            stats: TextureStats::default(),
+        }
+    }
+
+    /// This design's texture statistics, fed from `func`: the
+    /// functional counters (cache probes only for a design with GPU
+    /// texture caches) plus this half's own.
+    pub fn stats(&self, func: &TexFunctional) -> TextureStats {
+        let (f, t) = (&func.stats, &self.stats);
+        let caches = self.design.has_texture_caches();
+        let probes = |n: u64| if caches { n } else { 0 };
+        TextureStats {
+            samples: f.samples,
+            latency_cycles: t.latency_cycles,
+            l1_hits: probes(f.l1_hits),
+            l1_misses: probes(f.l1_misses),
+            l1_angle_misses: probes(f.l1_angle_misses),
+            l2_hits: probes(f.l2_hits),
+            l2_misses: probes(f.l2_misses),
+            l2_angle_misses: probes(f.l2_angle_misses),
+            conventional_texels: f.conventional_texels,
+            texels_filtered_gpu: t.texels_filtered_gpu,
+            offload_packages: t.offload_packages,
+            child_reads: t.child_reads,
+            merged_child_reads: t.merged_child_reads,
+            aniso_histogram: f.aniso_histogram,
+        }
+    }
+
+    /// GPU texture-unit busy cycles (energy).
+    pub fn gpu_busy(&self) -> Duration {
+        self.units.total_busy()
+    }
+
+    /// Logic-layer compute busy cycles (energy; zero for non-PIM paths).
+    pub fn pim_busy(&self) -> Duration {
+        let mtu: Duration = self.mtus.iter().flatten().map(MtuBank::filter_busy).sum();
+        let at: Duration = self
+            .atfim
+            .iter()
+            .flatten()
+            .map(AtfimLogicLayer::compute_busy)
+            .sum();
+        mtu + at
+    }
+
+    /// Latest texture completion (frame-end accounting).
+    pub fn last_completion(&self) -> Cycle {
+        self.units.last_completion()
+    }
+
+    /// Records the texture units and the design's logic-layer units
+    /// into `trace` (see [`TexturePath::record_trace`]).
+    pub fn record_trace(&self, trace: &mut StageTrace) {
+        self.units.record_trace(trace);
+        for bank in self.mtus.iter().flatten() {
+            bank.record_trace(trace);
+        }
+        for logic in self.atfim.iter().flatten() {
+            logic.record_trace(trace);
+        }
+    }
+
+    /// The timing step of one quad: turns the functional outcome `q`
+    /// (with the quad's phase-1 `recs`) into this design's texture-unit,
+    /// memory and logic-layer work, clearing `done` and filling it with
+    /// one completion per fragment.
+    #[inline]
+    pub fn sample_quad(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        q: &QuadOutcome,
+        recs: &ChunkRecords,
+        mem: &mut MemoryBackend,
+        done: &mut Vec<Cycle>,
+    ) {
+        done.clear();
+        match self.design {
+            Design::Baseline | Design::BPim => {
+                self.conventional_quad(cluster, issue, q, recs, mem, done);
+            }
+            Design::STfim => {
+                let texel_total: u32 = recs.texels[q.frags.clone()].iter().sum();
+                let lines = recs.quad_line_start[q.quad] as usize
+                    ..recs.quad_line_start[q.quad + 1] as usize;
+                self.batch_lines.clear();
+                self.batch_lines.extend_from_slice(&recs.quad_lines[lines]);
+                let at = self.stfim_quad_tail(cluster, issue, texel_total, mem);
+                done.resize(q.frags.len(), at);
+            }
+            Design::ATfim => self.atfim_quad_tail(
+                cluster,
+                issue,
+                &q.parts,
+                &q.quad_miss,
+                &q.plain_lines,
+                mem,
+                done,
+            ),
+        }
+        for d in done.iter() {
+            self.stats.latency_cycles += d.since(issue).get();
+        }
+    }
+
+    /// Conventional timing: per fragment, address generation, its
+    /// lines' data — the latest hit latency, and a memory read per miss,
+    /// in probe order — and filtering once the last line is in.
+    fn conventional_quad(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        q: &QuadOutcome,
+        recs: &ChunkRecords,
+        mem: &mut MemoryBackend,
+        done: &mut Vec<Cycle>,
+    ) {
+        debug_assert_eq!(q.hits.len(), q.frags.len(), "every fragment was probed");
+        let mut start = 0;
+        for (i, &(hit_ready, end)) in q.frags.clone().zip(&q.hits) {
+            let texels = recs.texels[i];
+            let addr_done = self.units.generate_addresses(cluster, issue, texels);
+            let mut data_ready = addr_done + hit_ready;
+            for &line in &q.misses[start..end as usize] {
+                let req = MemRequest::read(TrafficClass::TextureFetch, line, self.line_bytes);
+                data_ready = data_ready.max(mem.access_external(addr_done, &req));
+            }
+            start = end as usize;
+            self.stats.texels_filtered_gpu += u64::from(texels);
+            done.push(self.units.filter(cluster, data_ready, texels));
+        }
+    }
+
+    /// The S-TFIM quad tail — package to the MTU bank, response back —
+    /// for the request lines in `batch_lines`; returns when the filtered
+    /// quad is back on the GPU. The lines are lent to the request and
+    /// handed back afterwards, so steady state stays allocation-free.
+    fn stfim_quad_tail(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        texel_total: u32,
+        mem: &mut MemoryBackend,
+    ) -> Cycle {
+        let quad_lines = std::mem::take(&mut self.batch_lines);
+
+        // The whole request maps to one cube: all its texels belong to
+        // one texture, which the simulator placed inside one cube region.
+        let cube = mem.cube_index(quad_lines.first().copied().unwrap_or(0));
+        let hmc = mem
+            .hmc_for(quad_lines.first().copied().unwrap_or(0))
+            // lint:allow(no-panic) — design/backend pairing is rejected by SimConfig::validate, so S-TFIM always runs over HMC
+            .expect("S-TFIM requires an HMC backend (enforced by Simulator::new)");
+        hmc.record_external_traffic(TrafficClass::TextureFetch, packet::TFIM_REQUEST_BYTES);
+        let at_cube = hmc.send_to_cube(issue, packet::TFIM_REQUEST_BYTES);
+        let mut req = TextureRequest {
+            texel_line_addrs: quad_lines,
+            texel_count: texel_total,
+            line_bytes: self.line_bytes,
+        };
+        // Clusters share MTUs round-robin when fewer MTUs than clusters
+        // are configured (the paper's area-saving variant, §IV).
+        // lint:allow(no-panic) — TexTiming::new allocates MTU banks whenever the design is S-TFIM; this branch is S-TFIM-only
+        let banks = self.mtus.as_mut().expect("S-TFIM path owns MTUs");
+        let bank = &mut banks[cube];
+        let mtu = cluster % bank.len();
+        let mtu_done = bank.process(mtu, at_cube, &req, hmc);
+        hmc.record_external_traffic(TrafficClass::TextureFetch, packet::TFIM_RESPONSE_BYTES);
+        let done = hmc.send_to_host(mtu_done, packet::TFIM_RESPONSE_BYTES);
+        self.stats.offload_packages += 1;
+        self.batch_lines = std::mem::take(&mut req.texel_line_addrs);
+        done
+    }
+
+    /// The A-TFIM quad tail: address generation, plain reads, the
+    /// offload package for `quad_miss`, per-fragment filtering.
+    #[allow(clippy::too_many_arguments)]
+    fn atfim_quad_tail(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        parts: &[AtfimFragment],
+        quad_miss: &[u64],
+        plain_lines: &[u64],
+        mem: &mut MemoryBackend,
+        done: &mut Vec<Cycle>,
+    ) {
+        // Address generation for the quad's parents.
+        let total_parents: u32 = parts.iter().map(|p| p.parents).sum();
+        let addr_done = self
+            .units
+            .generate_addresses(cluster, issue, total_parents.max(1));
+
+        // Degenerate-kernel misses are ordinary texel reads.
+        let mut plain_ready = addr_done;
+        for &line in plain_lines {
+            let req = MemRequest::read(TrafficClass::TextureFetch, line, self.line_bytes);
+            plain_ready = plain_ready.max(mem.access_external(addr_done, &req));
+        }
+
+        // One offload package for all quad misses.
+        let mut miss_ready = addr_done;
+        if !quad_miss.is_empty() {
+            let ratio = parts.iter().map(|p| p.aniso_ratio).max().unwrap_or(1);
+            let axis_x = parts.iter().filter(|p| p.major_axis_x).count() * 2 >= parts.len();
+            // Parent and child texels share a mip pyramid and therefore
+            // a cube (§V-E): one cube serves the whole batch.
+            let cube = mem.cube_index(quad_miss[0]);
+            let hmc = mem
+                .hmc_for(quad_miss[0])
+                // lint:allow(no-panic) — design/backend pairing is rejected by SimConfig::validate, so A-TFIM always runs over HMC
+                .expect("A-TFIM requires an HMC backend (enforced by Simulator::new)");
+            let pkg_bytes = self.offload.package_bytes(quad_miss);
+            hmc.record_external_traffic(TrafficClass::TextureFetch, pkg_bytes);
+            let at_cube = hmc.send_to_cube(addr_done, pkg_bytes);
+            let mut lines = std::mem::take(&mut self.batch_lines);
+            lines.clear();
+            lines.extend_from_slice(quad_miss);
+            let batch = ParentFetchBatch {
+                parent_line_addrs: lines,
+                aniso_ratio: ratio,
+                major_axis_x: axis_x,
+                line_bytes: self.line_bytes,
+            };
+            let resp = self
+                .atfim
+                .as_mut()
+                // lint:allow(no-panic) — TexTiming::new allocates the logic layer whenever the design is A-TFIM; this branch is A-TFIM-only
+                .expect("A-TFIM path owns the logic layer")[cube]
+                .process(at_cube, &batch, hmc);
+            self.batch_lines = batch.parent_line_addrs;
+            let resp_bytes = self.offload.response_bytes(quad_miss.len());
+            hmc.record_external_traffic(TrafficClass::TextureFetch, resp_bytes);
+            miss_ready = hmc.send_to_host(resp.completion, resp_bytes);
+            self.stats.offload_packages += 1;
+            self.stats.child_reads += resp.child_reads;
+            self.stats.merged_child_reads += resp.merged_reads;
+        }
+
+        // Per-fragment GPU-side bilinear/trilinear over the parents.
+        for p in parts {
+            let mut data_ready = addr_done + p.hit_ready;
+            if !p.miss_lines.is_empty() {
+                data_ready = data_ready.max(miss_ready);
+            }
+            if !p.plain_miss_lines.is_empty() {
+                data_ready = data_ready.max(plain_ready);
+            }
+            self.stats.texels_filtered_gpu += u64::from(p.parents);
+            done.push(self.units.filter(cluster, data_ready, p.parents.max(1)));
+        }
+    }
+
+    /// Resets all state for a fresh run.
+    fn reset(&mut self) {
+        self.units.reset();
         for m in self.mtus.iter_mut().flatten() {
             m.reset();
         }
@@ -1043,7 +1144,6 @@ impl TexturePath {
             a.reset();
         }
         self.offload.reset();
-        self.parents.clear();
         self.stats = TextureStats::default();
     }
 }
@@ -1085,14 +1185,31 @@ pub(crate) fn dedup_lines_into(
 }
 
 /// The serial per-quad texture pass as it ran before replay split into
-/// two phases: pure work and order-sensitive work interleaved per
-/// fragment. It is the oracle the two-phase replay is checked against,
-/// bit for bit, and exists only in tests.
+/// phases: pure work, cache probes and timing interleaved per fragment,
+/// on one simulator's two halves. It is the oracle the split replay is
+/// checked against, bit for bit, and exists only in tests.
 #[cfg(test)]
-impl TexturePath {
+pub(crate) struct Oracle<'a> {
+    pub func: &'a mut TexFunctional,
+    pub timing: &'a mut TexTiming,
+}
+
+/// One fragment's texel trace and its lines, for the serial oracle.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct TraceScratch {
+    fetches: pimgfx_texture::FetchSet,
+    /// Line addresses of `fetches`, pre-dedup.
+    line_addrs: Vec<u64>,
+    /// Deduplicated lines of `fetches`.
+    lines: Vec<u64>,
+}
+
+#[cfg(test)]
+impl Oracle<'_> {
     /// Serial twin of [`TexturePath::sample_quad_into`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sample_quad_oracle(
+    pub(crate) fn sample_quad(
         &mut self,
         cluster: usize,
         issue: Cycle,
@@ -1103,7 +1220,7 @@ impl TexturePath {
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         out.clear();
-        match self.design {
+        match self.func.design {
             Design::Baseline | Design::BPim => {
                 self.quad_conventional(cluster, issue, frags, tex, layout, mem, out);
             }
@@ -1111,8 +1228,8 @@ impl TexturePath {
             Design::ATfim => self.quad_atfim(cluster, issue, frags, tex, layout, mem, out),
         }
         for (_, done) in out.iter() {
-            self.stats.samples += 1;
-            self.stats.latency_cycles += done.since(issue).get();
+            self.func.stats.samples += 1;
+            self.timing.stats.latency_cycles += done.since(issue).get();
         }
     }
 
@@ -1128,8 +1245,8 @@ impl TexturePath {
         mem: &mut MemoryBackend,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        let mut trace = self.scratch.trace.take().unwrap_or_default();
-        let sampler = self.sampler;
+        let mut trace = TraceScratch::default();
+        let sampler = self.func.sampler;
         for frag in frags {
             let (ddx, ddy) = texel_derivs(tex, frag);
             let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut trace.fetches);
@@ -1140,18 +1257,55 @@ impl TexturePath {
                 &mut trace.line_addrs,
                 &mut trace.lines,
             );
-            self.conventional_fragment(
-                cluster,
-                issue,
-                texels,
-                info.aniso_ratio,
-                info.color,
-                &trace.lines,
-                mem,
-                out,
-            );
+            self.func.stats.conventional_texels += u64::from(texels);
+            self.func.stats.record_aniso(info.aniso_ratio);
+            let addr_done = self.timing.units.generate_addresses(cluster, issue, texels);
+            let mut data_ready = addr_done;
+            for &line in &trace.lines {
+                let ready = self.fetch_line(cluster, addr_done, line, mem);
+                data_ready = data_ready.max(ready);
+            }
+            self.timing.stats.texels_filtered_gpu += u64::from(texels);
+            let done = self.timing.units.filter(cluster, data_ready, texels);
+            out.push((info.color, done));
         }
-        self.scratch.trace = Some(trace);
+    }
+
+    /// Probes L1 then L2 (without angle tags) and fetches from memory on
+    /// a double miss. Returns when the line is available to the texture
+    /// unit.
+    fn fetch_line(
+        &mut self,
+        cluster: usize,
+        issue: Cycle,
+        line: u64,
+        mem: &mut MemoryBackend,
+    ) -> Cycle {
+        let stats = &mut self.func.stats;
+        match self.func.l1[cluster].access(line) {
+            CacheOutcome::Hit => {
+                stats.l1_hits += 1;
+                issue + Duration::new(L1_HIT_CYCLES)
+            }
+            _ => {
+                stats.l1_misses += 1;
+                match self.func.l2.access(line) {
+                    CacheOutcome::Hit => {
+                        stats.l2_hits += 1;
+                        issue + Duration::new(L2_HIT_CYCLES)
+                    }
+                    _ => {
+                        stats.l2_misses += 1;
+                        let req = MemRequest::read(
+                            TrafficClass::TextureFetch,
+                            line,
+                            self.timing.line_bytes,
+                        );
+                        mem.access_external(issue, &req)
+                    }
+                }
+            }
+        }
     }
 
     /// S-TFIM: one request package per quad to the cluster's MTU; the
@@ -1167,28 +1321,33 @@ impl TexturePath {
         mem: &mut MemoryBackend,
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
-        let mut trace = self.scratch.trace.take().unwrap_or_default();
-        let sampler = self.sampler;
-        self.scratch.stfim_lines.clear();
+        let mut trace = TraceScratch::default();
+        let sampler = self.func.sampler;
+        let mut quad_lines: Vec<u64> = Vec::new();
         let mut texel_total = 0u32;
         for frag in frags {
             let (ddx, ddy) = texel_derivs(tex, frag);
             let info = sampler.sample_into(tex, frag.uv, ddx, ddy, &mut trace.fetches);
             let texels = info.conventional_texels.max(trace.fetches.len() as u32);
-            self.stats.conventional_texels += u64::from(texels);
-            self.stats.record_aniso(info.aniso_ratio);
+            self.func.stats.conventional_texels += u64::from(texels);
+            self.func.stats.record_aniso(info.aniso_ratio);
             texel_total += texels;
             layout.texel_line_addrs_into(trace.fetches.fetches(), &mut trace.line_addrs);
             for &line in &trace.line_addrs {
-                if !self.scratch.stfim_lines.contains(&line) {
-                    self.scratch.stfim_lines.push(line);
+                if !quad_lines.contains(&line) {
+                    quad_lines.push(line);
                 }
             }
             // Completion is quad-wide and not known yet; patched below.
             out.push((info.color, issue));
         }
-        self.scratch.trace = Some(trace);
-        self.stfim_quad_tail(cluster, issue, texel_total, mem, out);
+        self.timing.batch_lines = quad_lines;
+        let done = self
+            .timing
+            .stfim_quad_tail(cluster, issue, texel_total, mem);
+        for entry in out.iter_mut() {
+            entry.1 = done;
+        }
     }
 
     /// A-TFIM: parent texels through angle-tagged caches; quad-level
@@ -1205,27 +1364,24 @@ impl TexturePath {
         out: &mut Vec<(Rgba, Cycle)>,
     ) {
         // GPU-side functional + cache pass, per fragment.
-        let mut parts = std::mem::take(&mut self.scratch.parts);
-        let mut offsets = std::mem::take(&mut self.scratch.offsets);
-        let mut quad_miss = std::mem::take(&mut self.scratch.quad_miss);
-        let mut plain_lines = std::mem::take(&mut self.scratch.plain_lines);
-        parts.clear();
-        for f in frags {
-            parts.push(self.atfim_fragment(cluster, f, tex, layout, &mut offsets));
-        }
-        self.atfim_quad_tail(
+        let mut offsets = Vec::new();
+        let parts: Vec<AtfimFragment> = frags
+            .iter()
+            .map(|f| self.atfim_fragment(cluster, f, tex, layout, &mut offsets))
+            .collect();
+        let (mut quad_miss, mut plain_lines) = (Vec::new(), Vec::new());
+        quad_misses(&parts, &mut quad_miss, &mut plain_lines);
+        let mut done = Vec::new();
+        self.timing.atfim_quad_tail(
             cluster,
             issue,
             &parts,
+            &quad_miss,
+            &plain_lines,
             mem,
-            out,
-            &mut quad_miss,
-            &mut plain_lines,
+            &mut done,
         );
-        self.scratch.parts = parts;
-        self.scratch.offsets = offsets;
-        self.scratch.quad_miss = quad_miss;
-        self.scratch.plain_lines = plain_lines;
+        out.extend(parts.iter().map(|p| p.color).zip(done));
     }
 
     /// The A-TFIM GPU-side pass for one fragment: probe angle-tagged
@@ -1238,8 +1394,9 @@ impl TexturePath {
         layout: &TextureLayout,
         offsets: &mut Vec<(i64, i64)>,
     ) -> AtfimFragment {
+        let func = &mut *self.func;
         let (ddx, ddy) = texel_derivs(tex, frag);
-        let fp = self.sampler.footprint(ddx, ddy);
+        let fp = func.sampler.footprint(ddx, ddy);
         let (fine, coarse, w) = fp.mip_levels(tex.max_level());
         // The cached tag must identify the *child-texel set* a parent was
         // computed with (paper Fig. 8: same address, different camera
@@ -1253,61 +1410,64 @@ impl TexturePath {
         let angle = Radians::new(
             2.0 * orientation.rem_euclid(std::f32::consts::PI) + frag.camera_angle.as_f32(),
         );
-        self.stats.conventional_texels += u64::from(fp.conventional_texel_count());
-        self.stats.record_aniso(fp.aniso_ratio);
+        func.stats.conventional_texels += u64::from(fp.conventional_texel_count());
+        func.stats.record_aniso(fp.aniso_ratio);
 
         let mut lines = ParentLines::default();
-        let mut level_color =
-            |path: &mut Self, offsets: &mut Vec<(i64, i64)>, level: usize, div: i64| -> Rgba {
-                let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
-                let img = tex.level(level);
-                let wrap = tex.wrap();
-                let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
-                filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, offsets);
-                if div != 1 {
-                    for o in offsets.iter_mut() {
-                        *o = (o.0 / div, o.1 / div);
-                    }
+        let mut level_color = |path: &mut TexFunctional,
+                               offsets: &mut Vec<(i64, i64)>,
+                               level: usize,
+                               div: i64|
+         -> Rgba {
+            let (x0, y0, fx, fy) = filter::bilinear_corners(tex, frag.uv, level);
+            let img = tex.level(level);
+            let wrap = tex.wrap();
+            let fine_scale = 1.0 / (1u32 << fine.min(31)) as f32;
+            filter::probe_offsets_into(&fp, fp.aniso_ratio, fine_scale, offsets);
+            if div != 1 {
+                for o in offsets.iter_mut() {
+                    *o = (o.0 / div, o.1 / div);
                 }
-                let offsets = &*offsets;
-                // Degenerate kernel: every probe lands on the parent texel
-                // itself (common at the coarser of the two blended levels).
-                // The "average over children" is then exactly the texel — no
-                // child set exists, so there is nothing to offload and no
-                // camera angle to compare: it is an ordinary texel fetch.
-                let degenerate = offsets.iter().all(|&o| o == (0, 0));
-                let mut corners = [Rgba::TRANSPARENT; 4];
-                for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let wx = wrap.wrap(x0 + cx, img.width());
-                    let wy = wrap.wrap(y0 + cy, img.height());
-                    let line = layout.texel_line_addr(wx, wy, level);
-                    let (hit, block) = path.probe_parent_line(
-                        cluster,
-                        &mut lines,
-                        line,
-                        degenerate,
-                        angle,
-                        tex,
-                        level,
-                        (wx, wy),
-                    );
-                    corners[ci] = path.parent_value(block, wx, wy, hit, angle, || {
-                        filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
-                    });
-                }
-                corners[0]
-                    .lerp(corners[1], fx)
-                    .lerp(corners[2].lerp(corners[3], fx), fy)
-            };
+            }
+            let offsets = &*offsets;
+            // Degenerate kernel: every probe lands on the parent texel
+            // itself (common at the coarser of the two blended levels).
+            // The "average over children" is then exactly the texel — no
+            // child set exists, so there is nothing to offload and no
+            // camera angle to compare: it is an ordinary texel fetch.
+            let degenerate = offsets.iter().all(|&o| o == (0, 0));
+            let mut corners = [Rgba::TRANSPARENT; 4];
+            for (ci, (cx, cy)) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)]
+                .into_iter()
+                .enumerate()
+            {
+                let wx = wrap.wrap(x0 + cx, img.width());
+                let wy = wrap.wrap(y0 + cy, img.height());
+                let line = layout.texel_line_addr(wx, wy, level);
+                let (hit, block) = path.probe_parent_line(
+                    cluster,
+                    &mut lines,
+                    line,
+                    degenerate,
+                    angle,
+                    tex,
+                    level,
+                    (wx, wy),
+                );
+                corners[ci] = path.parent_value(block, wx, wy, hit, angle, || {
+                    filter::average_children(tex, x0 + cx, y0 + cy, level, offsets)
+                });
+            }
+            corners[0]
+                .lerp(corners[1], fx)
+                .lerp(corners[2].lerp(corners[3], fx), fy)
+        };
 
-        let c_fine = level_color(self, offsets, fine, 1);
+        let c_fine = level_color(func, offsets, fine, 1);
         let color = if coarse == fine || w == 0.0 {
             c_fine
         } else {
-            let c_coarse = level_color(self, offsets, coarse, 2);
+            let c_coarse = level_color(func, offsets, coarse, 2);
             c_fine.lerp(c_coarse, w)
         };
         lines.finish(
@@ -1558,7 +1718,7 @@ mod tests {
                 .iter()
                 .map(|f| path.sample(0, Cycle::ZERO, f, &tex, &layout, &mut mem).0)
                 .collect();
-            (colors, *path.stats())
+            (colors, path.stats())
         };
         let mut fresh = TexturePath::new(&config).expect("valid");
         let want = run(&mut fresh, &grid(false));

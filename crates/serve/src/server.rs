@@ -22,9 +22,11 @@ use crate::protocol::{
     self, CacheStats, JobId, JobSpec, JobState, ProtocolError, Request, Response,
 };
 use crate::queue::{BoundedQueue, PushError};
-use pimgfx::{FragmentStreamCache, SimConfig};
+use pimgfx::{FragmentStreamCache, RenderReport, SimConfig};
 use pimgfx_bench::manifest::{failed_audits, CellSummary};
-use pimgfx_bench::{pool, run_variant_replay_lanes, Harness, HarnessResult, SECTIONS};
+use pimgfx_bench::{
+    pool, replay_groups, run_group_replay, Harness, HarnessResult, Variant, SECTIONS,
+};
 use pimgfx_types::{ConfigError, Error, FxHashMap};
 use pimgfx_workloads::{Game, SceneCache, Workload};
 use std::io::{self, BufReader, BufWriter};
@@ -370,11 +372,18 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
 
     let variants = job_variants(&spec);
     let total = variants.len();
-    // The job's share of the budget, fixed for its whole run: the cell
+    let groups = match replay_groups(&variants) {
+        Ok(g) => g,
+        Err(e) => {
+            shared.set_phase(id, Phase::Failed(format!("grouping cells: {e}")));
+            return;
+        }
+    };
+    // The job's share of the budget, fixed for its whole run: the group
     // pool, the replay lanes and the frontend build all draw from it,
     // so the jobs running now together keep at most `budget` threads
     // busy.
-    let threads = pool::job_threads(budget, shared.running.load(Ordering::SeqCst), total);
+    let threads = pool::job_threads(budget, shared.running.load(Ordering::SeqCst), groups.len());
     let lanes = match pool::replay_lanes_override() {
         Ok(pin) => pin.unwrap_or(threads.lanes),
         Err(e) => {
@@ -388,19 +397,39 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
     let scene = shared.scenes.get(spec.workload, spec.resolution);
     // Fetch the column's frontend stream up front, so a cold column is
     // built on the job's share (once, even if another slot asks for it
-    // at the same time) and the cells below replay it from the cache.
+    // at the same time) and the groups below replay it from the cache.
     if let Err(e) = shared.streams.get_with_workers(&scene, threads.build) {
         shared.set_phase(id, Phase::Failed(format!("frontend pass: {e}")));
         return;
     }
-    let results = pool::run_ordered(&variants, threads.cell_workers, |&v| {
+    let group_results = pool::run_ordered(&groups, threads.cell_workers, |group| {
         if cancel.load(Ordering::SeqCst) || expired(deadline) {
             None
         } else {
-            done.fetch_add(1, Ordering::SeqCst);
-            Some(run_variant_replay_lanes(&scene, v, &shared.streams, lanes))
+            done.fetch_add(group.len() as u32, Ordering::SeqCst);
+            let members: Vec<Variant> = group.iter().map(|&i| variants[i]).collect();
+            Some(run_group_replay(&scene, &members, &shared.streams, lanes))
         }
     });
+    // Back to variant order: per variant, its report, its group's error,
+    // or `None` when its group was skipped.
+    let mut results: Vec<Option<Result<RenderReport, String>>> =
+        variants.iter().map(|_| None).collect();
+    for (group, result) in groups.iter().zip(group_results) {
+        match result {
+            Some(Ok(reports)) => {
+                for (&i, report) in group.iter().zip(reports) {
+                    results[i] = Some(Ok(report));
+                }
+            }
+            Some(Err(e)) => {
+                for &i in group {
+                    results[i] = Some(Err(e.to_string()));
+                }
+            }
+            None => {}
+        }
+    }
     // Operational visibility for the smoke test and operators: one
     // line per job on stderr, the daemon's diagnostic channel.
     #[allow(clippy::print_stderr)]

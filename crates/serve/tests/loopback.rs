@@ -12,7 +12,7 @@
 use pimgfx::Design;
 use pimgfx_bench::manifest::CellSummary;
 use pimgfx_bench::{pool, Harness, Variant};
-use pimgfx_serve::job::job_manifest_json;
+use pimgfx_serve::job::{job_manifest_json, job_variants};
 use pimgfx_serve::{Client, JobSpec, JobState, Response, ServeConfig, Server};
 use pimgfx_workloads::{Game, Resolution, SyntheticSpec, Workload};
 use std::net::SocketAddr;
@@ -47,23 +47,19 @@ fn submit_ok(client: &mut Client, spec: &JobSpec) -> u64 {
     }
 }
 
-/// The manifest a local harness run of the single-variant job `spec`
-/// produces under job id `id`.
+/// The manifest a local harness run of job `spec` produces under job id
+/// `id`: every cell of the job run alone, one after another.
 fn local_manifest(id: u64, spec: &JobSpec) -> String {
-    let [variant] = spec.variants[..] else {
-        panic!("single-variant job expected");
-    };
     let mut h = Harness::new(1);
-    let report = h
-        .run(spec.workload, spec.resolution, variant)
-        .expect("local run")
-        .clone();
-    let cell = CellSummary::from_report(
-        &Harness::column_label(spec.workload, spec.resolution),
-        &variant.label(),
-        &report,
-    );
-    job_manifest_json(id, spec, 1, &[cell])
+    let column = Harness::column_label(spec.workload, spec.resolution);
+    let cells: Vec<CellSummary> = job_variants(spec)
+        .into_iter()
+        .map(|v| {
+            let report = h.run(spec.workload, spec.resolution, v).expect("local run");
+            CellSummary::from_report(&column, &v.label(), report)
+        })
+        .collect();
+    job_manifest_json(id, spec, 1, &cells)
 }
 
 const WAIT: Duration = Duration::from_secs(300);
@@ -110,6 +106,38 @@ fn synthetic_job_is_served_and_matches_local_harness() {
     assert_eq!(stats.scene_evictions, 0);
     assert_eq!(stats.stream_evictions, 0);
 
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean drain");
+}
+
+/// A job whose cells replay in groups — the conventional designs
+/// together, the A-TFIM default with its 0.01π twin and an ablation —
+/// serves the manifest of its cells run one by one.
+#[test]
+fn grouped_job_matches_local_harness() {
+    let (addr, handle) = start(ServeConfig {
+        frames: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let spec = JobSpec {
+        workload: Workload::Synthetic(test_synthetic()),
+        variants: vec![
+            Variant::Design(Design::Baseline),
+            Variant::Design(Design::BPim),
+            Variant::Design(Design::STfim),
+            Variant::Design(Design::ATfim),
+            Variant::AtfimThreshold(0.01),
+            Variant::AtfimNoConsolidation,
+            Variant::AtfimNoCompression,
+        ],
+        ..baseline_spec()
+    };
+    let id = submit_ok(&mut client, &spec);
+    let state = client.wait(id, WAIT, POLL).expect("wait");
+    assert_eq!(state, JobState::Done { cells: 7 }, "grouped job finishes");
+    let served = client.fetch_manifest(id).expect("fetch");
+    assert_eq!(served, local_manifest(id, &spec), "grouped job diverged");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("clean drain");
 }

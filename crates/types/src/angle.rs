@@ -64,10 +64,35 @@ impl Radians {
     ///
     /// Two camera angles that differ by `2π` describe the same viewing
     /// direction, so the difference is computed on the circle.
+    ///
+    /// Camera-angle tags lie in `[0, 2.5π]`, so their differences stay
+    /// inside `(−4π, 4π)`, where the reduction modulo 2π needs no
+    /// division: below 2π it is the difference itself, and from 2π to
+    /// 4π one subtraction of 2π is exact (Sterbenz: both operands are
+    /// within a factor of two). The result is bit-identical to
+    /// `rem_euclid`, which still handles everything else (larger
+    /// differences, infinities, NaN).
     #[inline]
     pub fn abs_diff(self, rhs: Self) -> Self {
         let two_pi = 2.0 * std::f32::consts::PI;
-        let mut d = (self.0 - rhs.0).rem_euclid(two_pi);
+        let d = self.0 - rhs.0;
+        let a = d.abs();
+        let mut d = if a < 2.0 * two_pi {
+            // `d % two_pi`: the remainder keeps the sign of `d`.
+            let r = if a < two_pi {
+                d
+            } else {
+                (a - two_pi).copysign(d)
+            };
+            // The rest of `rem_euclid`.
+            if r < 0.0 {
+                r + two_pi
+            } else {
+                r
+            }
+        } else {
+            d.rem_euclid(two_pi)
+        };
         if d > std::f32::consts::PI {
             d = two_pi - d;
         }
@@ -137,6 +162,53 @@ mod tests {
             let b = Radians::new(i as f32 * -0.53);
             assert!(a.abs_diff(b).as_f32() <= std::f32::consts::PI + 1e-5);
             assert!(a.abs_diff(b).as_f32() >= 0.0);
+        }
+    }
+
+    /// The fast reduction in `abs_diff` is bit-identical to the
+    /// `rem_euclid` form it replaced: on signed zeros, NaN, infinities,
+    /// exact multiples of π and 2π, their ulp neighbours, and seeded
+    /// random pairs across and beyond the tag range.
+    #[test]
+    fn abs_diff_matches_the_rem_euclid_form() {
+        fn old(a: f32, b: f32) -> f32 {
+            let two_pi = 2.0 * std::f32::consts::PI;
+            let mut d = (a - b).rem_euclid(two_pi);
+            if d > std::f32::consts::PI {
+                d = two_pi - d;
+            }
+            d
+        }
+        let pi = std::f32::consts::PI;
+        let mut specials = vec![0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for k in -9..=9 {
+            let x = k as f32 * pi;
+            let x2 = k as f32 * 2.0 * pi;
+            for v in [x, x2] {
+                specials.extend([v, f32::from_bits(v.to_bits() + 1)]);
+                if v != 0.0 {
+                    specials.push(f32::from_bits(v.to_bits() - 1));
+                }
+            }
+        }
+        let mut pairs: Vec<(f32, f32)> = Vec::new();
+        for &a in &specials {
+            for &b in &specials {
+                pairs.push((a, b));
+            }
+            pairs.push((a, 0.0));
+            pairs.push((0.0, a));
+        }
+        let mut rng = crate::TinyRng::seed_from_u64(0x0a1b_2c3d);
+        for i in 0..200_000 {
+            let span = if i % 4 == 0 { 30.0 } else { 2.5 * pi };
+            let a = rng.next_f32() * span - if i % 3 == 0 { span / 2.0 } else { 0.0 };
+            let b = rng.next_f32() * span;
+            pairs.push((a, b));
+        }
+        for (a, b) in pairs {
+            let got = Radians::new(a).abs_diff(Radians::new(b)).as_f32();
+            assert_eq!(got.to_bits(), old(a, b).to_bits(), "{a:?} - {b:?}");
         }
     }
 

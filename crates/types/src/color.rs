@@ -307,6 +307,36 @@ mod tests {
         assert_eq!(Rgba::new(-1.0, 0.0, 0.0, 1.0).to_packed().r, 0);
     }
 
+    /// Packing clamps, so a color clamped first packs to the same
+    /// bits: the replay writes pixels without `clamped`. Checked on
+    /// signed zeros, NaN, infinities, the clamp bounds and their ulp
+    /// neighbours, and seeded values around `[0, 1]`.
+    #[test]
+    fn packing_a_clamped_color_changes_nothing() {
+        let mut values = vec![
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.5,
+        ];
+        for v in [0.0f32, 1.0] {
+            values.push(f32::from_bits(v.to_bits() + 1));
+            values.push(-f32::from_bits(v.to_bits() + 1));
+        }
+        values.push(f32::from_bits(1.0f32.to_bits() - 1));
+        let mut rng = crate::TinyRng::seed_from_u64(0x05ee_dc01);
+        for _ in 0..20_000 {
+            values.push(rng.next_f32() * 3.0 - 1.0);
+        }
+        for (i, &v) in values.iter().enumerate() {
+            let w = values[(i * 7 + 3) % values.len()];
+            let c = Rgba::new(v, w, -v, 1.0 - w);
+            assert_eq!(c.clamped().to_packed(), c.to_packed(), "{c:?}");
+        }
+    }
+
     #[test]
     fn max_channel_diff_picks_largest() {
         let a = Rgba::new(0.1, 0.5, 0.9, 1.0);
