@@ -37,17 +37,17 @@
 use pimgfx::{analyze_overhead, Design, SimConfig};
 use pimgfx_bench::manifest::{CellSummary, FigureTiming, RunManifest};
 use pimgfx_bench::{
-    geomean, mean, pool, section_variants, CsvSink, Harness, HarnessResult, Sweep, Variant,
-    SECTIONS, THRESHOLD_SWEEP,
+    geomean, mean, section_sweep, CsvSink, Harness, HarnessResult, Sweep, Variant, BC1_DESIGNS,
+    CUBE_SWEEP, MTU_SWEEP, SECTIONS, THRESHOLD_SWEEP, VAULT_SWEEP,
 };
 use pimgfx_mem::TrafficClass;
 use pimgfx_types::ConfigError;
 use pimgfx_workloads::{Game, Resolution, SyntheticSpec, Workload};
 use std::time::Instant;
 
-/// Runs one section's printer. The section list and per-section variant
-/// sets live in `pimgfx_bench::{SECTIONS, section_variants}`, shared
-/// with the `pimgfx-serve` daemon.
+/// Runs one section's printer. The section list and per-section cells
+/// live in `pimgfx_bench::{SECTIONS, section_sweep}`; the per-column
+/// variant sets are shared with the `pimgfx-serve` daemon.
 fn run_section(
     section: &str,
     h: &mut Harness,
@@ -159,7 +159,7 @@ fn main() -> HarnessResult<()> {
     if !serial {
         let mut sweep = Sweep::new();
         for section in &requested {
-            sweep.extend_matrix(&columns, &section_variants(section));
+            sweep.extend(&section_sweep(section, &columns));
         }
         let stats = h.precompute(&sweep)?;
         workers = stats.workers;
@@ -681,98 +681,75 @@ fn fig13(h: &mut Harness, columns: &[(Workload, Resolution)], csv: &CsvSink) -> 
 
 fn fig14(h: &mut Harness, columns: &[(Workload, Resolution)], csv: &CsvSink) -> HarnessResult<()> {
     header("Fig. 14 — A-TFIM render speedup vs camera-angle threshold");
-    print!("{:<18}", "benchmark");
-    for f in THRESHOLD_SWEEP {
-        print!(" {:>11}", format!("@{f}pi"));
-    }
-    println!(" {:>11}", "no-recalc");
-    let mut avgs = vec![Vec::new(); THRESHOLD_SWEEP.len() + 1];
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for &(g, r) in columns {
+    let show = |s: f64| format!(" {s:>10.2}x");
+    threshold_table(h, columns, csv, "fig14", 4, show, geomean, |h, g, r, v| {
         let base = h.baseline(g, r)?;
-        let mut row = vec![Harness::column_label(g, r)];
-        print!("{:<18}", Harness::column_label(g, r));
-        for (i, f) in THRESHOLD_SWEEP.into_iter().enumerate() {
-            let s = h
-                .run(g, r, Variant::AtfimThreshold(f))?
-                .clone()
-                .render_speedup_vs(&base);
-            print!(" {:>10.2}x", s);
-            row.push(format!("{s:.4}"));
-            avgs[i].push(s);
-        }
-        let s = h
-            .run(g, r, Variant::AtfimNoRecalc)?
-            .clone()
-            .render_speedup_vs(&base);
-        println!(" {:>10.2}x", s);
-        row.push(format!("{s:.4}"));
-        rows.push(row);
-        avgs[THRESHOLD_SWEEP.len()].push(s);
-    }
-    csv.write_figure(
-        "fig14",
-        &[
-            "benchmark",
-            "t0005pi",
-            "t001pi",
-            "t005pi",
-            "t01pi",
-            "no_recalc",
-        ],
-        &rows,
-    )?;
-    print!("{:<18}", "average");
-    for a in &avgs {
-        print!(" {:>10.2}x", geomean(a));
-    }
-    println!();
+        Ok(h.run(g, r, v)?.render_speedup_vs(&base))
+    })?;
     println!("paper: speedup grows monotonically with the threshold (1.33x..1.48x band)");
     Ok(())
 }
 
 fn fig15(h: &mut Harness, columns: &[(Workload, Resolution)], csv: &CsvSink) -> HarnessResult<()> {
     header("Fig. 15 — image quality (PSNR dB vs baseline) vs threshold");
+    let show = |db: f64| format!(" {db:>11.1}");
+    threshold_table(h, columns, csv, "fig15", 2, show, mean, |h, g, r, v| {
+        h.psnr_vs_baseline(g, r, v)
+    })?;
+    println!("paper: PSNR decreases as the threshold loosens; >70 dB is visually lossless");
+    Ok(())
+}
+
+/// The table of Figs. 14 and 15: per column, `metric` at every
+/// [`THRESHOLD_SWEEP`] point and without recalculation, printed by
+/// `show` and written to `figure`.csv at `digits` decimals, then the
+/// `average` of each point over the columns.
+#[allow(clippy::too_many_arguments)]
+fn threshold_table(
+    h: &mut Harness,
+    columns: &[(Workload, Resolution)],
+    csv: &CsvSink,
+    figure: &str,
+    digits: usize,
+    show: impl Fn(f64) -> String,
+    average: fn(&[f64]) -> f64,
+    metric: impl Fn(&mut Harness, Workload, Resolution, Variant) -> HarnessResult<f64>,
+) -> HarnessResult<()> {
     print!("{:<18}", "benchmark");
     for f in THRESHOLD_SWEEP {
         print!(" {:>11}", format!("@{f}pi"));
     }
     println!(" {:>11}", "no-recalc");
-    let mut avgs = vec![Vec::new(); THRESHOLD_SWEEP.len() + 1];
+    let mut variants: Vec<Variant> = THRESHOLD_SWEEP.map(Variant::AtfimThreshold).to_vec();
+    variants.push(Variant::AtfimNoRecalc);
+    let mut avgs = vec![Vec::new(); variants.len()];
     let mut rows: Vec<Vec<String>> = Vec::new();
     for &(g, r) in columns {
         let mut row = vec![Harness::column_label(g, r)];
         print!("{:<18}", Harness::column_label(g, r));
-        for (i, f) in THRESHOLD_SWEEP.into_iter().enumerate() {
-            let db = h.psnr_vs_baseline(g, r, Variant::AtfimThreshold(f))?;
-            print!(" {:>11.1}", db);
-            row.push(format!("{db:.2}"));
-            avgs[i].push(db);
+        for (i, &v) in variants.iter().enumerate() {
+            let x = metric(h, g, r, v)?;
+            print!("{}", show(x));
+            row.push(format!("{x:.digits$}"));
+            avgs[i].push(x);
         }
-        let db = h.psnr_vs_baseline(g, r, Variant::AtfimNoRecalc)?;
-        println!(" {:>11.1}", db);
-        row.push(format!("{db:.2}"));
+        println!();
         rows.push(row);
-        avgs[THRESHOLD_SWEEP.len()].push(db);
     }
-    csv.write_figure(
-        "fig15",
-        &[
-            "benchmark",
-            "t0005pi",
-            "t001pi",
-            "t005pi",
-            "t01pi",
-            "no_recalc",
-        ],
-        &rows,
-    )?;
+    let head = [
+        "benchmark",
+        "t0005pi",
+        "t001pi",
+        "t005pi",
+        "t01pi",
+        "no_recalc",
+    ];
+    csv.write_figure(figure, &head, &rows)?;
     print!("{:<18}", "average");
     for a in &avgs {
-        print!(" {:>11.1}", mean(a));
+        print!("{}", show(average(a)));
     }
     println!();
-    println!("paper: PSNR decreases as the threshold loosens; >70 dB is visually lossless");
     Ok(())
 }
 
@@ -856,58 +833,11 @@ fn ablation(h: &mut Harness, columns: &[(Workload, Resolution)]) -> HarnessResul
     }
     println!("(render speedup over baseline; disabling either A-TFIM helper should not help)");
 
-    // The remaining ablations sweep structural knobs on one
-    // representative column. The scene and its fragment stream come
-    // from the harness caches (same frame count as every other
-    // section), so nothing is rebuilt here: every structural knob below
-    // (compression, MTU count, cube count, vault bandwidth) leaves the
-    // frontend untouched, and one shared stream serves all seventeen
-    // bespoke simulations — replay is byte-identical to a direct
-    // render. The seventeen configs fan out across the worker pool with
-    // a deterministic input-order merge, so the printed bytes match the
-    // historical one-at-a-time loop.
+    // The structural ablations run on the first column only; their
+    // cells come from the matrix like every other section's (see
+    // `pimgfx_bench::section_sweep`).
     let (g, r) = columns[0];
-    let scene = h.scenes().get(g, r);
-    let stream = h.streams().get(&scene)?;
-    let builder = |design: Design| SimConfig::builder().design(design);
-    let mut configs: Vec<SimConfig> = vec![SimConfig::default()];
-    for (_, design, compressed) in COMPRESSION_ROWS {
-        configs.push(
-            builder(design)
-                .compressed_textures(compressed)
-                .build()
-                .expect("valid"),
-        );
-    }
-    configs.push(builder(Design::STfim).build().expect("valid"));
-    for mtus in MTU_SWEEP {
-        configs.push(builder(Design::STfim).mtus(mtus).build().expect("valid"));
-    }
-    for cubes in CUBE_SWEEP {
-        configs.push(
-            builder(Design::ATfim)
-                .hmc_cubes(cubes)
-                .build()
-                .expect("valid"),
-        );
-    }
-    for (vaults, internal) in VAULT_SWEEP {
-        let hmc = pimgfx_mem::HmcConfig {
-            vaults,
-            internal_gb_s: internal,
-            ..pimgfx_mem::HmcConfig::default()
-        };
-        configs.push(builder(Design::ATfim).hmc(hmc).build().expect("valid"));
-    }
-    let workers = pool::worker_count(configs.len())?;
-    let lanes = pool::configured_replay_lanes(workers)?;
-    let reports: Vec<pimgfx::RenderReport> = pool::run_ordered(&configs, workers, |config| {
-        let mut sim = pimgfx::Simulator::new(config.clone()).expect("valid config");
-        sim.render_replay_lanes(&stream, lanes).expect("renders")
-    });
-    let mut reports = reports.into_iter();
-    let mut next = || reports.next().expect("one report per config");
-    let base = next();
+    let base = h.baseline(g, r)?;
 
     header(&format!(
         "Ablation: block texture compression on {g}-{r} (orthogonal, SS VIII)"
@@ -916,28 +846,33 @@ fn ablation(h: &mut Harness, columns: &[(Workload, Resolution)]) -> HarnessResul
         "{:<26} {:>10} {:>14} {:>12}",
         "configuration", "cycles", "tex traffic", "energy"
     );
-    for (label, _, _) in COMPRESSION_ROWS {
-        let rep = next();
-        println!(
-            "{:<26} {:>10} {:>14} {:>11.2}x",
-            label,
-            rep.total_cycles,
-            rep.texture_traffic().to_string(),
-            rep.energy_normalized_to(&base),
-        );
+    for d in BC1_DESIGNS {
+        for (label, v) in [
+            (d.label().to_string(), Variant::Design(d)),
+            (format!("{} + BC1", d.label()), Variant::Bc1(d)),
+        ] {
+            let rep = h.run(g, r, v)?;
+            println!(
+                "{:<26} {:>10} {:>14} {:>11.2}x",
+                label,
+                rep.total_cycles,
+                rep.texture_traffic().to_string(),
+                rep.energy_normalized_to(&base),
+            );
+        }
     }
     println!("(compression composes with the PIM designs: both cut texture bytes)");
 
     header(&format!("Ablation: shared S-TFIM MTUs on {g}-{r} (SS IV)"));
     println!("{:<10} {:>10} {:>16}", "MTUs", "cycles", "vs 16 MTUs");
-    let full_mtus = next();
+    let full_mtus = h.run(g, r, Variant::Design(Design::STfim))?.total_cycles;
     for mtus in MTU_SWEEP {
-        let rep = next();
+        let rep = h.run(g, r, Variant::StfimMtus(mtus).canonical())?;
         println!(
             "{:<10} {:>10} {:>15.2}x",
             mtus,
             rep.total_cycles,
-            full_mtus.total_cycles as f64 / rep.total_cycles.max(1) as f64,
+            full_mtus as f64 / rep.total_cycles.max(1) as f64,
         );
     }
     println!("(fewer MTUs save logic-layer area but contend, as the paper warns)");
@@ -945,7 +880,7 @@ fn ablation(h: &mut Harness, columns: &[(Workload, Resolution)]) -> HarnessResul
     header(&format!("Ablation: HMC cubes on {g}-{r} (SS V-E)"));
     println!("{:<10} {:>10} {:>16}", "cubes", "cycles", "render speedup");
     for cubes in CUBE_SWEEP {
-        let rep = next();
+        let rep = h.run(g, r, Variant::AtfimCubes(cubes).canonical())?;
         println!(
             "{:<10} {:>10} {:>15.2}x",
             cubes,
@@ -966,7 +901,7 @@ fn ablation(h: &mut Harness, columns: &[(Workload, Resolution)]) -> HarnessResul
         "vaults (GB/s int)", "cycles", "render speedup"
     );
     for (vaults, internal) in VAULT_SWEEP {
-        let rep = next();
+        let rep = h.run(g, r, Variant::AtfimVaults(vaults).canonical())?;
         println!(
             "{:<18} {:>10} {:>15.2}x",
             format!("{vaults} ({internal:.0})"),
@@ -977,17 +912,3 @@ fn ablation(h: &mut Harness, columns: &[(Workload, Resolution)]) -> HarnessResul
     println!("(A-TFIM's child reads ride the internal bandwidth the sweep varies)");
     Ok(())
 }
-
-/// The compression-ablation rows, in print order (label, design, BC1?).
-const COMPRESSION_ROWS: [(&str, Design, bool); 4] = [
-    ("baseline", Design::Baseline, false),
-    ("baseline + BC1", Design::Baseline, true),
-    ("a-tfim", Design::ATfim, false),
-    ("a-tfim + BC1", Design::ATfim, true),
-];
-/// The shared-MTU ablation sweep, in print order.
-const MTU_SWEEP: [usize; 4] = [16, 8, 4, 2];
-/// The HMC cube-count ablation sweep, in print order.
-const CUBE_SWEEP: [usize; 3] = [1, 2, 4];
-/// The HMC internal-bandwidth ablation sweep (vaults, GB/s internal).
-const VAULT_SWEEP: [(u64, f64); 4] = [(8, 320.0), (16, 384.0), (32, 512.0), (64, 768.0)];

@@ -10,7 +10,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | crate root | [`Harness`] (memoizing runner), [`Variant`] (design + experiment knobs), [`Sweep`] (job-matrix builder), [`CsvSink`] |
+//! | crate root | [`Harness`] (memoizing runner), [`Variant`] (design + experiment knobs), [`Sweep`] (job-matrix builder), [`ReplayPlan`] (the replay-group fan-out), [`CsvSink`] |
 //! | [`pool`] | `std::thread::scope` worker pool with deterministic, input-ordered merge |
 //! | [`manifest`] | `BENCH_repro.json` run manifests (per-figure wall-times, cells/sec, per-cell report summaries) |
 //! | [`microbench`] | std-only timing harness for the `benches/fig*.rs` targets |
@@ -49,6 +49,7 @@ pub mod manifest;
 pub mod pool;
 
 use pimgfx::{Design, FragmentStreamCache, FrontendCacheStats, RenderReport, SimConfig, Simulator};
+use pimgfx_mem::HmcConfig;
 use pimgfx_quality::psnr;
 use pimgfx_types::{ConfigError, Error, FxHashSet, Result};
 use pimgfx_workloads::{Game, Resolution, SceneCache, SceneTrace, Workload};
@@ -76,6 +77,15 @@ pub enum Variant {
     AtfimNoConsolidation,
     /// A-TFIM without offload-package compression (ablation).
     AtfimNoCompression,
+    /// A design with BC1 block-compressed textures (§VIII ablation).
+    Bc1(Design),
+    /// S-TFIM with this many shared MTUs (§IV ablation).
+    StfimMtus(usize),
+    /// A-TFIM over this many HMC cubes (§V-E ablation).
+    AtfimCubes(usize),
+    /// A-TFIM with this many HMC vaults, at the internal bandwidth
+    /// [`VAULT_SWEEP`] pairs with the count (vault-bandwidth ablation).
+    AtfimVaults(u64),
 }
 
 impl Variant {
@@ -88,6 +98,10 @@ impl Variant {
             Variant::AtfimNoRecalc => "a-tfim-no".to_string(),
             Variant::AtfimNoConsolidation => "a-tfim-noconsol".to_string(),
             Variant::AtfimNoCompression => "a-tfim-nocompress".to_string(),
+            Variant::Bc1(d) => format!("{}+bc1", d.label()),
+            Variant::StfimMtus(n) => format!("s-tfim@{n}mtus"),
+            Variant::AtfimCubes(n) => format!("a-tfim@{n}cubes"),
+            Variant::AtfimVaults(n) => format!("a-tfim@{n}vaults"),
         }
     }
 
@@ -97,28 +111,41 @@ impl Variant {
     ///
     /// Propagates configuration validation errors.
     pub fn config(self) -> Result<SimConfig> {
+        let on = |design| SimConfig::builder().design(design);
         match self {
-            Variant::Design(d) => SimConfig::builder().design(d).build(),
-            Variant::AnisoOff => SimConfig::builder()
-                .design(Design::Baseline)
-                .max_aniso(1)
-                .build(),
-            Variant::AtfimThreshold(f) => SimConfig::builder()
-                .design(Design::ATfim)
-                .angle_threshold_pi_fraction(f)
-                .build(),
-            Variant::AtfimNoRecalc => SimConfig::builder()
-                .design(Design::ATfim)
-                .no_recalculation()
-                .build(),
-            Variant::AtfimNoConsolidation => SimConfig::builder()
-                .design(Design::ATfim)
-                .consolidation(false)
-                .build(),
-            Variant::AtfimNoCompression => SimConfig::builder()
-                .design(Design::ATfim)
-                .offload_compression(false)
-                .build(),
+            Variant::Design(d) => on(d).build(),
+            Variant::AnisoOff => on(Design::Baseline).max_aniso(1).build(),
+            Variant::AtfimThreshold(f) => on(Design::ATfim).angle_threshold_pi_fraction(f).build(),
+            Variant::AtfimNoRecalc => on(Design::ATfim).no_recalculation().build(),
+            Variant::AtfimNoConsolidation => on(Design::ATfim).consolidation(false).build(),
+            Variant::AtfimNoCompression => on(Design::ATfim).offload_compression(false).build(),
+            Variant::Bc1(d) => on(d).compressed_textures(true).build(),
+            Variant::StfimMtus(n) => on(Design::STfim).mtus(n).build(),
+            Variant::AtfimCubes(n) => on(Design::ATfim).hmc_cubes(n).build(),
+            Variant::AtfimVaults(vaults) => {
+                let mut hmc = HmcConfig::default();
+                (hmc.vaults, hmc.internal_gb_s) =
+                    *VAULT_SWEEP.iter().find(|v| v.0 == vaults).ok_or_else(|| {
+                        ConfigError::new("harness", format!("no bandwidth for {vaults} vaults"))
+                    })?;
+                on(Design::ATfim).hmc(hmc).build()
+            }
+        }
+    }
+
+    /// The cell this variant reads: a structural ablation whose knob
+    /// sits at its design's default (16 MTUs, one cube, 32 vaults) is
+    /// that design's own cell, so the twin adds no cell of its own.
+    pub fn canonical(self) -> Self {
+        let plain = match self {
+            Variant::StfimMtus(_) => Variant::Design(Design::STfim),
+            Variant::AtfimCubes(_) | Variant::AtfimVaults(_) => Variant::Design(Design::ATfim),
+            other => return other,
+        };
+        if self.config().ok() == plain.config().ok() {
+            plain
+        } else {
+            self
         }
     }
 }
@@ -126,6 +153,16 @@ impl Variant {
 /// The angle thresholds (fractions of π) swept by Figs. 14–16, strictest
 /// first, ending with the no-recalculation configuration.
 pub const THRESHOLD_SWEEP: [f32; 4] = [0.005, 0.01, 0.05, 0.1];
+
+/// The designs the BC1 block-compression ablation (§VIII) runs.
+pub const BC1_DESIGNS: [Design; 2] = [Design::Baseline, Design::ATfim];
+/// The shared-MTU ablation's S-TFIM MTU counts (§IV).
+pub const MTU_SWEEP: [usize; 4] = [16, 8, 4, 2];
+/// The multi-cube ablation's HMC cube counts (§V-E).
+pub const CUBE_SWEEP: [usize; 3] = [1, 2, 4];
+/// The HMC internal-bandwidth ablation: vault counts and the internal
+/// GB/s each runs at.
+pub const VAULT_SWEEP: [(u64, f64); 4] = [(8, 320.0), (16, 384.0), (32, 512.0), (64, 768.0)];
 
 /// Everything the reproduction can regenerate, in output order: the
 /// section names accepted by the `repro` binary and by `pimgfx-serve`
@@ -135,15 +172,15 @@ pub const SECTIONS: [&str; 14] = [
     "fig15", "fig16", "overhead", "ablation",
 ];
 
-/// The design variants a section's benchmark-matrix cells need (empty
-/// for the sections that print static tables or run bespoke structural
-/// sweeps — `table1`, `table2`, `overhead`; the `ablation` section's
-/// structural sweeps stay serial because each probes a bespoke
-/// `SimConfig`, not a [`Variant`]).
+/// The design variants a section's benchmark-matrix cells need on every
+/// column (empty for the sections that print static tables — `table1`,
+/// `table2`, `overhead`). The `ablation` section's structural sweeps are
+/// not here: they run on the first column only, and [`section_sweep`]
+/// adds them.
 ///
 /// Shared between the `repro` precompute fan-out and `pimgfx-serve`
-/// job expansion, so a served section simulates exactly the cells the
-/// batch binary would.
+/// job expansion, so a served section simulates exactly the per-column
+/// cells the batch binary would.
 pub fn section_variants(section: &str) -> Vec<Variant> {
     let designs = || Design::ALL.map(Variant::Design).to_vec();
     let thresholds = || {
@@ -175,6 +212,27 @@ pub fn section_variants(section: &str) -> Vec<Variant> {
         ],
         _ => Vec::new(),
     }
+}
+
+/// The cells `section` needs on `columns`: its [`section_variants`] on
+/// every column and, for `ablation`, the structural sweeps — BC1
+/// compression, MTU, cube and vault counts — on the first column only.
+/// A knob at its design's default reads that design's cell
+/// ([`Variant::canonical`]), so such twins add no cell.
+pub fn section_sweep(section: &str, columns: &[(Workload, Resolution)]) -> Sweep {
+    let mut sweep = Sweep::matrix(columns, &section_variants(section));
+    if let (Some(&first), "ablation") = (columns.first(), section) {
+        let structural: Vec<Variant> = BC1_DESIGNS
+            .map(Variant::Bc1)
+            .into_iter()
+            .chain(MTU_SWEEP.map(Variant::StfimMtus))
+            .chain(CUBE_SWEEP.map(Variant::AtfimCubes))
+            .chain(VAULT_SWEEP.map(|(n, _)| Variant::AtfimVaults(n)))
+            .map(Variant::canonical)
+            .collect();
+        sweep.extend_matrix(&[first], &structural);
+    }
+    sweep
 }
 
 /// One cell of the experiment matrix: a benchmark column — a
@@ -577,12 +635,11 @@ impl Harness {
 
         // Deduplicate against both the sweep itself and the cache.
         let mut seen: FxHashSet<(Workload, Resolution, String)> = FxHashSet::default();
-        let mut todo: Vec<(Workload, Resolution, Variant, String)> = Vec::new();
+        let mut todo: Vec<Cell> = Vec::new();
         for &(w, r, v) in sweep.cells() {
-            let label = v.label();
-            let key = (w, r, label.clone());
+            let key = (w, r, v.label());
             if !self.reports.contains_key(&key) && seen.insert(key) {
-                todo.push((w, r, v, label));
+                todo.push((w, r, v));
             }
         }
         if todo.is_empty() {
@@ -593,6 +650,8 @@ impl Harness {
             });
         }
 
+        let plan = ReplayPlan::new(&todo)?;
+
         // Phase 1: build each unique scene — in parallel — and then its
         // frontend fragment stream. Pre-warming the stream cache here
         // means phase 2's workers all hit it, so no two workers ever
@@ -600,97 +659,47 @@ impl Harness {
         // entry. Streams are built one column after another: each build
         // already shades on the whole thread budget, so fanning columns
         // over the pool as well would multiply threads.
-        let mut columns: Vec<(Workload, Resolution)> = Vec::new();
-        for &(w, r, _, _) in &todo {
-            if !columns.contains(&(w, r)) {
-                columns.push((w, r));
-            }
-        }
         let scenes = &self.scenes;
-        let streams = &self.streams;
-        let column_scenes =
-            pool::run_ordered(&columns, pool::worker_count(columns.len())?, |&(w, r)| {
-                scenes.get(w, r)
-            });
-        for scene in &column_scenes {
-            streams.get(scene)?;
+        let columns = plan.columns();
+        for scene in pool::run_ordered(columns, pool::worker_count(columns.len())?, |&(w, r)| {
+            scenes.get(w, r)
+        }) {
+            self.streams.get(&scene)?;
         }
 
-        // Phase 2: simulate all cells, one replay group per pool unit
-        // (see [`replay_groups`]). Units are handed to the pool in LPT
-        // order — heaviest expected unit first (longest-processing-time
-        // list scheduling) — so a straggler like an a-tfim 1280×1024
-        // cell starts early instead of serializing the tail of the
-        // fan-out. The atomic-cursor pool pulls units in slice order;
-        // the scatter below restores `todo` order before any result is
-        // memoized, so downstream bytes are unaffected by the schedule.
-        let mut units: Vec<Unit> = Vec::new();
-        for &(w, r) in &columns {
-            let cells: Vec<usize> = (0..todo.len())
-                .filter(|&i| (todo[i].0, todo[i].1) == (w, r))
-                .collect();
-            let variants: Vec<Variant> = cells.iter().map(|&i| todo[i].2).collect();
-            for group in replay_groups(&variants)? {
-                let members: Vec<Variant> = group.iter().map(|&g| variants[g]).collect();
-                units.push(Unit {
-                    workload: w,
-                    res: r,
-                    weight: r.pixels() * group_cost(&members),
-                    cells: group.iter().map(|&g| cells[g]).collect(),
-                    variants: members,
-                });
-            }
-        }
-        let workers = pool::worker_count(units.len())?;
+        // Phase 2: simulate all cells, one replay group per pool unit.
+        let workers = pool::worker_count(plan.groups().len())?;
         let lanes = self.replay_lanes(workers)?;
-        // Stable descending sort by weight: equal-weight units keep
-        // their sweep order, making the schedule itself deterministic.
-        units.sort_by_key(|u| std::cmp::Reverse(u.weight));
-        let unit_results: Vec<Result<Vec<(RenderReport, WallSplit)>>> =
-            pool::run_ordered(&units, workers, |u| {
-                simulate_group(&scenes.get(u.workload, u.res), &u.variants, streams, lanes)
-            });
+        let results = plan.run(
+            |w, r| scenes.get(w, r),
+            &self.streams,
+            workers,
+            lanes,
+            |_| true,
+        );
         let wall = start.elapsed();
 
-        // Scatter back to sweep order. A group's members finish together,
-        // so its wall counts once toward the pool's busy time.
-        let mut lb_batch = LoadBalanceAccum::default();
-        let mut results: Vec<Option<Result<(RenderReport, WallSplit)>>> =
-            (0..todo.len()).map(|_| None).collect();
-        for (unit, result) in units.iter().zip(unit_results) {
-            match result {
-                Ok(cells) => {
-                    if let Some((_, split)) = cells.first() {
-                        let unit_ms = split.frontend_ms + split.backend_ms;
-                        lb_batch.sum_cell_ms += unit_ms;
-                        lb_batch.max_cell_ms = lb_batch.max_cell_ms.max(unit_ms);
-                    }
-                    for (&slot, cell) in unit.cells.iter().zip(cells) {
-                        results[slot] = Some(Ok(cell));
-                    }
-                }
-                // The group's first cell carries its error.
-                Err(e) => results[unit.cells[0]] = Some(Err(e)),
+        // A group's members finish together, so its wall counts once
+        // toward the pool's busy time.
+        for group in plan.groups() {
+            if let Some(Ok((_, split))) = &results[group[0]] {
+                let unit_ms = split.frontend_ms + split.backend_ms;
+                self.lb.sum_cell_ms += unit_ms;
+                self.lb.max_cell_ms = self.lb.max_cell_ms.max(unit_ms);
             }
         }
-
+        self.lb.capacity_ms += workers as f64 * wall.as_secs_f64() * 1000.0;
         let cells_executed = todo.len();
-        for ((w, r, v, label), result) in todo.into_iter().zip(results) {
-            // A failed group's other cells have no result: the error
-            // returns first, at the group's first cell in sweep order.
-            let Some(result) = result else {
-                continue;
-            };
-            let (report, wall) = result?;
-            lb_batch.cells += 1;
+        for ((w, r, v), result) in todo.into_iter().zip(results) {
+            // A failed group's error returns at its first cell in sweep
+            // order; the cells before it stay memoized.
+            let (report, wall) = result
+                .ok_or_else(|| ConfigError::new("harness", "a cell was left unreplayed"))??;
+            self.lb.cells += 1;
             self.walls
                 .insert((Self::column_label(w, r), v.label()), wall);
-            self.reports.insert((w, r, label), report);
+            self.reports.insert((w, r, v.label()), report);
         }
-        self.lb.cells += lb_batch.cells;
-        self.lb.sum_cell_ms += lb_batch.sum_cell_ms;
-        self.lb.max_cell_ms = self.lb.max_cell_ms.max(lb_batch.max_cell_ms);
-        self.lb.capacity_ms += workers as f64 * wall.as_secs_f64() * 1000.0;
         Ok(SweepStats {
             cells_executed,
             workers,
@@ -811,18 +820,6 @@ pub fn bench_scene() -> SceneTrace {
     pimgfx_workloads::build_scene_unchecked(&profile, Resolution::R320x240, 1)
 }
 
-/// One pool unit of a [`Harness::precompute`] fan-out: a replay group
-/// of one column's cells.
-struct Unit {
-    workload: Workload,
-    res: Resolution,
-    /// LPT weight: pixels × [`group_cost`].
-    weight: u64,
-    /// Indices of the group's cells in the fan-out's cell list.
-    cells: Vec<usize>,
-    variants: Vec<Variant>,
-}
-
 /// Expected one-lane replay cost of a variant per pixel, in hundredths
 /// of a solo baseline replay: `(solo, own)`. `solo` is the whole replay
 /// alone; `own` is the member's timing step — texture units, memory,
@@ -839,13 +836,16 @@ struct Unit {
 fn variant_cost(variant: Variant) -> (u64, u64) {
     match variant {
         Variant::Design(Design::Baseline) | Variant::Design(Design::BPim) => (100, 9),
-        Variant::Design(Design::STfim) => (96, 22),
+        Variant::Design(Design::STfim) | Variant::StfimMtus(_) => (96, 22),
         Variant::AnisoOff => (76, 6),
         Variant::Design(Design::ATfim)
         | Variant::AtfimThreshold(_)
         | Variant::AtfimNoRecalc
         | Variant::AtfimNoConsolidation
-        | Variant::AtfimNoCompression => (130, 11),
+        | Variant::AtfimNoCompression
+        | Variant::AtfimCubes(_)
+        | Variant::AtfimVaults(_) => (130, 11),
+        Variant::Bc1(d) => variant_cost(Variant::Design(d)),
     }
 }
 
@@ -920,6 +920,121 @@ pub fn replay_groups(variants: &[Variant]) -> Result<Vec<Vec<usize>>> {
     Ok(groups)
 }
 
+/// One pool unit of a [`ReplayPlan`]: a replay group of one column's
+/// cells.
+#[derive(Debug)]
+struct Unit {
+    column: (Workload, Resolution),
+    /// LPT weight: pixels × [`group_cost`].
+    weight: u64,
+    /// Indices of the group's cells in the plan's cell list.
+    cells: Vec<usize>,
+    variants: Vec<Variant>,
+}
+
+/// The one fan-out of simulation cells over the worker [`pool`], behind
+/// [`Harness::precompute`], [`run_variants_parallel`] and `pimgfx-serve`
+/// jobs: each column's cells split into [`replay_groups`], one pool unit
+/// per group, handed out heaviest first (LPT, weight pixels × the
+/// group's expected replay cost) so a straggler like an a-tfim
+/// 1280×1024 group starts early. The sort is stable, so the schedule is
+/// deterministic, and
+/// [`ReplayPlan::run`] returns results in cell order whatever it was.
+#[derive(Debug)]
+pub struct ReplayPlan {
+    columns: Vec<(Workload, Resolution)>,
+    units: Vec<Unit>,
+    cells: usize,
+}
+
+impl ReplayPlan {
+    /// Groups `cells` into pool units.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration validation errors.
+    pub fn new(cells: &[Cell]) -> Result<Self> {
+        let mut columns: Vec<(Workload, Resolution)> = Vec::new();
+        for &(w, r, _) in cells {
+            if !columns.contains(&(w, r)) {
+                columns.push((w, r));
+            }
+        }
+        let mut units: Vec<Unit> = Vec::new();
+        for &(w, r) in &columns {
+            let idx: Vec<usize> = (0..cells.len())
+                .filter(|&i| (cells[i].0, cells[i].1) == (w, r))
+                .collect();
+            let variants: Vec<Variant> = idx.iter().map(|&i| cells[i].2).collect();
+            for group in replay_groups(&variants)? {
+                let members: Vec<Variant> = group.iter().map(|&g| variants[g]).collect();
+                units.push(Unit {
+                    column: (w, r),
+                    weight: r.pixels() * group_cost(&members),
+                    cells: group.iter().map(|&g| idx[g]).collect(),
+                    variants: members,
+                });
+            }
+        }
+        units.sort_by_key(|u| std::cmp::Reverse(u.weight));
+        Ok(Self {
+            columns,
+            units,
+            cells: cells.len(),
+        })
+    }
+
+    /// The planned columns, in first-appearance order.
+    pub fn columns(&self) -> &[(Workload, Resolution)] {
+        &self.columns
+    }
+
+    /// The replay groups, in the order the pool takes them: each a list
+    /// of indices into the planned cells.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = &[usize]> {
+        self.units.iter().map(|u| u.cells.as_slice())
+    }
+
+    /// Replays every group — `workers` at a time, on `lanes` replay
+    /// lanes each, over its column's `scene` and that scene's stream
+    /// from `streams` — and returns one result per planned cell, in cell
+    /// order. `run` is asked with each group's cell indices just before
+    /// the group would start: `false` skips it, and its cells read
+    /// `None`. A failed group fails each of its cells.
+    pub fn run(
+        &self,
+        scene: impl Fn(Workload, Resolution) -> Arc<SceneTrace> + Sync,
+        streams: &FragmentStreamCache,
+        workers: usize,
+        lanes: usize,
+        run: impl Fn(&[usize]) -> bool + Sync,
+    ) -> Vec<Option<Result<(RenderReport, WallSplit)>>> {
+        let results = pool::run_ordered(&self.units, workers, |u| {
+            run(&u.cells).then(|| {
+                simulate_group(&scene(u.column.0, u.column.1), &u.variants, streams, lanes)
+            })
+        });
+        let mut out: Vec<Option<Result<(RenderReport, WallSplit)>>> =
+            (0..self.cells).map(|_| None).collect();
+        for (unit, result) in self.units.iter().zip(results) {
+            match result {
+                Some(Ok(reports)) => {
+                    for (&i, cell) in unit.cells.iter().zip(reports) {
+                        out[i] = Some(Ok(cell));
+                    }
+                }
+                Some(Err(e)) => {
+                    for &i in &unit.cells {
+                        out[i] = Some(Err(e.clone()));
+                    }
+                }
+                None => {}
+            }
+        }
+        out
+    }
+}
+
 /// Simulates one replay group of a column — `variants`, a group from
 /// [`replay_groups`] — the worker-thread body of every sweep (each
 /// worker owns its simulators; only the scene and the frontend stream
@@ -946,24 +1061,6 @@ fn simulate_group(
     };
     // The manifest records the lane count the replay actually runs with.
     let lanes_eff = lead.replay_lanes(lanes);
-    if lead.tile_px != streams.tile_px() {
-        // A variant binned at a different tile size cannot replay the
-        // shared stream; render directly (no variant does this today).
-        let mut out = Vec::with_capacity(configs.len());
-        for config in configs {
-            // det:boundary — backend wall-time for WallSplit reporting.
-            let start = Instant::now();
-            let report = Simulator::new(config)?.render_trace(scene)?;
-            let backend_ms = start.elapsed().as_secs_f64() * 1000.0;
-            let split = WallSplit {
-                frontend_ms: 0.0,
-                backend_ms,
-                replay_lanes: 1,
-            };
-            out.push((report, split));
-        }
-        return Ok(out);
-    }
     // det:boundary — frontend wall-time for WallSplit reporting.
     let start = Instant::now();
     let stream = streams.get(scene)?;
@@ -990,36 +1087,12 @@ pub fn run_variant(scene: &SceneTrace, variant: Variant) -> Result<RenderReport>
     sim.render_trace(scene)
 }
 
-/// Replays one group of variants — a group from [`replay_groups`] — over
-/// a scene through a shared frontend-stream cache on `lanes` lanes,
-/// returning one report per variant, in order, each byte-identical to
-/// [`run_variant`]'s. `pimgfx-serve` passes each job's
-/// [`pool::job_threads`] lanes here, so concurrent jobs, their groups
-/// and the lanes share one thread budget.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures. Falls back to
-/// direct renders when the variants' tile size does not match the
-/// cache's.
-pub fn run_group_replay(
-    scene: &Arc<SceneTrace>,
-    variants: &[Variant],
-    streams: &FragmentStreamCache,
-    lanes: usize,
-) -> Result<Vec<RenderReport>> {
-    Ok(simulate_group(scene, variants, streams, lanes)?
-        .into_iter()
-        .map(|(report, _)| report)
-        .collect())
-}
-
-/// Runs several variants of one scene through the worker [`pool`],
-/// returning reports in `variants` order (the parallel counterpart of
-/// mapping [`run_variant`] — used by the `fig*` micro-benchmarks to
-/// time sweep fan-out). The frontend stream is built once, on the whole
-/// thread budget, before the fan-out; the variants then replay it in
-/// [`replay_groups`], each group on its share of the budget
+/// Runs several variants of one scene through the [`ReplayPlan`]
+/// fan-out, returning reports in `variants` order (the parallel
+/// counterpart of mapping [`run_variant`] — used by the `fig*`
+/// micro-benchmarks to time sweep fan-out). The frontend stream is built
+/// once, on the whole thread budget, before the fan-out; each replay
+/// group then runs on its share of the budget
 /// ([`pool::configured_replay_lanes`]), so workers × lanes never exceeds
 /// the budget.
 ///
@@ -1031,24 +1104,22 @@ pub fn run_variants_parallel(
     scene: &Arc<SceneTrace>,
     variants: &[Variant],
 ) -> Result<Vec<RenderReport>> {
-    let groups = replay_groups(variants)?;
-    let workers = pool::worker_count(groups.len())?;
+    let cells: Vec<Cell> = variants
+        .iter()
+        .map(|&v| (scene.workload, scene.resolution, v))
+        .collect();
+    let plan = ReplayPlan::new(&cells)?;
+    let workers = pool::worker_count(plan.groups().len())?;
     let lanes = pool::configured_replay_lanes(workers)?;
     let streams = FragmentStreamCache::new(SimConfig::default().tile_px);
     streams.get(scene)?;
-    let results = pool::run_ordered(&groups, workers, |group| {
-        let members: Vec<Variant> = group.iter().map(|&i| variants[i]).collect();
-        run_group_replay(scene, &members, &streams, lanes)
-    });
-    let mut reports: Vec<Option<RenderReport>> = variants.iter().map(|_| None).collect();
-    for (group, result) in groups.iter().zip(results) {
-        for (&i, report) in group.iter().zip(result?) {
-            reports[i] = Some(report);
-        }
-    }
-    reports
+    plan.run(|_, _| Arc::clone(scene), &streams, workers, lanes, |_| true)
         .into_iter()
-        .map(|r| r.ok_or_else(|| ConfigError::new("harness", "a variant was left unreplayed")))
+        .map(|cell| {
+            Ok(cell
+                .ok_or_else(|| ConfigError::new("harness", "a cell was left unreplayed"))??
+                .0)
+        })
         .collect()
 }
 
@@ -1153,6 +1224,13 @@ mod tests {
             Variant::AtfimNoRecalc.label(),
             Variant::AtfimNoConsolidation.label(),
             Variant::AtfimNoCompression.label(),
+            Variant::Bc1(Design::Baseline).label(),
+            Variant::Bc1(Design::ATfim).label(),
+            Variant::StfimMtus(8).label(),
+            Variant::StfimMtus(4).label(),
+            Variant::AtfimCubes(2).label(),
+            Variant::AtfimVaults(8).label(),
+            Variant::AtfimVaults(64).label(),
         ];
         let set: std::collections::HashSet<_> = labels.iter().collect();
         assert_eq!(set.len(), labels.len());
@@ -1167,8 +1245,74 @@ mod tests {
             Variant::AtfimNoRecalc,
             Variant::AtfimNoConsolidation,
             Variant::AtfimNoCompression,
+            Variant::Bc1(Design::BPim),
+            Variant::StfimMtus(2),
+            Variant::AtfimCubes(4),
         ] {
             assert!(v.config().is_ok(), "{}", v.label());
+        }
+        for (vaults, _) in VAULT_SWEEP {
+            let v = Variant::AtfimVaults(vaults);
+            assert!(v.config().is_ok(), "{}", v.label());
+        }
+        // A vault count the sweep has no bandwidth for is an error.
+        assert!(Variant::AtfimVaults(12).config().is_err());
+    }
+
+    #[test]
+    fn replay_plan_scatters_in_cell_order_and_skips_whole_groups() {
+        use pimgfx_workloads::SyntheticSpec;
+        let spec = |seed| SyntheticSpec {
+            seed,
+            triangles: 200,
+            textures: 2,
+            texture_size: 32,
+            kind_mask: 0x3,
+            grazing_milli: 500,
+            overdraw: 1,
+            path_frames: 1,
+        };
+        let res = Resolution::R320x240;
+        let (a, b) = (Workload::Synthetic(spec(1)), Workload::Synthetic(spec(2)));
+        // Two columns interleaved; baseline and b-pim share a group.
+        let cells: Vec<Cell> = vec![
+            (a, res, Variant::Design(Design::Baseline)),
+            (b, res, Variant::Design(Design::ATfim)),
+            (a, res, Variant::Design(Design::BPim)),
+            (a, res, Variant::Design(Design::STfim)),
+            (b, res, Variant::Design(Design::Baseline)),
+        ];
+        let plan = ReplayPlan::new(&cells).expect("plan");
+        assert_eq!(plan.groups().len(), 4);
+        assert_eq!(plan.columns(), [(a, res), (b, res)]);
+        let scenes = SceneCache::new(1);
+        let columns = [scenes.get(a, res), scenes.get(b, res)];
+        let streams = FragmentStreamCache::new(SimConfig::default().tile_px);
+        // Skip column a's baseline group.
+        let out = plan.run(
+            |w, r| scenes.get(w, r),
+            &streams,
+            2,
+            1,
+            |group| !group.contains(&0),
+        );
+        assert_eq!(out.len(), cells.len());
+        assert!(
+            out[0].is_none() && out[2].is_none(),
+            "a skipped group runs no cell"
+        );
+        for i in [1, 3, 4] {
+            let (w, _, v) = cells[i];
+            let scene = if w == a { &columns[0] } else { &columns[1] };
+            let direct = run_variant(scene, v).expect("direct render");
+            let Some(Ok((report, _))) = &out[i] else {
+                panic!("cell {i} did not run");
+            };
+            assert_eq!(
+                manifest::CellSummary::from_report("c", "v", report),
+                manifest::CellSummary::from_report("c", "v", &direct),
+                "cell {i}"
+            );
         }
     }
 

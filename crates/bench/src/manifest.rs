@@ -197,8 +197,8 @@ impl CellSummary {
              \"avg_latency_cycles\": {}, \"external_bytes\": {}, \
              \"texture_bytes\": {}, \"internal_bytes\": {}, \
              \"energy_nj\": {}, \"trace_audit\": {},\n",
-            quote(&self.column),
-            quote(&self.variant),
+            json_quote(&self.column),
+            json_quote(&self.variant),
             self.frames,
             self.total_cycles,
             self.texture_samples,
@@ -207,7 +207,7 @@ impl CellSummary {
             self.texture_bytes,
             self.internal_bytes,
             json_f64(self.energy_nj),
-            quote(&self.trace_audit)
+            json_quote(&self.trace_audit)
         ));
         // Schema v3 wall-split fields: omitted entirely when not
         // measured, so producers that never time cells (the serve job
@@ -230,7 +230,7 @@ impl CellSummary {
             s.push_str(&format!(
                 "{{\"stage\": {}, \"busy_cycles\": {}, \"ops\": {}, \
                  \"bytes\": {}, \"stalls\": {}}}",
-                quote(&stage.stage),
+                json_quote(&stage.stage),
                 stage.busy_cycles,
                 stage.ops,
                 stage.bytes,
@@ -311,12 +311,12 @@ impl RunManifest {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         push_kv(&mut s, 1, "schema_version", &SCHEMA_VERSION.to_string());
-        push_kv(&mut s, 1, "tool", &quote(&self.tool));
+        push_kv(&mut s, 1, "tool", &json_quote(&self.tool));
         push_kv(&mut s, 1, "frames", &self.frames.to_string());
         push_kv(&mut s, 1, "quick", &self.quick.to_string());
         push_kv(&mut s, 1, "serial", &self.serial.to_string());
         push_kv(&mut s, 1, "workers", &self.workers.to_string());
-        push_kv(&mut s, 1, "config_digest", &quote(&self.config_digest));
+        push_kv(&mut s, 1, "config_digest", &json_quote(&self.config_digest));
         push_kv(&mut s, 1, "cells", &self.cells.to_string());
         push_kv(
             &mut s,
@@ -354,9 +354,9 @@ impl RunManifest {
             s.push_str("    {");
             s.push_str(&format!(
                 "\"figure\": {}, \"wall_ms\": {}, \"status\": {}",
-                quote(&f.figure),
+                json_quote(&f.figure),
                 json_f64(f.wall_ms),
-                quote(&f.status)
+                json_quote(&f.status)
             ));
             s.push('}');
             if i + 1 < self.figures.len() {
@@ -366,16 +366,8 @@ impl RunManifest {
         }
         s.push_str("  ],\n");
 
-        s.push_str("  \"cell_reports\": [\n");
-        for (i, c) in self.cell_reports.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&c.to_json_object());
-            if i + 1 < self.cell_reports.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
+        s.push_str(&cell_reports_json(self.cell_reports.iter()));
+        s.push_str("}\n");
         s
     }
 
@@ -388,6 +380,23 @@ impl RunManifest {
         std::fs::write(path, self.to_json())
             .map_err(|e| Error::io(format!("writing manifest {}", path.display()), e))
     }
+}
+
+/// The `"cell_reports"` member that ends both a [`RunManifest`] and a
+/// `pimgfx-serve` job manifest: one [`CellSummary`] object a line.
+pub fn cell_reports_json<'a>(cells: impl ExactSizeIterator<Item = &'a CellSummary>) -> String {
+    let n = cells.len();
+    let mut s = String::from("  \"cell_reports\": [\n");
+    for (i, c) in cells.enumerate() {
+        s.push_str("    ");
+        s.push_str(&c.to_json_object());
+        if i + 1 < n {
+            s.push(',');
+        }
+        s.push('\n');
+    }
+    s.push_str("  ]\n");
+    s
 }
 
 /// How many of `cells` failed their cycle-conservation audit. A
@@ -437,10 +446,6 @@ fn json_f64(x: f64) -> String {
 /// writers in the workspace (the `pimgfx-serve` job manifests) quote
 /// identically to this module.
 pub fn json_quote(s: &str) -> String {
-    quote(s)
-}
-
-fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -644,9 +649,8 @@ mod tests {
 
     #[test]
     fn quoting_escapes_specials() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_quote("a\"b"), quote("a\"b"));
+        assert_eq!(json_quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_quote("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! degenerate one-worker pool, and require byte-identical CSV output
 //! and field-identical report summaries from all three.
 
-use pimgfx::Design;
+use pimgfx::{Design, SimConfig, Simulator};
 use pimgfx_bench::manifest::CellSummary;
 use pimgfx_bench::{
-    bench_scene, pool, replay_groups, run_variant, run_variants_parallel, CsvSink, Harness, Sweep,
-    Variant,
+    bench_scene, pool, replay_groups, run_variant, run_variants_parallel, section_sweep,
+    section_variants, CsvSink, Harness, Sweep, Variant,
 };
+use pimgfx_mem::HmcConfig;
 use pimgfx_workloads::{synthesize, trace_io, Game, Resolution, SyntheticSpec, Workload};
 use std::sync::Arc;
 
@@ -174,6 +175,134 @@ fn grouped_precompute_matches_solo_cells_byte_for_byte() {
         .map(|r| CellSummary::from_report("syn", "v", r))
         .collect();
     assert_eq!(direct, parallel);
+}
+
+/// The structural ablations are matrix cells: each variant builds the
+/// configuration the ablation section used to build by hand, a knob at
+/// its design's default reads that design's cell, and a precomputed
+/// structural cell equals a direct render of its configuration.
+#[test]
+fn structural_ablations_are_matrix_cells() {
+    let build = |b: pimgfx::SimConfigBuilder| b.build().expect("valid");
+    let on = |d: Design| SimConfig::builder().design(d);
+    let hmc = |vaults, internal_gb_s| HmcConfig {
+        vaults,
+        internal_gb_s,
+        ..HmcConfig::default()
+    };
+    let structural = [
+        (
+            Variant::Bc1(Design::Baseline),
+            build(on(Design::Baseline).compressed_textures(true)),
+        ),
+        (
+            Variant::Bc1(Design::ATfim),
+            build(on(Design::ATfim).compressed_textures(true)),
+        ),
+        (Variant::StfimMtus(8), build(on(Design::STfim).mtus(8))),
+        (Variant::StfimMtus(4), build(on(Design::STfim).mtus(4))),
+        (Variant::StfimMtus(2), build(on(Design::STfim).mtus(2))),
+        (
+            Variant::AtfimCubes(2),
+            build(on(Design::ATfim).hmc_cubes(2)),
+        ),
+        (
+            Variant::AtfimCubes(4),
+            build(on(Design::ATfim).hmc_cubes(4)),
+        ),
+        (
+            Variant::AtfimVaults(8),
+            build(on(Design::ATfim).hmc(hmc(8, 320.0))),
+        ),
+        (
+            Variant::AtfimVaults(16),
+            build(on(Design::ATfim).hmc(hmc(16, 384.0))),
+        ),
+        (
+            Variant::AtfimVaults(64),
+            build(on(Design::ATfim).hmc(hmc(64, 768.0))),
+        ),
+    ];
+    for (v, config) in &structural {
+        assert_eq!(v.config().as_ref(), Ok(config), "{}", v.label());
+        assert_eq!(v.canonical(), *v, "{} is no twin", v.label());
+    }
+    // The twins: the knob at its default is the plain design.
+    for (twin, plain, config) in [
+        (
+            Variant::StfimMtus(16),
+            Design::STfim,
+            build(on(Design::STfim).mtus(16)),
+        ),
+        (
+            Variant::AtfimCubes(1),
+            Design::ATfim,
+            build(on(Design::ATfim).hmc_cubes(1)),
+        ),
+        (
+            Variant::AtfimVaults(32),
+            Design::ATfim,
+            build(on(Design::ATfim).hmc(hmc(32, 512.0))),
+        ),
+    ] {
+        assert_eq!(twin.canonical(), Variant::Design(plain), "{}", twin.label());
+        assert_eq!(Variant::Design(plain).config(), Ok(config));
+    }
+
+    // The section adds exactly these cells, plus the plain S-TFIM cell
+    // its MTU table reads, on the first column only.
+    let column = Workload::Synthetic(SyntheticSpec {
+        seed: 0xC0FFEE,
+        triangles: 400,
+        textures: 2,
+        texture_size: 32,
+        kind_mask: 0x3,
+        grazing_milli: 500,
+        overdraw: 1,
+        path_frames: 1,
+    });
+    let res = Resolution::R320x240;
+    let other = (Workload::Game(Game::Doom3), res);
+    let sweep = section_sweep("ablation", &[(column, res), other]);
+    let labels = |w: Workload| -> Vec<String> {
+        let mut v: Vec<String> = sweep
+            .cells()
+            .iter()
+            .filter(|c| c.0 == w)
+            .map(|c| c.2.label())
+            .collect();
+        v.sort();
+        v.dedup();
+        v
+    };
+    let mut per_column: Vec<String> = section_variants("ablation")
+        .iter()
+        .map(|v| v.label())
+        .collect();
+    per_column.sort();
+    assert_eq!(labels(other.0), per_column);
+    let mut first = per_column.clone();
+    first.extend(structural.iter().map(|(v, _)| v.label()));
+    first.push(Variant::Design(Design::STfim).label());
+    first.sort();
+    assert_eq!(labels(column), first);
+
+    let mut h = Harness::new(1);
+    h.precompute(&section_sweep("ablation", &[(column, res)]))
+        .expect("ablation sweep");
+    let scene = h.scenes().get(column, res);
+    for (v, config) in structural {
+        let direct = Simulator::new(config)
+            .and_then(|mut sim| sim.render_trace(&scene))
+            .expect("direct render");
+        let cell = h.run(column, res, v).expect("memoized cell");
+        assert_eq!(
+            CellSummary::from_report("c", &v.label(), cell),
+            CellSummary::from_report("c", &v.label(), &direct),
+            "{}",
+            v.label()
+        );
+    }
 }
 
 #[test]

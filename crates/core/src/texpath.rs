@@ -88,11 +88,14 @@ impl LineList {
 pub struct TexturePath {
     func: TexFunctional,
     timing: TexTiming,
-    /// One quad's phase-1 records, for [`TexturePath::sample_quad_into`].
+    /// One quad's phase-1 records, for the test-only per-quad sampler.
+    #[cfg(test)]
     recs: ChunkRecords,
-    /// One quad's functional outcome and completions, for
-    /// [`TexturePath::sample_quad_into`].
+    /// One quad's functional outcome and completions, for the test-only
+    /// per-quad sampler.
+    #[cfg(test)]
     quad: QuadOutcome,
+    #[cfg(test)]
     done: Vec<Cycle>,
 }
 
@@ -398,8 +401,11 @@ impl TexturePath {
         Ok(Self {
             func: TexFunctional::new(config)?,
             timing: TexTiming::new(config),
+            #[cfg(test)]
             recs: ChunkRecords::default(),
+            #[cfg(test)]
             quad: QuadOutcome::default(),
+            #[cfg(test)]
             done: Vec::new(),
         })
     }
@@ -449,8 +455,24 @@ impl TexturePath {
         self.timing.record_trace(trace);
     }
 
+    /// Total L1+L2 accesses (for the cache-energy term).
+    pub fn cache_accesses(&self) -> u64 {
+        self.stats().cache_accesses()
+    }
+
+    /// Resets all state for a fresh run.
+    pub fn reset(&mut self) {
+        self.func.reset();
+        self.timing.reset();
+    }
+}
+
+/// Per-quad sampling for the unit tests: one quad at a time through
+/// phase 1, the functional step and the timing step.
+#[cfg(test)]
+impl TexturePath {
     /// Samples a single fragment (convenience wrapper over
-    /// [`TexturePath::sample_quad`] for tests and tools).
+    /// [`TexturePath::sample_quad`]).
     pub fn sample(
         &mut self,
         cluster: usize,
@@ -487,11 +509,10 @@ impl TexturePath {
         out
     }
 
-    /// Allocation-free variant of [`TexturePath::sample_quad`]: clears
-    /// `out` and fills it with one `(color, completion)` per fragment,
-    /// letting a caller reuse a single buffer across quads. Runs the
-    /// quad's phase 1, its functional step and its timing step on the
-    /// calling thread — the same three parts a streamed replay runs.
+    /// Clears `out` and fills it with one `(color, completion)` per
+    /// fragment. Runs the quad's phase 1, its functional step and its
+    /// timing step on the calling thread — the same three parts a
+    /// streamed replay runs.
     ///
     /// # Panics
     ///
@@ -526,17 +547,6 @@ impl TexturePath {
                 .copied()
                 .zip(self.done.iter().copied()),
         );
-    }
-
-    /// Total L1+L2 accesses (for the cache-energy term).
-    pub fn cache_accesses(&self) -> u64 {
-        self.stats().cache_accesses()
-    }
-
-    /// Resets all state for a fresh run.
-    pub fn reset(&mut self) {
-        self.func.reset();
-        self.timing.reset();
     }
 }
 

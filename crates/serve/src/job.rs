@@ -11,7 +11,9 @@
 
 use crate::protocol::{JobId, JobSpec};
 use pimgfx::Design;
-use pimgfx_bench::manifest::{fnv1a_digest, json_quote, CellSummary, SCHEMA_VERSION};
+use pimgfx_bench::manifest::{
+    cell_reports_json, fnv1a_digest, json_quote, CellSummary, SCHEMA_VERSION,
+};
 use pimgfx_bench::{section_variants, Harness, Variant};
 
 /// The full, deduplicated variant set of a job: the explicit variants
@@ -72,9 +74,9 @@ pub fn job_digest(spec: &JobSpec, frames: usize) -> String {
 /// Serializes a finished job as deterministic schema-v4 JSON.
 ///
 /// Cells are sorted by `(column, variant)` — the same canonical order
-/// `Harness::report_cells` uses — and embedded via
-/// [`CellSummary::to_json_object`], so a served cell is byte-identical
-/// to the corresponding cell of a local sweep manifest.
+/// `Harness::report_cells` uses — and written by
+/// [`cell_reports_json`], the writer of a local sweep manifest too, so a
+/// served cell is byte-identical to the corresponding local cell.
 pub fn job_manifest_json(
     job: JobId,
     spec: &JobSpec,
@@ -99,16 +101,8 @@ pub fn job_manifest_json(
         json_quote(&job_digest(spec, frames))
     ));
     s.push_str(&format!("  \"cells\": {},\n", sorted.len()));
-    s.push_str("  \"cell_reports\": [\n");
-    for (i, c) in sorted.iter().enumerate() {
-        s.push_str("    ");
-        s.push_str(&c.to_json_object());
-        if i + 1 < sorted.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
+    s.push_str(&cell_reports_json(sorted.into_iter()));
+    s.push_str("}\n");
     s
 }
 

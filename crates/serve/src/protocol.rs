@@ -286,21 +286,31 @@ fn get_bool(cur: &mut &[u8]) -> ProtoResult<bool> {
 
 // ---- variant and spec codecs ----
 
-fn put_variant<W: Write>(w: &mut W, v: Variant) -> io::Result<()> {
-    match v {
-        Variant::Design(Design::Baseline) => put_u32(w, 0),
-        Variant::Design(Design::BPim) => put_u32(w, 1),
-        Variant::Design(Design::STfim) => put_u32(w, 2),
-        Variant::Design(Design::ATfim) => put_u32(w, 3),
-        Variant::AnisoOff => put_u32(w, 4),
-        Variant::AtfimThreshold(f) => {
-            put_u32(w, 5)?;
-            put_f32(w, f)
+/// Writes a variant's wire tag. The structural ablations have none: a
+/// served job runs per-column variants only.
+fn put_variant<W: Write>(w: &mut W, v: Variant) -> ProtoResult<()> {
+    let tag = match v {
+        Variant::Design(Design::Baseline) => 0,
+        Variant::Design(Design::BPim) => 1,
+        Variant::Design(Design::STfim) => 2,
+        Variant::Design(Design::ATfim) => 3,
+        Variant::AnisoOff => 4,
+        Variant::AtfimThreshold(_) => 5,
+        Variant::AtfimNoRecalc => 6,
+        Variant::AtfimNoConsolidation => 7,
+        Variant::AtfimNoCompression => 8,
+        Variant::Bc1(_)
+        | Variant::StfimMtus(_)
+        | Variant::AtfimCubes(_)
+        | Variant::AtfimVaults(_) => {
+            return fmt_err(format!("variant {} is not served", v.label()));
         }
-        Variant::AtfimNoRecalc => put_u32(w, 6),
-        Variant::AtfimNoConsolidation => put_u32(w, 7),
-        Variant::AtfimNoCompression => put_u32(w, 8),
+    };
+    put_u32(w, tag)?;
+    if let Variant::AtfimThreshold(f) = v {
+        put_f32(w, f)?;
     }
+    Ok(())
 }
 
 fn get_variant(cur: &mut &[u8]) -> ProtoResult<Variant> {

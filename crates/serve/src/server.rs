@@ -22,11 +22,9 @@ use crate::protocol::{
     self, CacheStats, JobId, JobSpec, JobState, ProtocolError, Request, Response,
 };
 use crate::queue::{BoundedQueue, PushError};
-use pimgfx::{FragmentStreamCache, RenderReport, SimConfig};
+use pimgfx::{FragmentStreamCache, SimConfig};
 use pimgfx_bench::manifest::{failed_audits, CellSummary};
-use pimgfx_bench::{
-    pool, replay_groups, run_group_replay, Harness, HarnessResult, Variant, SECTIONS,
-};
+use pimgfx_bench::{pool, Cell, Harness, HarnessResult, ReplayPlan, SECTIONS};
 use pimgfx_types::{ConfigError, Error, FxHashMap};
 use pimgfx_workloads::{Game, SceneCache, Workload};
 use std::io::{self, BufReader, BufWriter};
@@ -372,8 +370,12 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
 
     let variants = job_variants(&spec);
     let total = variants.len();
-    let groups = match replay_groups(&variants) {
-        Ok(g) => g,
+    let job_cells: Vec<Cell> = variants
+        .iter()
+        .map(|&v| (spec.workload, spec.resolution, v))
+        .collect();
+    let plan = match ReplayPlan::new(&job_cells) {
+        Ok(p) => p,
         Err(e) => {
             shared.set_phase(id, Phase::Failed(format!("grouping cells: {e}")));
             return;
@@ -383,7 +385,11 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
     // pool, the replay lanes and the frontend build all draw from it,
     // so the jobs running now together keep at most `budget` threads
     // busy.
-    let threads = pool::job_threads(budget, shared.running.load(Ordering::SeqCst), groups.len());
+    let threads = pool::job_threads(
+        budget,
+        shared.running.load(Ordering::SeqCst),
+        plan.groups().len(),
+    );
     let lanes = match pool::replay_lanes_override() {
         Ok(pin) => pin.unwrap_or(threads.lanes),
         Err(e) => {
@@ -402,34 +408,21 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
         shared.set_phase(id, Phase::Failed(format!("frontend pass: {e}")));
         return;
     }
-    let group_results = pool::run_ordered(&groups, threads.cell_workers, |group| {
-        if cancel.load(Ordering::SeqCst) || expired(deadline) {
-            None
-        } else {
+    // Per variant: its report, its group's error, or `None` when its
+    // group was skipped.
+    let results = plan.run(
+        |_, _| Arc::clone(&scene),
+        &shared.streams,
+        threads.cell_workers,
+        lanes,
+        |group| {
+            if cancel.load(Ordering::SeqCst) || expired(deadline) {
+                return false;
+            }
             done.fetch_add(group.len() as u32, Ordering::SeqCst);
-            let members: Vec<Variant> = group.iter().map(|&i| variants[i]).collect();
-            Some(run_group_replay(&scene, &members, &shared.streams, lanes))
-        }
-    });
-    // Back to variant order: per variant, its report, its group's error,
-    // or `None` when its group was skipped.
-    let mut results: Vec<Option<Result<RenderReport, String>>> =
-        variants.iter().map(|_| None).collect();
-    for (group, result) in groups.iter().zip(group_results) {
-        match result {
-            Some(Ok(reports)) => {
-                for (&i, report) in group.iter().zip(reports) {
-                    results[i] = Some(Ok(report));
-                }
-            }
-            Some(Err(e)) => {
-                for &i in group {
-                    results[i] = Some(Err(e.to_string()));
-                }
-            }
-            None => {}
-        }
-    }
+            true
+        },
+    );
     // Operational visibility for the smoke test and operators: one
     // line per job on stderr, the daemon's diagnostic channel.
     #[allow(clippy::print_stderr)]
@@ -457,7 +450,7 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
     let mut cells: Vec<CellSummary> = Vec::with_capacity(total);
     for (v, res) in variants.iter().zip(results) {
         match res {
-            Some(Ok(report)) => {
+            Some(Ok((report, _))) => {
                 cells.push(CellSummary::from_report(&column, &v.label(), &report));
             }
             Some(Err(e)) => {

@@ -301,6 +301,22 @@ fn invalid_synthetic_spec_on_the_wire_is_rejected() {
     assert!(format!("{err}").contains("synthetic"), "{err}");
 }
 
+#[test]
+fn structural_ablation_variants_have_no_wire_tag() {
+    for v in [
+        Variant::Bc1(Design::ATfim),
+        Variant::StfimMtus(8),
+        Variant::AtfimCubes(2),
+        Variant::AtfimVaults(64),
+    ] {
+        let mut spec = spec();
+        spec.variants.push(v);
+        let mut buf = Vec::new();
+        let err = write_request(&mut buf, &Request::SubmitJob(spec)).expect_err("not served");
+        assert!(err.to_string().contains(&v.label()), "{err}");
+    }
+}
+
 /// One seeded corruption of an encoded frame: a byte flip, a
 /// truncation, an overwritten frame-length field, or an overwritten
 /// payload u32 (the position of counts and string lengths).

@@ -662,4 +662,83 @@ mod tests {
         let err = load_trace(&buf[..]).expect_err("dangling texture");
         assert!(err.to_string().contains("references texture"));
     }
+
+    /// Byte offsets of a saved scene's count words: the texture count,
+    /// the draw count, each draw's triangle count, and the camera count.
+    fn count_words(scene: &SceneTrace) -> Vec<usize> {
+        // Magic, version, a game's workload tag, resolution, shader ops.
+        let mut at = 20;
+        let mut words = vec![at];
+        at += 4;
+        for tex in &scene.textures {
+            let base = tex.level(0);
+            at += 8 + 4 * (base.width() * base.height()) as usize;
+        }
+        words.push(at);
+        at += 4;
+        for draw in &scene.draws {
+            // Texture id, then the triangle count; 3 vertices of 8 f32s.
+            words.push(at + 4);
+            at += 8 + 96 * draw.triangles.len();
+        }
+        words.push(at);
+        words
+    }
+
+    #[test]
+    fn seeded_mutations_never_panic_the_decoder() {
+        use pimgfx_types::TinyRng;
+        const ROUNDS: usize = 2000;
+        let scene = small_scene();
+        let mut buf = Vec::new();
+        save_trace(&scene, &mut buf).expect("serialize");
+        let words = count_words(&scene);
+        let word_at =
+            |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
+        assert_eq!(word_at(words[0]) as usize, scene.textures.len());
+        assert_eq!(word_at(words[1]) as usize, scene.draws.len());
+        assert_eq!(
+            word_at(words[words.len() - 1]) as usize,
+            scene.cameras.len()
+        );
+        // Each camera: its eye and a 4×4 view-projection matrix.
+        assert_eq!(
+            words[words.len() - 1] + 4 + 76 * scene.cameras.len(),
+            buf.len()
+        );
+
+        let mut rng = TinyRng::seed_from_u64(0x5047_5452);
+        let pick = |rng: &mut TinyRng, n: usize| (rng.next_u64() % n as u64) as usize;
+        let mut rejected = 0usize;
+        for _ in 0..ROUNDS {
+            let mut bad = buf.clone();
+            match rng.next_u64() % 4 {
+                0 => {
+                    for _ in 0..=pick(&mut rng, 3) {
+                        let at = pick(&mut rng, bad.len());
+                        bad[at] ^= (rng.next_u64() as u8) | 1;
+                    }
+                }
+                1 => bad.truncate(pick(&mut rng, bad.len())),
+                _ => {
+                    let value = match rng.next_u64() % 4 {
+                        0 => 0u32,
+                        1 => u32::MAX,
+                        2 => (rng.next_u64() % 64) as u32,
+                        _ => rng.next_u64() as u32,
+                    };
+                    let at = words[pick(&mut rng, words.len())];
+                    bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                }
+            }
+            // Ok or Err are both fine; a panic fails the test.
+            rejected += usize::from(load_trace(&bad[..]).is_err());
+        }
+        // The sweep must actually reach the error paths, not just
+        // re-decode streams the mutations happened to leave intact.
+        assert!(
+            rejected * 2 > ROUNDS,
+            "only {rejected} of {ROUNDS} mutated streams rejected"
+        );
+    }
 }
