@@ -43,6 +43,7 @@ use pimgfx_bench::{
 use pimgfx_mem::TrafficClass;
 use pimgfx_types::ConfigError;
 use pimgfx_workloads::{Game, Resolution, SyntheticSpec, Workload};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Runs one section's printer. The section list and per-section cells
@@ -155,7 +156,7 @@ fn main() -> HarnessResult<()> {
     // from the memoized cache, so their stdout/CSV bytes are identical
     // to a `--serial` run.
     let mut workers = 1;
-    let mut cells_executed = 0;
+    let mut precomputed: BTreeSet<(String, String)> = BTreeSet::new();
     if !serial {
         let mut sweep = Sweep::new();
         for section in &requested {
@@ -163,7 +164,11 @@ fn main() -> HarnessResult<()> {
         }
         let stats = h.precompute(&sweep)?;
         workers = stats.workers;
-        cells_executed = stats.cells_executed;
+        precomputed = h
+            .report_cells()
+            .into_iter()
+            .map(|(column, variant, _)| (column, variant))
+            .collect();
         eprintln!(
             "[repro] precomputed {} cells on {} workers in {:.1}s ({:.2} cells/s)",
             stats.cells_executed,
@@ -254,6 +259,24 @@ fn main() -> HarnessResult<()> {
     if bad > 0 {
         failures.push(format!("trace-audit({bad} cells)"));
     }
+    // A printer that reads a cell its section's sweep did not list
+    // simulates it serially, off the one cell path: in a parallel run
+    // that is a drift between `section_sweep` and the printer.
+    if !serial {
+        let unswept: Vec<&CellSummary> = cell_reports
+            .iter()
+            .filter(|c| !precomputed.contains(&(c.column.clone(), c.variant.clone())))
+            .collect();
+        for c in &unswept {
+            eprintln!(
+                "[repro] {}/{} was read by a printer but not precomputed by its section's sweep",
+                c.column, c.variant
+            );
+        }
+        if !unswept.is_empty() {
+            failures.push(format!("unswept-cells({} cells)", unswept.len()));
+        }
+    }
 
     let total_wall_ms = run_start.elapsed().as_secs_f64() * 1000.0;
     let manifest = RunManifest {
@@ -263,11 +286,7 @@ fn main() -> HarnessResult<()> {
         serial,
         workers: if serial { 1 } else { workers },
         config_digest: pimgfx_bench::manifest::fnv1a_digest(&digest_input),
-        cells: if serial {
-            cell_reports.len()
-        } else {
-            cells_executed
-        },
+        cells: cell_reports.len(),
         scene_evictions: h.scene_evictions(),
         frontend_cache: pimgfx_bench::manifest::FrontendCacheSummary::from_stats(
             h.frontend_cache_stats(),

@@ -1,6 +1,6 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! The `repro` binary and the figure benches both drive experiments
+//! The `repro` binary and the `benchmark/` workloads drive experiments
 //! through [`Harness`], which builds scenes, runs the simulator for each
 //! design variant, and memoizes reports so a figure that needs the
 //! baseline and three designs does not re-simulate the baseline four
@@ -13,7 +13,6 @@
 //! | crate root | [`Harness`] (memoizing runner), [`Variant`] (design + experiment knobs), [`Sweep`] (job-matrix builder), [`ReplayPlan`] (the replay-group fan-out), [`CsvSink`] |
 //! | [`pool`] | `std::thread::scope` worker pool with deterministic, input-ordered merge |
 //! | [`manifest`] | `BENCH_repro.json` run manifests (per-figure wall-times, cells/sec, per-cell report summaries) |
-//! | [`microbench`] | std-only timing harness for the `benches/fig*.rs` targets |
 //!
 //! # Parallel sweeps
 //!
@@ -437,35 +436,6 @@ impl Harness {
         }
     }
 
-    /// Like [`Harness::new`], but with the scene cache bounded to
-    /// `scene_capacity` resident columns (LRU eviction) — the
-    /// constructor for long-lived processes such as `pimgfx-serve`,
-    /// where an unbounded cache would grow with every distinct column
-    /// ever requested. Evictions are visible via
-    /// [`SceneCache::evictions`] on [`Harness::scenes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames` or `scene_capacity` is zero.
-    pub fn with_scene_capacity(frames: usize, scene_capacity: usize) -> Self {
-        assert!(frames > 0, "need at least one frame");
-        Self {
-            frames,
-            scenes: SceneCache::with_capacity(frames, scene_capacity),
-            // Frontend streams are bounded alongside the scenes: a
-            // stream is useless once its scene is gone, and both grow
-            // with the set of distinct columns ever requested.
-            streams: Arc::new(FragmentStreamCache::with_capacity(
-                SimConfig::default().tile_px,
-                scene_capacity,
-            )),
-            reports: BTreeMap::new(),
-            walls: BTreeMap::new(),
-            replay_lanes_pin: None,
-            lb: LoadBalanceAccum::default(),
-        }
-    }
-
     /// Frames per walkthrough column.
     pub fn frames(&self) -> usize {
         self.frames
@@ -499,8 +469,8 @@ impl Harness {
         &self.scenes
     }
 
-    /// Scene-cache evictions so far (always 0 for [`Harness::new`]'s
-    /// unbounded cache) — surfaced in the run manifest.
+    /// Scene-cache evictions so far (always 0: the harness's scene
+    /// cache is unbounded) — surfaced in the run manifest.
     pub fn scene_evictions(&self) -> u64 {
         self.scenes.evictions()
     }
@@ -808,18 +778,6 @@ impl CsvSink {
     }
 }
 
-/// A reduced benchmark scene for criterion runs: small enough for
-/// repeated timed iterations, large enough to exercise every pipeline
-/// stage (geometry, raster, all filter phases, caches, ROP).
-pub fn bench_scene() -> SceneTrace {
-    let mut profile = Game::Doom3.profile();
-    profile.floor_quads = 4;
-    profile.texture_count = 4;
-    profile.texture_size = 128;
-    profile.facing_props = 1;
-    pimgfx_workloads::build_scene_unchecked(&profile, Resolution::R320x240, 1)
-}
-
 /// Expected one-lane replay cost of a variant per pixel, in hundredths
 /// of a solo baseline replay: `(solo, own)`. `solo` is the whole replay
 /// alone; `own` is the member's timing step — texture units, memory,
@@ -884,9 +842,8 @@ fn group_cost(members: &[Variant]) -> u64 {
 /// costliest member's shared part once, plus every member's own timing
 /// step, by measured per-variant costs — stays within 15% of every
 /// member's solo replay. Identical configurations always share a group,
-/// since they replay once. [`Harness::precompute`],
-/// [`run_variants_parallel`] and `pimgfx-serve` jobs all group through
-/// this function.
+/// since they replay once. [`Harness::precompute`] and `pimgfx-serve`
+/// jobs both group through this function.
 ///
 /// # Errors
 ///
@@ -933,12 +890,11 @@ struct Unit {
 }
 
 /// The one fan-out of simulation cells over the worker [`pool`], behind
-/// [`Harness::precompute`], [`run_variants_parallel`] and `pimgfx-serve`
-/// jobs: each column's cells split into [`replay_groups`], one pool unit
-/// per group, handed out heaviest first (LPT, weight pixels × the
-/// group's expected replay cost) so a straggler like an a-tfim
-/// 1280×1024 group starts early. The sort is stable, so the schedule is
-/// deterministic, and
+/// [`Harness::precompute`] and `pimgfx-serve` jobs: each column's cells
+/// split into [`replay_groups`], one pool unit per group, handed out
+/// heaviest first (LPT, weight pixels × the group's expected replay
+/// cost) so a straggler like an a-tfim 1280×1024 group starts early. The
+/// sort is stable, so the schedule is deterministic, and
 /// [`ReplayPlan::run`] returns results in cell order whatever it was.
 #[derive(Debug)]
 pub struct ReplayPlan {
@@ -1076,119 +1032,6 @@ fn simulate_group(
     Ok(reports.into_iter().map(|r| (r, split)).collect())
 }
 
-/// Runs one variant over a scene and returns its report (bench body).
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures.
-pub fn run_variant(scene: &SceneTrace, variant: Variant) -> Result<RenderReport> {
-    let config = variant.config()?;
-    let mut sim = Simulator::new(config)?;
-    sim.render_trace(scene)
-}
-
-/// Runs several variants of one scene through the [`ReplayPlan`]
-/// fan-out, returning reports in `variants` order (the parallel
-/// counterpart of mapping [`run_variant`] — used by the `fig*`
-/// micro-benchmarks to time sweep fan-out). The frontend stream is built
-/// once, on the whole thread budget, before the fan-out; each replay
-/// group then runs on its share of the budget
-/// ([`pool::configured_replay_lanes`]), so workers × lanes never exceeds
-/// the budget.
-///
-/// # Errors
-///
-/// Propagates the first configuration or simulation failure, in
-/// variant order.
-pub fn run_variants_parallel(
-    scene: &Arc<SceneTrace>,
-    variants: &[Variant],
-) -> Result<Vec<RenderReport>> {
-    let cells: Vec<Cell> = variants
-        .iter()
-        .map(|&v| (scene.workload, scene.resolution, v))
-        .collect();
-    let plan = ReplayPlan::new(&cells)?;
-    let workers = pool::worker_count(plan.groups().len())?;
-    let lanes = pool::configured_replay_lanes(workers)?;
-    let streams = FragmentStreamCache::new(SimConfig::default().tile_px);
-    streams.get(scene)?;
-    plan.run(|_, _| Arc::clone(scene), &streams, workers, lanes, |_| true)
-        .into_iter()
-        .map(|cell| {
-            Ok(cell
-                .ok_or_else(|| ConfigError::new("harness", "a cell was left unreplayed"))??
-                .0)
-        })
-        .collect()
-}
-
-/// Minimal std-only micro-benchmark harness for the `benches/fig*.rs`
-/// targets (all declared `harness = false`).
-///
-/// The workspace builds offline with zero external dependencies, so the
-/// figure benches cannot link criterion; this module provides the small
-/// subset they need — named benchmark groups, a sample count, and
-/// wall-clock statistics printed per function.
-// Printing timing lines to stdout is this module's entire job.
-#[allow(clippy::print_stdout)]
-pub mod microbench {
-    pub use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// A named group of timed functions (mirrors the criterion group
-    /// shape so the `fig*.rs` sources stay close to their original form).
-    #[derive(Debug)]
-    pub struct BenchGroup {
-        name: String,
-        samples: usize,
-    }
-
-    impl BenchGroup {
-        /// Starts a group; `name` prefixes every printed line.
-        pub fn new(name: impl Into<String>) -> Self {
-            Self {
-                name: name.into(),
-                samples: 10,
-            }
-        }
-
-        /// Sets how many timed samples each function runs (min 1).
-        pub fn sample_size(&mut self, samples: usize) {
-            self.samples = samples.max(1);
-        }
-
-        /// Times `f` over the configured number of samples (after one
-        /// untimed warm-up call) and prints min/median/mean wall time.
-        pub fn bench_function<R>(&mut self, id: impl AsRef<str>, mut f: impl FnMut() -> R) {
-            black_box(f());
-            let mut times: Vec<Duration> = Vec::with_capacity(self.samples);
-            for _ in 0..self.samples {
-                // det:boundary — this *is* the wall-clock being measured.
-                let start = Instant::now();
-                black_box(f());
-                times.push(start.elapsed());
-            }
-            times.sort_unstable();
-            let min = times[0];
-            let median = times[times.len() / 2];
-            let mean = times.iter().sum::<Duration>() / times.len() as u32;
-            println!(
-                "{}/{:<28} min {:>10.3?}  median {:>10.3?}  mean {:>10.3?}  ({} samples)",
-                self.name,
-                id.as_ref(),
-                min,
-                median,
-                mean,
-                times.len()
-            );
-        }
-
-        /// Ends the group (kept for criterion-shape compatibility).
-        pub fn finish(self) {}
-    }
-}
-
 /// Geometric mean of a slice (the paper's "average speedup" style).
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -1304,7 +1147,9 @@ mod tests {
         for i in [1, 3, 4] {
             let (w, _, v) = cells[i];
             let scene = if w == a { &columns[0] } else { &columns[1] };
-            let direct = run_variant(scene, v).expect("direct render");
+            let direct = Simulator::new(v.config().expect("valid variant"))
+                .and_then(|mut sim| sim.render_trace(scene))
+                .expect("direct render");
             let Some(Ok((report, _))) = &out[i] else {
                 panic!("cell {i} did not run");
             };
@@ -1454,14 +1299,6 @@ doom3,1.50
         assert_eq!(h.frames(), 3);
         assert_eq!(h.scenes().frames(), 3);
         assert!(h.report_cells().is_empty());
-    }
-
-    #[test]
-    fn harness_scene_capacity_bounds_the_cache() {
-        let h = Harness::with_scene_capacity(2, 3);
-        assert_eq!(h.scenes().capacity(), Some(3));
-        assert_eq!(h.scenes().evictions(), 0);
-        assert_eq!(Harness::new(2).scenes().capacity(), None);
     }
 
     /// The union of every section's variants, first occurrence first —

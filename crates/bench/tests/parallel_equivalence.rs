@@ -9,15 +9,15 @@
 //! degenerate one-worker pool, and require byte-identical CSV output
 //! and field-identical report summaries from all three.
 
-use pimgfx::{Design, SimConfig, Simulator};
+use pimgfx::{Design, RenderReport, SimConfig, Simulator};
 use pimgfx_bench::manifest::CellSummary;
 use pimgfx_bench::{
-    bench_scene, pool, replay_groups, run_variant, run_variants_parallel, section_sweep,
-    section_variants, CsvSink, Harness, Sweep, Variant,
+    pool, replay_groups, section_sweep, section_variants, CsvSink, Harness, Sweep, Variant,
 };
 use pimgfx_mem::HmcConfig;
-use pimgfx_workloads::{synthesize, trace_io, Game, Resolution, SyntheticSpec, Workload};
-use std::sync::Arc;
+use pimgfx_workloads::{
+    synthesize, trace_io, Game, Resolution, SceneTrace, SyntheticSpec, Workload,
+};
 
 /// The sweep under test: one small column, three designs. Small enough
 /// for a debug-profile CI run, wide enough that scene sharing and the
@@ -67,6 +67,29 @@ fn csv_bytes(h: &Harness, dir: &std::path::Path) -> Vec<u8> {
     std::fs::read(dir.join("equivalence.csv")).expect("read csv back")
 }
 
+/// A small synthetic workload: 400 triangles over two 32×32 textures,
+/// its camera path `path_frames` long.
+fn small_spec(path_frames: u32) -> SyntheticSpec {
+    SyntheticSpec {
+        seed: 0xC0FFEE,
+        triangles: 400,
+        textures: 2,
+        texture_size: 32,
+        kind_mask: 0x3,
+        grazing_milli: 500,
+        overdraw: 1,
+        path_frames,
+    }
+}
+
+/// Renders one variant straight through a fresh simulator: the
+/// reference every fan-out is compared against.
+fn direct(scene: &SceneTrace, variant: Variant) -> RenderReport {
+    Simulator::new(variant.config().expect("valid variant"))
+        .and_then(|mut sim| sim.render_trace(scene))
+        .expect("direct render")
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("pimgfx-equiv-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -110,16 +133,7 @@ fn parallel_precompute_matches_serial_run_byte_for_byte() {
 /// and CSV bytes of cells replayed one by one.
 #[test]
 fn grouped_precompute_matches_solo_cells_byte_for_byte() {
-    let column = Workload::Synthetic(SyntheticSpec {
-        seed: 0xC0FFEE,
-        triangles: 400,
-        textures: 2,
-        texture_size: 32,
-        kind_mask: 0x3,
-        grazing_milli: 500,
-        overdraw: 1,
-        path_frames: 2,
-    });
+    let column = Workload::Synthetic(small_spec(2));
     let variants = [
         Variant::Design(Design::Baseline),
         Variant::Design(Design::BPim),
@@ -156,25 +170,22 @@ fn grouped_precompute_matches_solo_cells_byte_for_byte() {
     std::fs::remove_dir_all(&grouped_dir).ok();
     assert_eq!(solo_csv, grouped_csv, "grouped replay changed CSV bytes");
 
-    // `run_variants_parallel` groups the same way.
-    let scene = Arc::new(synthesize(
-        &match column {
-            Workload::Synthetic(spec) => spec,
-            Workload::Game(_) => unreachable!("synthetic column"),
-        },
-        Resolution::R320x240,
-        1,
-    ));
-    let direct: Vec<CellSummary> = variants
+    // Each grouped cell equals a direct render of its configuration.
+    let scene = grouped.scenes().get(column, Resolution::R320x240);
+    let rendered: Vec<CellSummary> = variants
         .iter()
-        .map(|&v| CellSummary::from_report("syn", "v", &run_variant(&scene, v).expect("cell")))
+        .map(|&v| CellSummary::from_report("syn", "v", &direct(&scene, v)))
         .collect();
-    let parallel: Vec<CellSummary> = run_variants_parallel(&scene, &variants)
-        .expect("grouped variants")
+    let parallel: Vec<CellSummary> = variants
         .iter()
-        .map(|r| CellSummary::from_report("syn", "v", r))
+        .map(|&v| {
+            let r = grouped
+                .run(column, Resolution::R320x240, v)
+                .expect("memoized cell");
+            CellSummary::from_report("syn", "v", r)
+        })
         .collect();
-    assert_eq!(direct, parallel);
+    assert_eq!(rendered, parallel);
 }
 
 /// The structural ablations are matrix cells: each variant builds the
@@ -251,16 +262,7 @@ fn structural_ablations_are_matrix_cells() {
 
     // The section adds exactly these cells, plus the plain S-TFIM cell
     // its MTU table reads, on the first column only.
-    let column = Workload::Synthetic(SyntheticSpec {
-        seed: 0xC0FFEE,
-        triangles: 400,
-        textures: 2,
-        texture_size: 32,
-        kind_mask: 0x3,
-        grazing_milli: 500,
-        overdraw: 1,
-        path_frames: 1,
-    });
+    let column = Workload::Synthetic(small_spec(1));
     let res = Resolution::R320x240;
     let other = (Workload::Game(Game::Doom3), res);
     let sweep = section_sweep("ablation", &[(column, res), other]);
@@ -311,24 +313,26 @@ fn one_worker_pool_is_equivalent_to_wide_pool() {
     // (`PIMGFX_THREADS=1` is the user-facing spelling of the same thing;
     // here the width is pinned directly so the test cannot race other
     // tests over the environment).
-    let scene = Arc::new(bench_scene());
+    let column = Workload::Synthetic(small_spec(1));
+    let res = Resolution::R320x240;
     let variants = [
         Variant::Design(Design::Baseline),
         Variant::Design(Design::STfim),
         Variant::Design(Design::ATfim),
     ];
 
-    let narrow: Vec<CellSummary> = pool::run_ordered(&variants, 1, |&v| {
-        run_variant(&scene, v).expect("narrow cell")
-    })
-    .iter()
-    .map(|r| CellSummary::from_report("bench", "v", r))
-    .collect();
-
-    let wide: Vec<CellSummary> = run_variants_parallel(&scene, &variants)
-        .expect("wide sweep")
+    let mut h = Harness::new(1);
+    h.precompute(&Sweep::matrix(&[(column, res)], &variants))
+        .expect("wide sweep");
+    let scene = h.scenes().get(column, res);
+    let narrow: Vec<CellSummary> = pool::run_ordered(&variants, 1, |&v| direct(&scene, v))
         .iter()
-        .map(|r| CellSummary::from_report("bench", "v", r))
+        .map(|r| CellSummary::from_report("syn", "v", r))
+        .collect();
+
+    let wide: Vec<CellSummary> = variants
+        .iter()
+        .map(|&v| CellSummary::from_report("syn", "v", h.run(column, res, v).expect("memoized")))
         .collect();
 
     assert_eq!(narrow.len(), variants.len());
@@ -343,16 +347,7 @@ fn synthetic_same_seed_is_identical_across_pool_widths() {
     // depend on the worker-pool width (1/2/4 here are the pinned
     // spellings of PIMGFX_THREADS=1,2,4; pinning avoids racing other
     // tests over the environment).
-    let spec = SyntheticSpec {
-        seed: 0xC0FFEE,
-        triangles: 400,
-        textures: 2,
-        texture_size: 32,
-        kind_mask: 0x3,
-        grazing_milli: 500,
-        overdraw: 1,
-        path_frames: 2,
-    };
+    let spec = small_spec(2);
     let scene = synthesize(&spec, Resolution::R320x240, 2);
     let again = synthesize(&spec, Resolution::R320x240, 2);
     let mut first = Vec::new();
@@ -369,12 +364,10 @@ fn synthetic_same_seed_is_identical_across_pool_widths() {
     let runs: Vec<Vec<CellSummary>> = [1usize, 2, 4]
         .into_iter()
         .map(|width| {
-            pool::run_ordered(&variants, width, |&v| {
-                run_variant(&scene, v).expect("synthetic cell")
-            })
-            .iter()
-            .map(|r| CellSummary::from_report("syn", "v", r))
-            .collect()
+            pool::run_ordered(&variants, width, |&v| direct(&scene, v))
+                .iter()
+                .map(|r| CellSummary::from_report("syn", "v", r))
+                .collect()
         })
         .collect();
     assert_eq!(runs[0], runs[1], "width 2 diverged from width 1");

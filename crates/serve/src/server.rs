@@ -601,10 +601,16 @@ fn submit(shared: &Shared, spec: &JobSpec) -> Response {
             ));
         }
     }
-    if job_variants(spec).is_empty() {
+    let variants = job_variants(spec);
+    if variants.is_empty() {
         return Response::Error(
             "job selects no simulation cells; pass variants or figure sections".to_string(),
         );
+    }
+    for v in &variants {
+        if let Err(e) = v.config() {
+            return Response::Error(format!("invalid variant `{}`: {e}", v.label()));
+        }
     }
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst) + 1;
     shared.jobs().insert(
@@ -680,6 +686,8 @@ fn cancel(shared: &Shared, id: JobId) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimgfx_bench::Variant;
+    use pimgfx_workloads::Resolution;
 
     #[test]
     fn bind_validates_configuration() {
@@ -698,6 +706,26 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(Server::bind(bad_cache).is_err());
+    }
+
+    #[test]
+    fn submit_rejects_invalid_variants_before_queueing() {
+        let server = Server::bind(ServeConfig::default()).expect("bind 127.0.0.1:0");
+        for fraction in [f32::NAN, f32::INFINITY, -0.5] {
+            let spec = JobSpec {
+                workload: Workload::Game(Game::Doom3),
+                resolution: Resolution::R320x240,
+                variants: vec![Variant::AtfimThreshold(fraction)],
+                sections: Vec::new(),
+                trace: false,
+                deadline_ms: 0,
+            };
+            match submit(&server.shared, &spec) {
+                Response::Error(m) => assert!(m.contains("a-tfim@"), "{fraction}: {m}"),
+                other => panic!("{fraction}: expected an error, got {other:?}"),
+            }
+        }
+        assert!(server.shared.jobs().is_empty(), "no job was registered");
     }
 
     #[test]

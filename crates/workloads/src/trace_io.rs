@@ -212,14 +212,15 @@ pub fn save_trace<W: Write>(scene: &SceneTrace, mut w: W) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns [`TraceError::Format`] for a wrong magic/version, a
-/// structurally invalid stream, or a stream that ends before the
-/// declared contents (truncation is a malformed trace, not an I/O
-/// accident — the caller gets one consistent error class for "these
-/// bytes are not a trace"). [`TraceError::Io`] is reserved for real
-/// read failures from the underlying reader. Declared lengths are never
-/// trusted with more than a [`PREALLOC_CAP`]-element reservation, so an
-/// oversized length field fails with `Format` once the stream runs dry
-/// instead of attempting a huge allocation first.
+/// structurally invalid stream, a stream with bytes after its last
+/// camera, or a stream that ends before the declared contents
+/// (truncation is a malformed trace, not an I/O accident — the caller
+/// gets one consistent error class for "these bytes are not a trace").
+/// [`TraceError::Io`] is reserved for real read failures from the
+/// underlying reader. Declared lengths are never trusted with more than
+/// a [`PREALLOC_CAP`]-element reservation, so an oversized length field
+/// fails with `Format` once the stream runs dry instead of attempting a
+/// huge allocation first.
 pub fn load_trace<R: Read>(r: R) -> TraceResult<SceneTrace> {
     match load_trace_inner(r) {
         Err(TraceError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => Err(
@@ -324,6 +325,12 @@ fn load_trace_inner<R: Read>(mut r: R) -> TraceResult<SceneTrace> {
         }
         let m = Mat4::from_cols(cols[0], cols[1], cols[2], cols[3]);
         cameras.push(Camera::from_view_proj(eye, m));
+    }
+    // The last camera ends the trace: a longer stream is not this trace.
+    if io::copy(&mut r.take(1), &mut io::sink())? != 0 {
+        return Err(TraceError::Format(
+            "trailing bytes after the last camera".to_string(),
+        ));
     }
 
     Ok(SceneTrace {
@@ -553,6 +560,18 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn rejects_trailing_bytes_as_format_errors() {
+        let mut buf = Vec::new();
+        save_trace(&small_scene(), &mut buf).expect("serialize");
+        buf.push(0);
+        let err = load_trace(&buf[..]).expect_err("trailing byte");
+        assert!(
+            matches!(&err, TraceError::Format(m) if m.contains("trailing bytes")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! | `float-reduction` | warn | no reassociation-prone float accumulation (`.sum()` / `.fold(` / `.mul_add(` over floats, `.hsum(` / `.reduce_sum(` lane horizontal reductions) without a `float:reassoc-ok — <ULP bound>` justification |
 //! | `stale-allow` | deny | every `lint:allow(<rule>)` comment still suppresses a live finding on its own or the next line; rotted suppressions are themselves findings |
 //! | `manifest` | deny | every `crates/*/Cargo.toml` inherits workspace metadata and uses only workspace-declared dependencies |
-//! | `fig-drift` | deny | `crates/bench/benches/fig*.rs` and the figure-bench references in `EXPERIMENTS.md` stay in sync |
 //! | `protocol-version` | deny | the `PGRPC` wire-frame definitions in `crates/serve/src/protocol.rs` match the committed `crates/serve/protocol.snapshot`; changing a frame without bumping `VERSION` fails the pass |
 //! | `baseline` | deny | every `lint.baseline` entry still matches a live warn-level finding (stale entries must be deleted) |
 //!
@@ -102,7 +101,7 @@ pub fn severity_of(rule: &str) -> Severity {
 
 /// Every rule name the pass can emit, in summary order. `lint:allow`
 /// entries naming anything else are flagged by `stale-allow`.
-pub const RULE_NAMES: [&str; 14] = [
+pub const RULE_NAMES: [&str; 13] = [
     rules::no_panic::RULE,
     rules::unit_cast::RULE,
     rules::pub_docs::RULE,
@@ -113,7 +112,6 @@ pub const RULE_NAMES: [&str; 14] = [
     rules::float_reduction::RULE,
     rules::stale_allow::RULE,
     rules::manifest::RULE,
-    rules::figures::RULE,
     rules::protocol_version::RULE,
     "baseline",
     "io",
@@ -388,17 +386,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     if let Ok(text) = std::fs::read_to_string(&facade) {
         lint_source_file(&rel(root, &facade), &text, &mut diags, &mut stats);
     }
-
-    // Figure/doc drift.
-    let bench_names: Vec<String> = rust_files(&crates_dir.join("bench/benches"))
-        .iter()
-        .filter_map(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
-        .filter(|n| n.starts_with("fig"))
-        .collect();
-    let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap_or_default();
-    let fired = rules::figures::check("EXPERIMENTS.md", &bench_names, &experiments);
-    stats.entry(rules::figures::RULE).or_default().fired += fired.len();
-    diags.extend(fired);
 
     // Wire-protocol freeze: PGRPC frame drift without a VERSION bump.
     let protocol_path = crates_dir.join("serve/src/protocol.rs");

@@ -37,7 +37,7 @@ fn usage() {
     eprintln!("  lint   run the repo-specific static-analysis pass over the workspace");
     eprintln!("         deny rules : no-panic, unit-cast, pub-docs, lint-wall, trace-stage,");
     eprintln!("                      nondeterminism, lock-order, stale-allow, manifest,");
-    eprintln!("                      fig-drift, protocol-version, baseline");
+    eprintln!("                      protocol-version, baseline");
     eprintln!("         warn rules : float-reduction (baselinable via lint.baseline)");
     eprintln!("         suppress with `// lint:allow(<rule>) — <reason>`; determinism");
     eprintln!("         markers: det:boundary, lock:rank(<n>, <name>), float:reassoc-ok");

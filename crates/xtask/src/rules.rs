@@ -504,67 +504,6 @@ pub mod manifest {
     }
 }
 
-/// `fig-drift`: the figure benches and `EXPERIMENTS.md` must reference
-/// each other exactly.
-pub mod figures {
-    use super::Diagnostic;
-
-    /// The rule name used in diagnostics.
-    pub const RULE: &str = "fig-drift";
-
-    /// Extracts `fig*.rs` tokens referenced in a markdown document.
-    #[must_use]
-    pub fn referenced_benches(markdown: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let bytes = markdown.as_bytes();
-        let mut i = 0;
-        while let Some(pos) = markdown[i..].find("fig") {
-            let start = i + pos;
-            let mut end = start;
-            while end < bytes.len()
-                && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_' || bytes[end] == b'.')
-            {
-                end += 1;
-            }
-            let token = &markdown[start..end];
-            if token.ends_with(".rs") && !out.iter().any(|t| t == token) {
-                out.push(token.to_string());
-            }
-            i = end.max(start + 3);
-        }
-        out.sort();
-        out
-    }
-
-    /// Cross-checks bench file names against the markdown references.
-    #[must_use]
-    pub fn check(doc_path: &str, bench_files: &[String], markdown: &str) -> Vec<Diagnostic> {
-        let referenced = referenced_benches(markdown);
-        let mut out = Vec::new();
-        for bench in bench_files {
-            if !referenced.iter().any(|r| r == bench) {
-                out.push(Diagnostic::new(
-                    RULE,
-                    doc_path,
-                    0,
-                    format!("bench `crates/bench/benches/{bench}` is not referenced in {doc_path}"),
-                ));
-            }
-        }
-        for r in &referenced {
-            if !bench_files.iter().any(|b| b == r) {
-                out.push(Diagnostic::new(
-                    RULE,
-                    doc_path,
-                    0,
-                    format!("{doc_path} references `{r}` but no such bench file exists"),
-                ));
-            }
-        }
-        out
-    }
-}
-
 /// `protocol-version`: the `PGRPC` frame definitions in
 /// `crates/serve/src/protocol.rs` must not change without a `VERSION`
 /// bump. A committed snapshot (`crates/serve/protocol.snapshot`) pins

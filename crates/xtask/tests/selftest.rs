@@ -2,8 +2,8 @@
 //! stay quiet on clean code, and honor the allowlist mechanism.
 
 use xtask::rules::{
-    figures, float_reduction, lint_wall, lock_order, manifest, no_panic, nondeterminism,
-    protocol_version, pub_docs, stale_allow, trace_stage, unit_cast,
+    float_reduction, lint_wall, lock_order, manifest, no_panic, nondeterminism, protocol_version,
+    pub_docs, stale_allow, trace_stage, unit_cast,
 };
 use xtask::{BaselineStats, Diagnostic, LintReport, RuleStats, Severity};
 
@@ -322,34 +322,6 @@ fn manifest_rejects_missing_metadata_inheritance() {
     let diags = manifest::check("crates/a/Cargo.toml", &toml, &deps);
     // All seven keys missing (a literal version does not count).
     assert_eq!(diags.len(), manifest::REQUIRED_WORKSPACE_KEYS.len());
-}
-
-// ---------------------------------------------------------------- fig-drift
-
-#[test]
-fn figures_in_sync_is_quiet() {
-    let benches = vec![
-        "fig02_bandwidth_breakdown.rs".to_string(),
-        "fig10_texture_speedup.rs".to_string(),
-    ];
-    let md = "See `benches/fig02_bandwidth_breakdown.rs` and `benches/fig10_texture_speedup.rs`.";
-    assert!(figures::check("EXPERIMENTS.md", &benches, md).is_empty());
-}
-
-#[test]
-fn figures_detects_drift_both_directions() {
-    let benches = vec!["fig02_bandwidth_breakdown.rs".to_string()];
-
-    // Bench exists, doc never mentions it.
-    let diags = figures::check("EXPERIMENTS.md", &benches, "no references here");
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].message.contains("not referenced"), "{}", diags[0]);
-
-    // Doc references a bench that does not exist.
-    let md = "See `benches/fig02_bandwidth_breakdown.rs` and `benches/fig99_ghost.rs`.";
-    let diags = figures::check("EXPERIMENTS.md", &benches, md);
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].message.contains("fig99_ghost.rs"), "{}", diags[0]);
 }
 
 // ------------------------------------------------------- protocol-version
