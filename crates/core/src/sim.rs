@@ -180,11 +180,6 @@ impl Simulator {
         &self.config
     }
 
-    /// The texture path (stats and load-balance diagnostics).
-    pub fn texture_path(&self) -> &TexturePath {
-        &self.texture
-    }
-
     /// Renders every frame of `scene`, returning the accumulated report
     /// (the image is the last frame's).
     ///
@@ -672,21 +667,9 @@ fn walk(
 
         // 3. ROP write-back, and the frame's accounting per member.
         for (m, t) in members.iter_mut().zip(&mut tracks) {
-            let frag_end = t.frame_end;
             let rop_done = t.rop.flush_frame(t.frame_end, m.mem);
             let tex_last = m.timing.last_completion();
             t.frame_end = t.frame_end.max(rop_done).max(tex_last);
-            // Opt-in diagnostic channel; stderr is the intended sink.
-            #[allow(clippy::print_stderr)]
-            if std::env::var_os("PIMGFX_TRACE_PHASES").is_some() {
-                eprintln!(
-                    "phase trace: geom {} | fragments {} | rop {} | tex_last {}",
-                    t.geom_done.get(),
-                    frag_end.get(),
-                    rop_done.get(),
-                    tex_last.get()
-                );
-            }
             t.clock = t.frame_end;
             // Per-frame trace slice: the compute-side counters are
             // cumulative, so each frame is the delta since the last

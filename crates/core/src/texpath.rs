@@ -430,11 +430,6 @@ impl TexturePath {
         self.timing.gpu_busy()
     }
 
-    /// Per-texture-unit busy cycles (load-balance diagnostics).
-    pub fn per_unit_busy(&self) -> Vec<u64> {
-        self.timing.units.per_unit_busy()
-    }
-
     /// Logic-layer compute busy cycles (energy; zero for non-PIM paths).
     pub fn pim_busy(&self) -> Duration {
         self.timing.pim_busy()

@@ -91,15 +91,6 @@ impl TextureUnits {
             .sum()
     }
 
-    /// Per-unit filtering-pipe busy cycles (load-balance diagnostics).
-    pub fn per_unit_busy(&self) -> Vec<u64> {
-        self.filter_pipes
-            .iter()
-            .zip(&self.addr_pipes)
-            .map(|(f, a)| f.utilization().busy().get() + a.utilization().busy().get())
-            .collect()
-    }
-
     /// Records the GPU texture stages into a trace: one `tex.addr` and
     /// one `tex.filter` entry, each merged across all units so
     /// `busy_cycles` sums to [`TextureUnits::total_busy`].

@@ -6,8 +6,6 @@
 //!
 //! * [`Cycle`] / [`time::Duration`] — simulation time in clock
 //!   cycles of a component's own clock domain.
-//! * [`EventQueue`] — a deterministic time-ordered queue with FIFO
-//!   tie-breaking, for components that need explicit event scheduling.
 //! * [`Server`] and [`MultiServer`] — pipelined throughput resources
 //!   (initiation interval + latency), the model used for texture units,
 //!   filtering ALUs and fixed-function stages.
@@ -40,7 +38,6 @@
 #![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bandwidth;
-pub mod event;
 pub mod server;
 pub mod time;
 pub mod trace;
@@ -48,7 +45,6 @@ pub mod utilization;
 pub mod window;
 
 pub use bandwidth::Bandwidth;
-pub use event::EventQueue;
 pub use server::{MultiServer, Server};
 pub use time::{Cycle, Duration};
 pub use trace::{StageCounters, StageTrace};

@@ -1,98 +1,85 @@
-//! Property-based tests for the simulation kernel's invariants.
+//! Property tests for the simulation kernel's invariants.
+//!
+//! Each property draws its inputs from a fixed-seed [`TinyRng`], so
+//! every run checks the same cases; a failing case prints its inputs.
 
-// Compiled only under `--features proptest-tests` (non-default): the
-// workspace carries no external dependencies so that tier-1 CI runs
-// fully offline. To run this suite, vendor `proptest` locally, add it
-// to this crate's [dev-dependencies], and enable the feature (see
-// README "Contributing").
-#![cfg(feature = "proptest-tests")]
+use pimgfx_engine::{Bandwidth, Cycle, MultiServer, Server};
+use pimgfx_types::TinyRng;
 
-use pimgfx_engine::{Bandwidth, Cycle, EventQueue, MultiServer, Server};
-use proptest::prelude::*;
+const CASES: usize = 128;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// A server's completions are monotone in issue order, and its
-    /// busy-cycle total never exceeds the makespan.
-    #[test]
-    fn server_monotone_and_conservative(
-        interval in 1u64..8,
-        latency in 0u64..16,
-        ops in prop::collection::vec((0u64..1000, 1u64..16), 1..100),
-    ) {
+/// A server's completions are monotone in issue order, and its
+/// busy-cycle total never exceeds the makespan.
+#[test]
+fn server_monotone_and_conservative() {
+    let mut rng = TinyRng::seed_from_u64(0xe9_0001);
+    for _ in 0..CASES {
+        let interval = rng.gen_range_u64(1, 8);
+        let latency = rng.gen_range_u64(0, 16);
+        let n = rng.gen_range_u64(1, 100);
+        let ops: Vec<(u64, u64)> = (0..n)
+            .map(|_| (rng.gen_range_u64(0, 1000), rng.gen_range_u64(1, 16)))
+            .collect();
+        let case = format!("interval={interval} latency={latency} ops={ops:?}");
         let mut s = Server::new(interval, latency);
         let mut last = Cycle::ZERO;
-        for (arrival, weight) in ops {
+        for &(arrival, weight) in &ops {
             let done = s.issue_weighted(Cycle::new(arrival), weight);
-            prop_assert!(done >= last, "completion regressed");
-            prop_assert!(done.get() >= arrival, "completion before arrival");
+            assert!(done >= last, "completion regressed: {case}");
+            assert!(done.get() >= arrival, "completion before arrival: {case}");
             last = done;
         }
-        prop_assert!(s.utilization().busy().get() <= s.next_free().get());
+        assert!(
+            s.utilization().busy().get() <= s.next_free().get(),
+            "{case}"
+        );
     }
+}
 
-    /// A multi-server never finishes a task later than a single server
-    /// with the same parameters would (more lanes can only help).
-    #[test]
-    fn more_lanes_never_hurt(
-        lanes in 2usize..8,
-        ops in prop::collection::vec(0u64..100, 1..60),
-    ) {
+/// A multi-server never finishes a task later than a single server
+/// with the same parameters would (more lanes can only help).
+#[test]
+fn more_lanes_never_hurt() {
+    let mut rng = TinyRng::seed_from_u64(0xe9_0002);
+    for _ in 0..CASES {
+        let lanes = rng.gen_range_u64(2, 8) as usize;
+        let n = rng.gen_range_u64(1, 60);
+        let ops: Vec<u64> = (0..n).map(|_| rng.gen_range_u64(0, 100)).collect();
         let mut single = MultiServer::new(1, 1, 4);
         let mut multi = MultiServer::new(lanes, 1, 4);
         let mut single_last = Cycle::ZERO;
         let mut multi_last = Cycle::ZERO;
-        for arrival in ops {
+        for &arrival in &ops {
             single_last = single_last.max(single.issue(Cycle::new(arrival)));
             multi_last = multi_last.max(multi.issue(Cycle::new(arrival)));
         }
-        prop_assert!(multi_last <= single_last);
+        assert!(multi_last <= single_last, "lanes={lanes} ops={ops:?}");
     }
+}
 
-    /// Bandwidth channels conserve bytes and never complete a transfer
-    /// before its arrival.
-    #[test]
-    fn bandwidth_conserves_bytes(
-        rate in 1.0f64..512.0,
-        xfers in prop::collection::vec((0u64..10_000, 0u64..4096), 1..100),
-    ) {
+/// Bandwidth channels conserve bytes and never complete a transfer
+/// before its arrival.
+#[test]
+fn bandwidth_conserves_bytes() {
+    let mut rng = TinyRng::seed_from_u64(0xe9_0003);
+    for _ in 0..CASES {
+        let rate = f64::from(rng.gen_range_f32(1.0, 512.0));
+        let n = rng.gen_range_u64(1, 100);
+        let xfers: Vec<(u64, u64)> = (0..n)
+            .map(|_| (rng.gen_range_u64(0, 10_000), rng.gen_range_u64(0, 4096)))
+            .collect();
+        let case = format!("rate={rate:?} xfers={xfers:?}");
         let mut ch = Bandwidth::from_bytes_per_cycle(rate);
         let mut total = 0u64;
-        for (arrival, bytes) in xfers {
+        for &(arrival, bytes) in &xfers {
             let done = ch.transfer(Cycle::new(arrival), bytes);
-            prop_assert!(done.get() >= arrival);
+            assert!(done.get() >= arrival, "completion before arrival: {case}");
             total += bytes;
         }
-        prop_assert_eq!(ch.bytes_moved(), total);
+        assert_eq!(ch.bytes_moved(), total, "{case}");
         // The channel cannot move bytes faster than its rate allows:
         // completion >= total_bytes / rate (within rounding).
         let min_cycles = (total as f64 / rate).floor() as u64;
-        prop_assert!(ch.next_free().get() + 1 >= min_cycles);
-    }
-
-    /// The event queue dequeues in nondecreasing time order and
-    /// preserves FIFO order among equal timestamps.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(
-        events in prop::collection::vec(0u64..32, 1..200),
-    ) {
-        let mut q = EventQueue::new();
-        for (seq, t) in events.iter().enumerate() {
-            q.push(Cycle::new(*t), seq);
-        }
-        let mut last_time = Cycle::ZERO;
-        let mut last_seq_at_time: Option<usize> = None;
-        while let Some((t, seq)) = q.pop() {
-            prop_assert!(t >= last_time);
-            if t == last_time {
-                if let Some(prev) = last_seq_at_time {
-                    prop_assert!(seq > prev, "FIFO violated at equal timestamps");
-                }
-            } else {
-                last_time = t;
-            }
-            last_seq_at_time = Some(seq);
-        }
+        assert!(ch.next_free().get() + 1 >= min_cycles, "{case}");
     }
 }

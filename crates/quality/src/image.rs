@@ -126,13 +126,15 @@ impl FrameImage {
         self.write_ppm(f)
     }
 
-    /// Mean luminance in `[0, 1]` (Rec. 601 weights), used by SSIM and
-    /// sanity tests.
+    /// Mean luminance in `[0, 1]` (Rec. 601 weights), a sanity check
+    /// that a rendered frame is not black.
     pub fn mean_luma(&self) -> f64 {
         let sum: f64 = self
             .pixels
             .iter()
             .map(|p| 0.299 * f64::from(p.r) + 0.587 * f64::from(p.g) + 0.114 * f64::from(p.b))
+            // float:reassoc-ok — serial sum in pixel order: the order
+            // fixes the rounding, so the result is bit-reproducible.
             .sum();
         sum / (self.pixels.len() as f64 * 255.0)
     }

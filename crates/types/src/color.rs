@@ -255,11 +255,22 @@ impl From<Rgba> for PackedRgba {
 mod tests {
     use super::*;
 
+    /// A packed color round-trips losslessly through `f32` and through
+    /// `u32`: on the channel extremes and on 256 seeded colors.
     #[test]
     fn pack_roundtrip_is_nearly_lossless() {
-        for v in [0u8, 1, 127, 128, 254, 255] {
-            let p = PackedRgba::new(v, v, v, v);
+        let mut colors: Vec<PackedRgba> = [0u8, 1, 127, 128, 254, 255]
+            .iter()
+            .map(|&v| PackedRgba::new(v, v, v, v))
+            .collect();
+        let mut rng = crate::TinyRng::seed_from_u64(0x05ee_0001);
+        for _ in 0..256 {
+            let mut channel = || rng.gen_range_u64(0, 256) as u8;
+            colors.push(PackedRgba::new(channel(), channel(), channel(), channel()));
+        }
+        for p in colors {
             assert_eq!(p.to_rgba().to_packed(), p);
+            assert_eq!(PackedRgba::from_u32(p.to_u32()), p);
         }
     }
 

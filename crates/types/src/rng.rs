@@ -19,6 +19,8 @@
 /// assert_eq!(a.next_u64(), b.next_u64(), "deterministic in the seed");
 /// let x = a.gen_range_f32(0.25, 0.75);
 /// assert!((0.25..0.75).contains(&x));
+/// let n = a.gen_range_u64(3, 9);
+/// assert!((3..9).contains(&n));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TinyRng {
@@ -69,6 +71,18 @@ impl TinyRng {
         }
         lo + (hi - lo) * self.next_f32()
     }
+
+    /// A uniform `u64` in `[lo, hi)` (returns `lo` when the range is
+    /// empty or inverted, keeping generation total).
+    pub fn gen_range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+        if hi <= lo {
+            return lo;
+        }
+        // Multiply-shift takes the span from the high bits, the
+        // well-mixed ones of xorshift64*, where a modulo reads the low.
+        let offset = (u128::from(self.next_u64()) * u128::from(hi - lo)) >> 64;
+        lo + offset as u64
+    }
 }
 
 #[cfg(test)]
@@ -118,6 +132,22 @@ mod tests {
             assert!((-2.0..3.0).contains(&x), "{x} out of [-2,3)");
         }
         assert_eq!(r.gen_range_f32(1.0, 1.0), 1.0, "empty range returns lo");
+    }
+
+    #[test]
+    fn u64_range_respects_bounds_and_reaches_every_value() {
+        let mut r = TinyRng::seed_from_u64(6);
+        let mut seen = [false; 7];
+        for _ in 0..10_000 {
+            let x = r.gen_range_u64(3, 10);
+            assert!((3..10).contains(&x), "{x} out of [3,10)");
+            seen[(x - 3) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every value drawn: {seen:?}");
+        let top = r.gen_range_u64(u64::MAX - 1, u64::MAX);
+        assert_eq!(top, u64::MAX - 1, "one-value span");
+        assert_eq!(r.gen_range_u64(5, 5), 5, "empty range returns lo");
+        assert_eq!(r.gen_range_u64(9, 2), 9, "inverted range returns lo");
     }
 
     #[test]

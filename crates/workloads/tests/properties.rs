@@ -1,101 +1,113 @@
-//! Property-based tests for the workload generators and trace I/O.
+//! Property tests for the workload generators and trace I/O.
+//!
+//! Each property draws its inputs from a fixed-seed [`TinyRng`], so
+//! every run checks the same cases; a failing case prints its inputs.
 
-// Compiled only under `--features proptest-tests` (non-default): the
-// workspace carries no external dependencies so that tier-1 CI runs
-// fully offline. To run this suite, vendor `proptest` locally, add it
-// to this crate's [dev-dependencies], and enable the feature (see
-// README "Contributing").
-#![cfg(feature = "proptest-tests")]
+use pimgfx_types::TinyRng;
+use pimgfx_workloads::{build_scene_unchecked, trace_io, Game, GameProfile, Resolution};
 
-use pimgfx_workloads::{build_scene_unchecked, trace_io, Game, Resolution};
-use proptest::prelude::*;
+const CASES: usize = 24;
 
-fn arb_profile() -> impl Strategy<Value = pimgfx_workloads::GameProfile> {
-    (
-        prop::sample::select(Game::ALL.to_vec()),
-        2u32..6,      // floor_quads
-        2u32..6,      // texture_count
-        5u32..7,      // log2 texture_size (32..64)
-        0u32..3,      // facing props
-        1u32..3,      // overdraw layers
-        any::<u64>(), // seed
-    )
-        .prop_map(|(game, quads, textures, log_size, props, layers, seed)| {
-            let mut p = game.profile();
-            p.floor_quads = quads;
-            p.texture_count = textures;
-            p.texture_size = 1 << log_size;
-            p.facing_props = props;
-            p.overdraw_layers = layers;
-            p.seed = seed;
-            p
-        })
+/// A shrunken profile of any game: 2..6 floor quads, 2..6 textures of
+/// 32 or 64 texels, 0..3 facing props, 1..3 overdraw layers, any seed.
+fn profile(rng: &mut TinyRng) -> GameProfile {
+    let game = Game::ALL[rng.gen_range_u64(0, Game::ALL.len() as u64) as usize];
+    let mut p = game.profile();
+    p.floor_quads = rng.gen_range_u64(2, 6) as u32;
+    p.texture_count = rng.gen_range_u64(2, 6) as u32;
+    p.texture_size = 1 << rng.gen_range_u64(5, 7);
+    p.facing_props = rng.gen_range_u64(0, 3) as u32;
+    p.overdraw_layers = rng.gen_range_u64(1, 3) as u32;
+    p.seed = rng.next_u64();
+    p
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Scene generation is a pure function of its profile.
-    #[test]
-    fn scene_generation_is_deterministic(profile in arb_profile()) {
+/// Scene generation is a pure function of its profile.
+#[test]
+fn scene_generation_is_deterministic() {
+    let mut rng = TinyRng::seed_from_u64(0x30ad_0001);
+    for _ in 0..CASES {
+        let profile = profile(&mut rng);
         let a = build_scene_unchecked(&profile, Resolution::R320x240, 1);
         let b = build_scene_unchecked(&profile, Resolution::R320x240, 1);
-        prop_assert_eq!(a.triangles_per_frame(), b.triangles_per_frame());
-        prop_assert_eq!(a.textures.len(), b.textures.len());
+        assert_eq!(
+            a.triangles_per_frame(),
+            b.triangles_per_frame(),
+            "{profile:?}"
+        );
+        assert_eq!(a.textures.len(), b.textures.len(), "{profile:?}");
         for (ta, tb) in a.textures.iter().zip(&b.textures) {
-            prop_assert_eq!(ta.level(0), tb.level(0));
+            assert!(ta.level(0) == tb.level(0), "texture differs: {profile:?}");
         }
         for (da, db) in a.draws.iter().zip(&b.draws) {
-            prop_assert_eq!(&da.triangles, &db.triangles);
+            assert_eq!(&da.triangles, &db.triangles, "{profile:?}");
         }
     }
+}
 
-    /// Every generated scene is structurally valid: nonempty draws,
-    /// resolvable texture references, unit-ish normals, and one camera
-    /// per frame.
-    #[test]
-    fn scenes_are_structurally_valid(profile in arb_profile(), frames in 1usize..4) {
+/// Every generated scene is structurally valid: nonempty draws,
+/// resolvable texture references, unit-ish normals, and one camera
+/// per frame.
+#[test]
+fn scenes_are_structurally_valid() {
+    let mut rng = TinyRng::seed_from_u64(0x30ad_0002);
+    for _ in 0..CASES {
+        let profile = profile(&mut rng);
+        let frames = rng.gen_range_u64(1, 4) as usize;
+        let case = format!("frames={frames} {profile:?}");
         let s = build_scene_unchecked(&profile, Resolution::R320x240, frames);
-        prop_assert!(!s.draws.is_empty());
-        prop_assert_eq!(s.cameras.len(), frames);
+        assert!(!s.draws.is_empty(), "{case}");
+        assert_eq!(s.cameras.len(), frames, "{case}");
         for d in &s.draws {
-            prop_assert!(d.texture.index() < s.textures.len());
+            assert!(d.texture.index() < s.textures.len(), "{case}");
             for tri in &d.triangles {
                 for v in tri {
-                    prop_assert!((v.normal.length() - 1.0).abs() < 1e-3);
-                    prop_assert!(v.position.length() < 1e4);
+                    assert!((v.normal.length() - 1.0).abs() < 1e-3, "{v:?}: {case}");
+                    assert!(v.position.length() < 1e4, "{v:?}: {case}");
                 }
             }
         }
     }
+}
 
-    /// Trace serialization round-trips any generated scene exactly.
-    #[test]
-    fn trace_roundtrip_is_exact(profile in arb_profile()) {
+/// Trace serialization round-trips any generated scene exactly.
+#[test]
+fn trace_roundtrip_is_exact() {
+    let mut rng = TinyRng::seed_from_u64(0x30ad_0003);
+    for _ in 0..CASES {
+        let profile = profile(&mut rng);
         let scene = build_scene_unchecked(&profile, Resolution::R320x240, 2);
         let mut buf = Vec::new();
         trace_io::save_trace(&scene, &mut buf).expect("serialize");
         let back = trace_io::load_trace(&buf[..]).expect("deserialize");
-        prop_assert_eq!(back.game, scene.game);
-        prop_assert_eq!(back.shader_alu_ops, scene.shader_alu_ops);
-        prop_assert_eq!(back.draws.len(), scene.draws.len());
+        assert_eq!(back.workload, scene.workload, "{profile:?}");
+        assert_eq!(back.shader_alu_ops, scene.shader_alu_ops, "{profile:?}");
+        assert_eq!(back.draws.len(), scene.draws.len(), "{profile:?}");
         for (da, db) in scene.draws.iter().zip(&back.draws) {
-            prop_assert_eq!(&da.triangles, &db.triangles);
-            prop_assert_eq!(da.texture, db.texture);
+            assert_eq!(&da.triangles, &db.triangles, "{profile:?}");
+            assert_eq!(da.texture, db.texture, "{profile:?}");
         }
         for (ta, tb) in scene.textures.iter().zip(&back.textures) {
-            prop_assert_eq!(ta.level(0), tb.level(0));
-            prop_assert_eq!(ta.level_count(), tb.level_count());
+            assert!(ta.level(0) == tb.level(0), "texture differs: {profile:?}");
+            assert_eq!(ta.level_count(), tb.level_count(), "{profile:?}");
         }
     }
+}
 
-    /// A truncated trace never parses (no silent partial loads).
-    #[test]
-    fn truncated_traces_fail(profile in arb_profile(), cut in 5usize..95) {
+/// A truncated trace never parses (no silent partial loads).
+#[test]
+fn truncated_traces_fail() {
+    let mut rng = TinyRng::seed_from_u64(0x30ad_0004);
+    for _ in 0..CASES {
+        let profile = profile(&mut rng);
+        let cut = rng.gen_range_u64(5, 95) as usize;
         let scene = build_scene_unchecked(&profile, Resolution::R320x240, 1);
         let mut buf = Vec::new();
         trace_io::save_trace(&scene, &mut buf).expect("serialize");
         let end = buf.len() * cut / 100;
-        prop_assert!(trace_io::load_trace(&buf[..end]).is_err());
+        assert!(
+            trace_io::load_trace(&buf[..end]).is_err(),
+            "cut={cut} {profile:?}"
+        );
     }
 }
