@@ -412,7 +412,7 @@ pub(crate) fn fill_streamed<R>(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::texpath::TexturePath;
+    use crate::texpath::TexFunctional;
     use pimgfx_texture::{FilterMode, SamplerConfig};
     use pimgfx_workloads::{build_scene_unchecked, Game, Resolution, SceneTrace};
 
@@ -481,8 +481,7 @@ mod tests {
 
         for design in Design::ALL {
             let config = SimConfig::builder().design(design).build().expect("valid");
-            let path = TexturePath::new(&config).expect("valid");
-            let filler = Filler::new(design, *path.sampler());
+            let filler = TexFunctional::new(&config).expect("valid").filler();
             let fill = |workers: usize| -> Vec<String> {
                 let walk = |load: &mut LoadChunk<'_>| {
                     let mut recs = ChunkRecords::default();

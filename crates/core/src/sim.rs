@@ -40,7 +40,7 @@ use crate::lanepre::{self, ChunkPlan, ChunkRecords, ChunkSource, Cursor, LoadChu
 use crate::rop::Rop;
 use crate::stats::{FrameStats, RenderReport};
 use crate::stream::{FragmentStream, StreamData};
-use crate::texpath::{QuadOutcome, TexFunctional, TexTiming, TexturePath};
+use crate::texpath::{QuadOutcome, TexFunctional, TexTiming};
 use pimgfx_energy::{EnergyModel, EnergyParams};
 use pimgfx_engine::trace::{stage, StageCounters, StageTrace};
 use pimgfx_engine::{Cycle, InFlightWindow};
@@ -113,7 +113,8 @@ pub struct Simulator {
     config: SimConfig,
     mem: MemoryBackend,
     cores: ShaderCores,
-    texture: TexturePath,
+    func: TexFunctional,
+    timing: TexTiming,
 }
 
 // Sweep workers move simulators across threads and share scene traces
@@ -142,9 +143,9 @@ impl<'s> Member<'s> {
             config,
             mem,
             cores,
-            texture,
+            func,
+            timing,
         } = sim;
-        let (func, timing) = texture.halves();
         (
             Self {
                 config,
@@ -170,7 +171,8 @@ impl Simulator {
         Ok(Self {
             mem: MemoryBackend::from_config(&config)?,
             cores: ShaderCores::new(config.shader),
-            texture: TexturePath::new(&config)?,
+            func: TexFunctional::new(&config)?,
+            timing: TexTiming::new(&config),
             config,
         })
     }
@@ -390,7 +392,8 @@ impl Simulator {
     pub fn reset(&mut self) {
         self.mem.reset();
         self.cores.reset();
-        self.texture.reset();
+        self.func.reset();
+        self.timing.reset();
     }
 }
 

@@ -30,8 +30,8 @@
 //! reads, MTU requests, offload packages. Cache state evolves in walk
 //! order whatever the clock says, so configurations that differ only in
 //! timing can share one functional half and feed each of their timing
-//! halves from it — a replay group (see [`crate::sim`]). [`TexturePath`]
-//! is one of each.
+//! halves from it — a replay group (see [`crate::sim`]). A simulator
+//! holds one of each.
 
 use crate::backend::MemoryBackend;
 use crate::config::SimConfig;
@@ -80,23 +80,6 @@ impl LineList {
     fn is_empty(&self) -> bool {
         self.len == 0
     }
-}
-
-/// The texture subsystem of one simulated GPU, specialized by design:
-/// one functional half and one timing half.
-#[derive(Debug)]
-pub struct TexturePath {
-    func: TexFunctional,
-    timing: TexTiming,
-    /// One quad's phase-1 records, for the test-only per-quad sampler.
-    #[cfg(test)]
-    recs: ChunkRecords,
-    /// One quad's functional outcome and completions, for the test-only
-    /// per-quad sampler.
-    #[cfg(test)]
-    quad: QuadOutcome,
-    #[cfg(test)]
-    done: Vec<Cycle>,
 }
 
 /// The functional half of the texture path: the sampler, the L1s and
@@ -391,160 +374,6 @@ fn quad_misses(parts: &[AtfimFragment], quad_miss: &mut Vec<u64>, plain_lines: &
     }
 }
 
-impl TexturePath {
-    /// Builds the texture path for a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cache-geometry errors.
-    pub fn new(config: &SimConfig) -> Result<Self> {
-        Ok(Self {
-            func: TexFunctional::new(config)?,
-            timing: TexTiming::new(config),
-            #[cfg(test)]
-            recs: ChunkRecords::default(),
-            #[cfg(test)]
-            quad: QuadOutcome::default(),
-            #[cfg(test)]
-            done: Vec::new(),
-        })
-    }
-
-    /// Both halves, borrowed apart.
-    pub(crate) fn halves(&mut self) -> (&mut TexFunctional, &mut TexTiming) {
-        (&mut self.func, &mut self.timing)
-    }
-
-    /// The accumulated texture statistics.
-    pub fn stats(&self) -> TextureStats {
-        self.timing.stats(&self.func)
-    }
-
-    /// The sampler in use (for footprint queries).
-    pub fn sampler(&self) -> &Sampler {
-        &self.func.sampler
-    }
-
-    /// GPU texture-unit busy cycles (energy).
-    pub fn gpu_busy(&self) -> Duration {
-        self.timing.gpu_busy()
-    }
-
-    /// Logic-layer compute busy cycles (energy; zero for non-PIM paths).
-    pub fn pim_busy(&self) -> Duration {
-        self.timing.pim_busy()
-    }
-
-    /// Latest texture completion (frame-end accounting).
-    pub fn last_completion(&self) -> Cycle {
-        self.timing.last_completion()
-    }
-
-    /// Records every texture-path stage into `trace`: the GPU
-    /// address/filter pipes always, plus the MTU bank (S-TFIM) or the
-    /// A-TFIM logic layer when the design instantiates them. The
-    /// recorded busy cycles conserve [`TexturePath::gpu_busy`] and
-    /// [`TexturePath::pim_busy`] by construction — the auditor checks
-    /// exactly that.
-    pub fn record_trace(&self, trace: &mut StageTrace) {
-        self.timing.record_trace(trace);
-    }
-
-    /// Total L1+L2 accesses (for the cache-energy term).
-    pub fn cache_accesses(&self) -> u64 {
-        self.stats().cache_accesses()
-    }
-
-    /// Resets all state for a fresh run.
-    pub fn reset(&mut self) {
-        self.func.reset();
-        self.timing.reset();
-    }
-}
-
-/// Per-quad sampling for the unit tests: one quad at a time through
-/// phase 1, the functional step and the timing step.
-#[cfg(test)]
-impl TexturePath {
-    /// Samples a single fragment (convenience wrapper over
-    /// [`TexturePath::sample_quad`]).
-    pub fn sample(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frag: &Fragment,
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        mem: &mut MemoryBackend,
-    ) -> (Rgba, Cycle) {
-        self.sample_quad(cluster, issue, std::slice::from_ref(frag), tex, layout, mem)
-            .pop()
-            // lint:allow(no-panic) — sample_quad returns exactly one entry per input fragment and we pass exactly one
-            .expect("one fragment in, one sample out")
-    }
-
-    /// Samples a fragment quad (1–4 fragments sharing one texture
-    /// request); returns `(color, completion)` per fragment in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frags` is empty or the fragments reference different
-    /// textures.
-    pub fn sample_quad(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frags: &[Fragment],
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        mem: &mut MemoryBackend,
-    ) -> Vec<(Rgba, Cycle)> {
-        let mut out = Vec::with_capacity(frags.len());
-        self.sample_quad_into(cluster, issue, frags, tex, layout, mem, &mut out);
-        out
-    }
-
-    /// Clears `out` and fills it with one `(color, completion)` per
-    /// fragment. Runs the quad's phase 1, its functional step and its
-    /// timing step on the calling thread — the same three parts a
-    /// streamed replay runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frags` is empty or the fragments reference different
-    /// textures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_quad_into(
-        &mut self,
-        cluster: usize,
-        issue: Cycle,
-        frags: &[Fragment],
-        tex: &MippedTexture,
-        layout: &TextureLayout,
-        mem: &mut MemoryBackend,
-        out: &mut Vec<(Rgba, Cycle)>,
-    ) {
-        assert!(!frags.is_empty(), "a quad needs at least one fragment");
-        self.recs.reset();
-        self.func
-            .filler()
-            .fill_quad(frags, tex, layout, &mut self.recs);
-        let mut cursor = Cursor::default();
-        let q = &mut self.quad;
-        self.func
-            .quad(cluster, frags.len(), tex, &self.recs, &mut cursor, q);
-        self.timing
-            .sample_quad(cluster, issue, q, &self.recs, mem, &mut self.done);
-        out.clear();
-        out.extend(
-            q.colors(&self.recs)
-                .iter()
-                .copied()
-                .zip(self.done.iter().copied()),
-        );
-    }
-}
-
 impl TexFunctional {
     /// The functional half for `config`'s design, feeding that design
     /// alone (see [`TexFunctional::feed`]).
@@ -732,7 +561,10 @@ impl TexFunctional {
     /// miss for the offload or plain-read list, and resolves the line's
     /// parent-store block; later corners on the same line reuse both.
     /// Returns whether the line hit and its store block.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a corner is its line, level and texel plus the probe's angle; the hot loop passes them unbundled"
+    )]
     fn probe_parent_line(
         &mut self,
         cluster: usize,
@@ -856,7 +688,7 @@ impl TexFunctional {
     }
 
     /// Resets all state for a fresh run.
-    fn reset(&mut self) {
+    pub fn reset(&mut self) {
         for c in &mut self.l1 {
             c.reset();
         }
@@ -936,8 +768,12 @@ impl TexTiming {
         self.units.last_completion()
     }
 
-    /// Records the texture units and the design's logic-layer units
-    /// into `trace` (see [`TexturePath::record_trace`]).
+    /// Records every texture-path stage into `trace`: the GPU
+    /// address/filter pipes always, plus the MTU bank (S-TFIM) or the
+    /// A-TFIM logic layer when the design instantiates them. The
+    /// recorded busy cycles conserve [`TexTiming::gpu_busy`] and
+    /// [`TexTiming::pim_busy`] by construction — the auditor checks
+    /// exactly that.
     pub fn record_trace(&self, trace: &mut StageTrace) {
         self.units.record_trace(trace);
         for bank in self.mtus.iter().flatten() {
@@ -1035,9 +871,12 @@ impl TexTiming {
         // The whole request maps to one cube: all its texels belong to
         // one texture, which the simulator placed inside one cube region.
         let cube = mem.cube_index(quad_lines.first().copied().unwrap_or(0));
+        #[expect(
+            clippy::expect_used,
+            reason = "design/backend pairing is rejected by SimConfig::validate, so S-TFIM always runs over HMC"
+        )]
         let hmc = mem
             .hmc_for(quad_lines.first().copied().unwrap_or(0))
-            // lint:allow(no-panic) — design/backend pairing is rejected by SimConfig::validate, so S-TFIM always runs over HMC
             .expect("S-TFIM requires an HMC backend (enforced by Simulator::new)");
         hmc.record_external_traffic(TrafficClass::TextureFetch, packet::TFIM_REQUEST_BYTES);
         let at_cube = hmc.send_to_cube(issue, packet::TFIM_REQUEST_BYTES);
@@ -1048,7 +887,10 @@ impl TexTiming {
         };
         // Clusters share MTUs round-robin when fewer MTUs than clusters
         // are configured (the paper's area-saving variant, §IV).
-        // lint:allow(no-panic) — TexTiming::new allocates MTU banks whenever the design is S-TFIM; this branch is S-TFIM-only
+        #[expect(
+            clippy::expect_used,
+            reason = "TexTiming::new allocates MTU banks whenever the design is S-TFIM; this branch is S-TFIM-only"
+        )]
         let banks = self.mtus.as_mut().expect("S-TFIM path owns MTUs");
         let bank = &mut banks[cube];
         let mtu = cluster % bank.len();
@@ -1062,7 +904,10 @@ impl TexTiming {
 
     /// The A-TFIM quad tail: address generation, plain reads, the
     /// offload package for `quad_miss`, per-fragment filtering.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the serial oracle calls it too, with miss lists of its own rather than a QuadOutcome"
+    )]
     fn atfim_quad_tail(
         &mut self,
         cluster: usize,
@@ -1094,9 +939,12 @@ impl TexTiming {
             // Parent and child texels share a mip pyramid and therefore
             // a cube (§V-E): one cube serves the whole batch.
             let cube = mem.cube_index(quad_miss[0]);
+            #[expect(
+                clippy::expect_used,
+                reason = "design/backend pairing is rejected by SimConfig::validate, so A-TFIM always runs over HMC"
+            )]
             let hmc = mem
                 .hmc_for(quad_miss[0])
-                // lint:allow(no-panic) — design/backend pairing is rejected by SimConfig::validate, so A-TFIM always runs over HMC
                 .expect("A-TFIM requires an HMC backend (enforced by Simulator::new)");
             let pkg_bytes = self.offload.package_bytes(quad_miss);
             hmc.record_external_traffic(TrafficClass::TextureFetch, pkg_bytes);
@@ -1110,10 +958,13 @@ impl TexTiming {
                 major_axis_x: axis_x,
                 line_bytes: self.line_bytes,
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "TexTiming::new allocates the logic layer whenever the design is A-TFIM; this branch is A-TFIM-only"
+            )]
             let resp = self
                 .atfim
                 .as_mut()
-                // lint:allow(no-panic) — TexTiming::new allocates the logic layer whenever the design is A-TFIM; this branch is A-TFIM-only
                 .expect("A-TFIM path owns the logic layer")[cube]
                 .process(at_cube, &batch, hmc);
             self.batch_lines = batch.parent_line_addrs;
@@ -1140,7 +991,7 @@ impl TexTiming {
     }
 
     /// Resets all state for a fresh run.
-    fn reset(&mut self) {
+    pub fn reset(&mut self) {
         self.units.reset();
         for m in self.mtus.iter_mut().flatten() {
             m.reset();
@@ -1212,8 +1063,11 @@ struct TraceScratch {
 
 #[cfg(test)]
 impl Oracle<'_> {
-    /// Serial twin of [`TexturePath::sample_quad_into`].
-    #[allow(clippy::too_many_arguments)]
+    /// Serial twin of the tests' per-quad sampler (`tests::QuadPath`).
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors the per-quad sampler's signature, argument for argument"
+    )]
     pub(crate) fn sample_quad(
         &mut self,
         cluster: usize,
@@ -1239,7 +1093,10 @@ impl Oracle<'_> {
     }
 
     /// Baseline / B-PIM: full filtering on the GPU texture unit.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one design's arm of the oracle's dispatch, with the dispatch's arguments"
+    )]
     fn quad_conventional(
         &mut self,
         cluster: usize,
@@ -1315,7 +1172,10 @@ impl Oracle<'_> {
 
     /// S-TFIM: one request package per quad to the cluster's MTU; the
     /// filtered textures come back in one response.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one design's arm of the oracle's dispatch, with the dispatch's arguments"
+    )]
     fn quad_stfim(
         &mut self,
         cluster: usize,
@@ -1357,7 +1217,10 @@ impl Oracle<'_> {
 
     /// A-TFIM: parent texels through angle-tagged caches; quad-level
     /// misses offloaded in one package to the logic layer.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one design's arm of the oracle's dispatch, with the dispatch's arguments"
+    )]
     fn quad_atfim(
         &mut self,
         cluster: usize,
@@ -1514,10 +1377,85 @@ mod tests {
         }
     }
 
-    fn make(design: Design) -> (TexturePath, MemoryBackend) {
+    /// One simulator's two texture halves, sampled one quad at a time:
+    /// phase 1, the functional step and the timing step on the calling
+    /// thread — the same three parts a streamed replay runs.
+    #[derive(Debug)]
+    struct QuadPath {
+        func: TexFunctional,
+        timing: TexTiming,
+        recs: ChunkRecords,
+        quad: QuadOutcome,
+        done: Vec<Cycle>,
+    }
+
+    impl QuadPath {
+        fn new(config: &SimConfig) -> Self {
+            Self {
+                func: TexFunctional::new(config).expect("valid"),
+                timing: TexTiming::new(config),
+                recs: ChunkRecords::default(),
+                quad: QuadOutcome::default(),
+                done: Vec::new(),
+            }
+        }
+
+        fn stats(&self) -> TextureStats {
+            self.timing.stats(&self.func)
+        }
+
+        fn reset(&mut self) {
+            self.func.reset();
+            self.timing.reset();
+        }
+
+        /// Samples a single fragment.
+        fn sample(
+            &mut self,
+            cluster: usize,
+            issue: Cycle,
+            frag: &Fragment,
+            tex: &MippedTexture,
+            layout: &TextureLayout,
+            mem: &mut MemoryBackend,
+        ) -> (Rgba, Cycle) {
+            self.sample_quad(cluster, issue, std::slice::from_ref(frag), tex, layout, mem)[0]
+        }
+
+        /// Samples a fragment quad (1–4 fragments sharing one texture
+        /// request); returns `(color, completion)` per fragment in order.
+        fn sample_quad(
+            &mut self,
+            cluster: usize,
+            issue: Cycle,
+            frags: &[Fragment],
+            tex: &MippedTexture,
+            layout: &TextureLayout,
+            mem: &mut MemoryBackend,
+        ) -> Vec<(Rgba, Cycle)> {
+            assert!(!frags.is_empty(), "a quad needs at least one fragment");
+            self.recs.reset();
+            self.func
+                .filler()
+                .fill_quad(frags, tex, layout, &mut self.recs);
+            let mut cursor = Cursor::default();
+            let q = &mut self.quad;
+            self.func
+                .quad(cluster, frags.len(), tex, &self.recs, &mut cursor, q);
+            self.timing
+                .sample_quad(cluster, issue, q, &self.recs, mem, &mut self.done);
+            q.colors(&self.recs)
+                .iter()
+                .copied()
+                .zip(self.done.iter().copied())
+                .collect()
+        }
+    }
+
+    fn make(design: Design) -> (QuadPath, MemoryBackend) {
         let config = SimConfig::builder().design(design).build().expect("valid");
         (
-            TexturePath::new(&config).expect("valid"),
+            QuadPath::new(&config),
             MemoryBackend::from_config(&config).expect("valid"),
         )
     }
@@ -1717,7 +1655,7 @@ mod tests {
             }
             out
         };
-        let run = |path: &mut TexturePath, frags: &[Fragment]| {
+        let run = |path: &mut QuadPath, frags: &[Fragment]| {
             let mut mem = MemoryBackend::from_config(&config).expect("valid");
             let colors: Vec<Rgba> = frags
                 .iter()
@@ -1725,9 +1663,9 @@ mod tests {
                 .collect();
             (colors, path.stats())
         };
-        let mut fresh = TexturePath::new(&config).expect("valid");
+        let mut fresh = QuadPath::new(&config);
         let want = run(&mut fresh, &grid(false));
-        let mut used = TexturePath::new(&config).expect("valid");
+        let mut used = QuadPath::new(&config);
         run(&mut used, &grid(true));
         used.reset();
         let got = run(&mut used, &grid(false));
@@ -1769,7 +1707,7 @@ mod tests {
         path.sample(0, Cycle::ZERO, &f, &tex, &layout, &mut mem);
         assert_eq!(path.stats().samples, 1);
         assert!(path.stats().latency_cycles > 0);
-        assert!(path.gpu_busy() > Duration::ZERO);
+        assert!(path.timing.gpu_busy() > Duration::ZERO);
         path.reset();
         assert_eq!(path.stats().samples, 0);
     }
@@ -1807,9 +1745,9 @@ mod tests {
             .compressed_textures(true)
             .build()
             .expect("valid");
-        let mut raw = TexturePath::new(&raw_cfg).expect("valid");
+        let mut raw = QuadPath::new(&raw_cfg);
         let mut raw_mem = MemoryBackend::from_config(&raw_cfg).expect("valid");
-        let mut bc = TexturePath::new(&bc_cfg).expect("valid");
+        let mut bc = QuadPath::new(&bc_cfg);
         let mut bc_mem = MemoryBackend::from_config(&bc_cfg).expect("valid");
         raw.sample(0, Cycle::ZERO, &f, &tex, &layout, &mut raw_mem);
         bc.sample(0, Cycle::ZERO, &f, &tex, &layout, &mut bc_mem);
@@ -1829,7 +1767,7 @@ mod tests {
             .angle_threshold_pi_fraction(0.005)
             .build()
             .expect("valid");
-        let mut strict = TexturePath::new(&config).expect("valid");
+        let mut strict = QuadPath::new(&config);
         let mut mem1 = MemoryBackend::from_config(&config).expect("valid");
 
         let loose_cfg = SimConfig::builder()
@@ -1837,7 +1775,7 @@ mod tests {
             .no_recalculation()
             .build()
             .expect("valid");
-        let mut loose = TexturePath::new(&loose_cfg).expect("valid");
+        let mut loose = QuadPath::new(&loose_cfg);
         let mut mem2 = MemoryBackend::from_config(&loose_cfg).expect("valid");
 
         // Two fragments, same texels, different view angle and footprint.

@@ -257,11 +257,6 @@ impl StageTrace {
         self.sum(prefix, |c| c.busy_cycles)
     }
 
-    /// Sum of `ops` over stages whose name starts with `prefix`.
-    pub fn ops_sum(&self, prefix: &str) -> u64 {
-        self.sum(prefix, |c| c.ops)
-    }
-
     /// Sum of `bytes` over stages whose name starts with `prefix`.
     pub fn bytes_sum(&self, prefix: &str) -> u64 {
         self.sum(prefix, |c| c.bytes)

@@ -138,38 +138,17 @@ impl Gddr5 {
     }
 
     /// Builds the Table I baseline configuration.
+    #[expect(
+        clippy::expect_used,
+        reason = "Table I defaults are compile-time constants; validity is pinned by the defaults_are_valid unit test"
+    )]
     pub fn with_defaults() -> Self {
-        // lint:allow(no-panic) — Table I defaults are compile-time constants; validity is pinned by the defaults_are_valid unit test
         Self::new(Gddr5Config::default()).expect("default GDDR5 config is valid")
     }
 
     /// The active configuration.
     pub fn config(&self) -> &Gddr5Config {
         &self.config
-    }
-
-    /// Internal timing state for diagnostics: per-channel bus busy
-    /// cycles and the latest `next_free` across buses and banks.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (Vec<u64>, u64, u64) {
-        let bus_busy = self
-            .buses
-            .iter()
-            .map(|b| b.utilization().busy().get())
-            .collect();
-        let max_bus_free = self
-            .buses
-            .iter()
-            .map(|b| b.next_free().get())
-            .max()
-            .unwrap_or(0);
-        let max_bank_free = self
-            .banks
-            .iter()
-            .map(|b| b.next_free().get())
-            .max()
-            .unwrap_or(0);
-        (bus_busy, max_bus_free, max_bank_free)
     }
 
     /// Records the `mem.gddr5.bus` stage: DQ-bus busy cycles, transfer
@@ -279,7 +258,7 @@ mod tests {
     use super::*;
     use crate::traffic::TrafficClass;
 
-    /// Pins the invariant behind the `lint:allow(no-panic)` on
+    /// Pins the invariant behind the `expect` on
     /// [`Gddr5::with_defaults`]: the Table I defaults always validate.
     #[test]
     fn defaults_are_valid() {

@@ -168,19 +168,17 @@ impl Hmc {
     }
 
     /// Builds the Table I / HMC 2.0 default configuration.
+    #[expect(
+        clippy::expect_used,
+        reason = "Table I defaults are compile-time constants; validity is pinned by the defaults_are_valid unit test"
+    )]
     pub fn with_defaults() -> Self {
-        // lint:allow(no-panic) — Table I defaults are compile-time constants; validity is pinned by the defaults_are_valid unit test
         Self::new(HmcConfig::default()).expect("default HMC config is valid")
     }
 
     /// The active configuration.
     pub fn config(&self) -> &HmcConfig {
         &self.config
-    }
-
-    /// The vault a given address maps to.
-    pub fn vault_of(&self, addr: u64) -> u64 {
-        self.layout.unit(addr)
     }
 
     /// Transfers `bytes` from host to cube, starting at `arrival`; returns
@@ -306,7 +304,7 @@ mod tests {
     use super::*;
     use crate::traffic::TrafficClass;
 
-    /// Pins the invariant behind the `lint:allow(no-panic)` on
+    /// Pins the invariant behind the `expect` on
     /// [`Hmc::with_defaults`]: the Table I / HMC 2.0 defaults always validate.
     #[test]
     fn defaults_are_valid() {

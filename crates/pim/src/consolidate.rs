@@ -42,11 +42,6 @@ impl ChildConsolidator {
         }
     }
 
-    /// True when merging is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Merges duplicate line addresses, preserving first-seen order.
     /// The merge is in place: the returned vector is `fetches`.
     pub fn consolidate(&mut self, mut fetches: Vec<u64>) -> Vec<u64> {

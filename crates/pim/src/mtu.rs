@@ -130,13 +130,6 @@ impl Mtu {
         self.filter_pipe.utilization().busy()
     }
 
-    /// Busy cycles of the address-generation pipe (trace-only; the
-    /// energy model's `pim_busy` deliberately covers the filtering
-    /// datapath alone, see `docs/OBSERVABILITY.md`).
-    pub fn addr_busy(&self) -> Duration {
-        self.addr_pipe.utilization().busy()
-    }
-
     /// Resets timing state.
     pub fn reset(&mut self) {
         self.addr_pipe.reset();

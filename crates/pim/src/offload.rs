@@ -38,11 +38,6 @@ impl OffloadUnit {
         }
     }
 
-    /// True when offset compression is active.
-    pub fn is_compressing(&self) -> bool {
-        self.compress
-    }
-
     /// Bytes of the offload package for a group of parent line
     /// addresses, and records the package.
     ///

@@ -425,7 +425,10 @@ fn execute_job(shared: &Shared, id: JobId, budget: usize) {
     );
     // Operational visibility for the smoke test and operators: one
     // line per job on stderr, the daemon's diagnostic channel.
-    #[allow(clippy::print_stderr)]
+    #[allow(
+        clippy::print_stderr,
+        reason = "stderr is the daemon's diagnostic channel; the serve smoke test greps this line"
+    )]
     {
         let stats = shared.streams.stats();
         eprintln!(

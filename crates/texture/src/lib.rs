@@ -57,6 +57,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod cache;
 pub mod compress;

@@ -50,12 +50,6 @@ impl ByteCount {
         self.0
     }
 
-    /// Value in (fractional) kibibytes.
-    #[inline]
-    pub fn as_kib(self) -> f64 {
-        self.0 as f64 / 1024.0
-    }
-
     /// Value in (fractional) mebibytes.
     #[inline]
     pub fn as_mib(self) -> f64 {

@@ -59,8 +59,8 @@ impl std::error::Error for ConfigError {}
 
 /// Unified error for fallible simulator and harness paths.
 ///
-/// Library code never panics (enforced by the `no-panic` rule of
-/// `cargo xtask lint`); anything that can fail — configuration
+/// Library code never panics (enforced by the clippy denials in every
+/// crate's lint wall); anything that can fail — configuration
 /// validation, rendering, or harness I/O — surfaces through this type.
 ///
 /// # Examples

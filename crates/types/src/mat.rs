@@ -86,7 +86,10 @@ impl Mat4 {
                 self.cols[2].w,
                 self.cols[3].w,
             ),
-            // lint:allow(no-panic) — documented bounds panic: row() mirrors slice-index semantics for i >= 4
+            #[expect(
+                clippy::panic,
+                reason = "documented bounds panic: row() mirrors slice-index semantics for i >= 4"
+            )]
             _ => panic!("matrix row index {i} out of range"),
         }
     }

@@ -42,7 +42,10 @@ use pimgfx_types::{TinyRng, Vec2, Vec3};
 /// );
 /// assert_eq!(tris.len(), 4 * 4 * 2);
 /// ```
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "each argument is one geometric degree of freedom of the grid, named at the call site"
+)]
 pub fn grid(
     origin: Vec3,
     edge_u: Vec3,
@@ -136,7 +139,10 @@ pub fn floor(
 
 /// A side wall along the corridor at `x`, spanning `depth` along -z and
 /// `height` up: moderately oblique.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "each argument is one geometric degree of freedom of the wall, named at the call site"
+)]
 pub fn wall(
     x: f32,
     y0: f32,

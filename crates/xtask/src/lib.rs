@@ -3,28 +3,28 @@
 //! This crate implements `cargo xtask lint`: a zero-dependency,
 //! offline-capable pass over the whole workspace that enforces the
 //! invariants the HPCA'17 reproduction's credibility rests on — cycles,
-//! bytes, and nanojoules must never be silently mixed or dropped,
-//! library code must stay panic-free so accounting errors surface as
-//! typed `pimgfx_types::Error` values instead of aborts, and results
-//! must stay byte-identical run to run (no ambient nondeterminism, no
-//! reassociation-fragile float reductions, no lock-order hazards).
+//! bytes, and nanojoules must never be silently mixed or dropped, and
+//! results must stay byte-identical run to run (no ambient
+//! nondeterminism, no reassociation-fragile float reductions, no
+//! lock-order hazards). It checks only what rustc and clippy cannot:
+//! panic-free library code and documented public items are compiler
+//! lints, switched on by the lint wall every `lib.rs` carries.
 //!
 //! # Rules
 //!
-//! | rule | severity | meaning |
-//! |------|----------|---------|
-//! | `no-panic` | deny | no `unwrap()` / `expect()` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test library code under `crates/*/src` (the scan joins rustfmt-split method chains) |
-//! | `unit-cast` | deny | no unit-erasing `.get() as <num>` / `.as_f32() as <num>` on `ByteCount` / `Cycle` / `Duration` / `Radians` outside the owning module |
-//! | `pub-docs` | deny | every public item under `crates/types/src` carries rustdoc (offline, pre-rustc mirror of `deny(missing_docs)`) |
-//! | `lint-wall` | deny | every crate's `lib.rs` carries the canonical lint-wall header, byte-for-byte |
-//! | `trace-stage` | deny | every `Server`/`MultiServer` constructed in `crates/core`, `crates/mem`, `crates/pim` carries a `trace:stage(<name>)` marker tying it to the cycle-conservation trace taxonomy (see `docs/OBSERVABILITY.md`) |
-//! | `nondeterminism` | deny | no ambient-seeded `std` `HashMap`/`HashSet`, no `Instant::now`/`SystemTime::now` without a `det:boundary — <reason>` marker, no unseeded entropy in library code (`pimgfx_types::fxhash` holds the sanctioned maps) |
-//! | `lock-order` | deny | every `Mutex`/`RwLock`/`Condvar` field carries a `lock:rank(<n>, <name>)` marker and nested acquisitions follow strictly increasing ranks |
-//! | `float-reduction` | warn | no reassociation-prone float accumulation (`.sum()` / `.fold(` / `.mul_add(` over floats, `.hsum(` / `.reduce_sum(` lane horizontal reductions) without a `float:reassoc-ok — <ULP bound>` justification |
-//! | `stale-allow` | deny | every `lint:allow(<rule>)` comment still suppresses a live finding on its own or the next line; rotted suppressions are themselves findings |
-//! | `manifest` | deny | every `crates/*/Cargo.toml` inherits workspace metadata and uses only workspace-declared dependencies |
-//! | `protocol-version` | deny | the `PGRPC` wire-frame definitions in `crates/serve/src/protocol.rs` match the committed `crates/serve/protocol.snapshot`; changing a frame without bumping `VERSION` fails the pass |
-//! | `baseline` | deny | every `lint.baseline` entry still matches a live warn-level finding (stale entries must be deleted) |
+//! Every finding fails the pass.
+//!
+//! | rule | meaning |
+//! |------|---------|
+//! | `unit-cast` | no unit-erasing `.get() as <num>` / `.as_f32() as <num>` on `ByteCount` / `Cycle` / `Duration` / `Radians` outside the owning module |
+//! | `lint-wall` | every crate's `lib.rs` carries the canonical lint-wall header, byte-for-byte: `forbid(unsafe_code)`, `deny(missing_docs)`, the clippy print/dbg warnings, and the clippy denials of `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` and of reason-less `#[allow]`/`#[expect]` |
+//! | `trace-stage` | every `Server`/`MultiServer` constructed in `crates/core`, `crates/mem`, `crates/pim` carries a `trace:stage(<name>)` marker tying it to the cycle-conservation trace taxonomy (see `docs/OBSERVABILITY.md`) |
+//! | `nondeterminism` | no ambient-seeded `std` `HashMap`/`HashSet`, no `Instant::now`/`SystemTime::now` without a `det:boundary — <reason>` marker, no unseeded entropy in library code (`pimgfx_types::fxhash` holds the sanctioned maps) |
+//! | `lock-order` | every `Mutex`/`RwLock`/`Condvar` field carries a `lock:rank(<n>, <name>)` marker and nested acquisitions follow strictly increasing ranks |
+//! | `float-reduction` | no reassociation-prone float accumulation (`.sum()` / `.fold(` / `.mul_add(` over floats, `.hsum(` / `.reduce_sum(` lane horizontal reductions) without a `float:reassoc-ok — <ULP bound>` justification |
+//! | `stale-allow` | every `lint:allow(<rule>)` comment still suppresses a live finding on its own or the next line; rotted suppressions are themselves findings |
+//! | `manifest` | every `crates/*/Cargo.toml` inherits workspace metadata and uses only workspace-declared dependencies |
+//! | `protocol-version` | the `PGRPC` wire-frame definitions in `crates/serve/src/protocol.rs` match the committed `crates/serve/protocol.snapshot`; changing a frame without bumping `VERSION` fails the pass |
 //!
 //! # Allowlist and markers
 //!
@@ -32,7 +32,7 @@
 //! directly above:
 //!
 //! ```text
-//! // lint:allow(no-panic) — queue is bounded by construction, pop cannot fail
+//! // lint:allow(unit-cast) — formatting only, feeds a display percentage
 //! ```
 //!
 //! The justification after the dash is mandatory; an allowlist entry
@@ -42,69 +42,38 @@
 //! justification: `det:boundary — <reason>` declares a wall-clock read,
 //! `lock:rank(<n>, <name>)` places a lock in the global acquisition
 //! order, and `float:reassoc-ok — <ULP bound>` justifies a float
-//! reduction. `docs/STATIC_ANALYSIS.md` holds the full grammar.
-//!
-//! # Severity and baseline
-//!
-//! Every diagnostic carries a [`Severity`]: `deny` findings always
-//! block, `warn` findings block unless listed in the committed
-//! `lint.baseline` (one `rule|path|line` entry per line). The baseline
-//! lets a new warn-level rule land without a flag day while still
-//! blocking *new* findings; entries that stop matching become `baseline`
-//! diagnostics so the file can only shrink. `cargo xtask lint
-//! --update-baseline` regenerates it.
+//! reduction. `docs/STATIC_ANALYSIS.md` holds the full grammar. The
+//! compiler lints are suppressed the compiler's way, with
+//! `#[expect(clippy::<lint>, reason = "…")]`.
 
 // --- lint wall (checked byte-for-byte by `cargo xtask lint`) ---
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod report;
 pub mod rules;
 pub mod source;
 
-pub use report::{BaselineStats, LintReport, RuleStats};
+pub use report::{LintReport, RuleStats};
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// How a finding affects the exit status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Always blocks; cannot be baselined.
-    Deny,
-    /// Blocks unless the finding is listed in `lint.baseline`.
-    Warn,
-}
-
-impl Severity {
-    /// The lowercase name used in JSON output and summaries.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// The severity a rule's findings carry. Centralized so the summary,
-/// the JSON emitter, and the baseline logic cannot disagree.
-#[must_use]
-pub fn severity_of(rule: &str) -> Severity {
-    match rule {
-        rules::float_reduction::RULE => Severity::Warn,
-        _ => Severity::Deny,
-    }
-}
-
 /// Every rule name the pass can emit, in summary order. `lint:allow`
 /// entries naming anything else are flagged by `stale-allow`.
-pub const RULE_NAMES: [&str; 13] = [
-    rules::no_panic::RULE,
+pub const RULE_NAMES: [&str; 10] = [
     rules::unit_cast::RULE,
-    rules::pub_docs::RULE,
     rules::lint_wall::RULE,
     rules::trace_stage::RULE,
     rules::nondeterminism::RULE,
@@ -113,14 +82,13 @@ pub const RULE_NAMES: [&str; 13] = [
     rules::stale_allow::RULE,
     rules::manifest::RULE,
     rules::protocol_version::RULE,
-    "baseline",
     "io",
 ];
 
 /// One finding of the lint pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule that fired (`no-panic`, `unit-cast`, ...).
+    /// Rule that fired (`unit-cast`, `lint-wall`, ...).
     pub rule: &'static str,
     /// File the finding is in, workspace-relative where possible.
     pub path: String,
@@ -128,14 +96,10 @@ pub struct Diagnostic {
     pub line: usize,
     /// Human-readable explanation.
     pub message: String,
-    /// Whether the finding blocks unconditionally or is baselinable.
-    pub severity: Severity,
-    /// True when a `lint.baseline` entry covers this warn-level finding.
-    pub baselined: bool,
 }
 
 impl Diagnostic {
-    /// Creates a finding; the severity comes from [`severity_of`].
+    /// Creates a finding.
     #[must_use]
     pub fn new(rule: &'static str, path: &str, line: usize, message: String) -> Self {
         Self {
@@ -143,43 +107,19 @@ impl Diagnostic {
             path: path.to_string(),
             line,
             message,
-            severity: severity_of(rule),
-            baselined: false,
-        }
-    }
-
-    /// True when this finding fails the pass (deny, or warn without a
-    /// baseline entry).
-    #[must_use]
-    pub fn is_blocking(&self) -> bool {
-        match self.severity {
-            Severity::Deny => true,
-            Severity::Warn => !self.baselined,
         }
     }
 }
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let suffix = if self.baselined { " (baselined)" } else { "" };
         if self.line == 0 {
-            write!(
-                f,
-                "{}: [{}/{}] {}{suffix}",
-                self.path,
-                self.rule,
-                self.severity.as_str(),
-                self.message
-            )
+            write!(f, "{}: [{}] {}", self.path, self.rule, self.message)
         } else {
             write!(
                 f,
-                "{}:{}: [{}/{}] {}{suffix}",
-                self.path,
-                self.line,
-                self.rule,
-                self.severity.as_str(),
-                self.message
+                "{}:{}: [{}] {}",
+                self.path, self.line, self.rule, self.message
             )
         }
     }
@@ -221,16 +161,12 @@ type SourceCheck = (&'static str, fn(&str, &str) -> Vec<Diagnostic>);
 /// stale-allow accounting, which re-runs them on disarmed text).
 fn source_checks(path: &str) -> Vec<SourceCheck> {
     let mut checks: Vec<SourceCheck> = vec![
-        (rules::no_panic::RULE, rules::no_panic::check),
         (rules::unit_cast::RULE, rules::unit_cast::check),
         (rules::trace_stage::RULE, rules::trace_stage::check),
         (rules::nondeterminism::RULE, rules::nondeterminism::check),
         (rules::lock_order::RULE, rules::lock_order::check),
         (rules::float_reduction::RULE, rules::float_reduction::check),
     ];
-    if path.starts_with("crates/types/src") {
-        checks.push((rules::pub_docs::RULE, rules::pub_docs::check));
-    }
     if path.ends_with("/src/lib.rs") {
         checks.push((rules::lint_wall::RULE, rules::lint_wall::check));
     }
@@ -259,62 +195,6 @@ fn lint_source_file(
     let stale = rules::stale_allow::check(path, text, &potential);
     stats.entry(rules::stale_allow::RULE).or_default().fired += stale.len();
     diags.extend(stale);
-}
-
-/// Applies the committed `lint.baseline` to the diagnostics: warn-level
-/// findings with a matching `rule|path|line` entry are marked baselined,
-/// and entries that match nothing (or name deny-level rules) become
-/// `baseline` diagnostics so the file can only shrink.
-fn apply_baseline(baseline_text: &str, diags: &mut Vec<Diagnostic>) -> BaselineStats {
-    let mut stats = BaselineStats::default();
-    let mut stale = Vec::new();
-    for raw in baseline_text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        stats.entries += 1;
-        let mut parts = line.splitn(3, '|');
-        let (Some(rule), Some(path), Some(lineno)) = (parts.next(), parts.next(), parts.next())
-        else {
-            stale.push(format!(
-                "unparsable baseline entry `{line}`; expected `rule|path|line`"
-            ));
-            continue;
-        };
-        let Ok(lineno) = lineno.trim().parse::<usize>() else {
-            stale.push(format!(
-                "unparsable baseline entry `{line}`; line must be a number"
-            ));
-            continue;
-        };
-        if severity_of(rule) != Severity::Warn {
-            stale.push(format!(
-                "baseline entry `{line}` names a deny-level rule; deny findings cannot be baselined"
-            ));
-            continue;
-        }
-        let mut matched = false;
-        for d in diags.iter_mut() {
-            if d.rule == rule && d.path == path && d.line == lineno {
-                d.baselined = true;
-                matched = true;
-            }
-        }
-        if matched {
-            stats.matched += 1;
-        } else {
-            stale.push(format!(
-                "stale baseline entry `{line}` — the finding no longer fires; delete the line \
-                 (or run `cargo xtask lint --update-baseline`)"
-            ));
-        }
-    }
-    stats.stale = stale.len();
-    for message in stale {
-        diags.push(Diagnostic::new("baseline", "lint.baseline", 0, message));
-    }
-    stats
 }
 
 /// Runs every rule over the workspace rooted at `root`.
@@ -347,8 +227,8 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         let src_dir = crate_dir.join("src");
         for file in rust_files(&src_dir) {
             let path = rel(root, &file);
-            // Binary entry points are not library code: they may use
-            // expect/panic at the top level like any CLI.
+            // Binary entry points are not library code: they may read
+            // the wall clock and report like any CLI.
             if path.contains("/src/bin/") || path.ends_with("/src/main.rs") {
                 continue;
             }
@@ -405,15 +285,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         diags.extend(fired);
     }
 
-    // Baseline: warn-level findings listed in lint.baseline don't block.
-    let baseline_text = std::fs::read_to_string(root.join("lint.baseline")).unwrap_or_default();
-    let baseline = apply_baseline(&baseline_text, &mut diags);
-    stats.entry("baseline").or_default().fired += baseline.stale;
-
     diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(LintReport {
         diagnostics: diags,
         rules: stats,
-        baseline,
     })
 }

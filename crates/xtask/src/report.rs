@@ -1,14 +1,10 @@
-//! The lint report: per-rule counters, baseline accounting, and the
-//! text / JSON / GitHub-annotation emitters.
+//! The lint report: per-rule counters and the text / GitHub-annotation
+//! emitters.
 //!
-//! The JSON shape is versioned (`schema_version`) and consumed by CI:
-//! the workflow uploads the report as an artifact and greps
-//! `"deny_count": 0` / `"blocking_count": 0` out of the summary, so
-//! those keys are load-bearing. Everything is emitted in sorted order
-//! (diagnostics by path/line/rule, rules by name) so reports diff
-//! cleanly between runs.
+//! Everything is emitted in sorted order (diagnostics by path/line/rule,
+//! rules by name) so reports diff cleanly between runs.
 
-use crate::{Diagnostic, Severity};
+use crate::Diagnostic;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -20,21 +16,10 @@ use std::fmt::Write as _;
 /// escape hatches are carrying.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleStats {
-    /// Findings actually emitted (baselined ones included).
+    /// Findings actually emitted.
     pub fired: usize,
     /// Findings suppressed by allowlist entries or markers.
     pub suppressed: usize,
-}
-
-/// Accounting for the committed `lint.baseline` file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BaselineStats {
-    /// Entries in the file (comments and blanks excluded).
-    pub entries: usize,
-    /// Entries that matched a live warn-level finding.
-    pub matched: usize,
-    /// Entries that matched nothing (each is a `baseline` diagnostic).
-    pub stale: usize,
 }
 
 /// Everything one `cargo xtask lint` pass produced.
@@ -44,51 +29,18 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Per-rule fired/suppressed counters, keyed by rule name.
     pub rules: BTreeMap<&'static str, RuleStats>,
-    /// Baseline-file accounting.
-    pub baseline: BaselineStats,
 }
 
 impl LintReport {
-    /// Deny-severity findings.
-    #[must_use]
-    pub fn deny_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Deny)
-            .count()
-    }
-
-    /// Warn-severity findings (baselined ones included).
-    #[must_use]
-    pub fn warn_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warn)
-            .count()
-    }
-
-    /// Warn-severity findings covered by the baseline.
-    #[must_use]
-    pub fn baselined_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.baselined).count()
-    }
-
-    /// Findings that fail the pass: deny, or warn without a baseline
-    /// entry.
-    #[must_use]
-    pub fn blocking_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.is_blocking()).count()
-    }
-
-    /// True when the pass succeeds.
+    /// True when the pass succeeds: every finding fails it.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.blocking_count() == 0
+        self.diagnostics.is_empty()
     }
 
     /// The human-readable multi-line summary printed after the findings:
     /// per-rule fired/suppressed counts (quiet rules elided) and the
-    /// baseline totals.
+    /// finding count.
     #[must_use]
     pub fn summary_text(&self) -> String {
         let mut out = String::new();
@@ -102,98 +54,21 @@ impl LintReport {
                 stats.fired, stats.suppressed
             );
         }
-        let _ = writeln!(
-            out,
-            "  baseline: {} entr{} ({} matched, {} stale)",
-            self.baseline.entries,
-            if self.baseline.entries == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            self.baseline.matched,
-            self.baseline.stale
-        );
-        let _ = write!(
-            out,
-            "  findings: {} ({} deny, {} warn, {} baselined) — {} blocking",
-            self.diagnostics.len(),
-            self.deny_count(),
-            self.warn_count(),
-            self.baselined_count(),
-            self.blocking_count()
-        );
+        let _ = write!(out, "  findings: {}", self.diagnostics.len());
         out
     }
 
-    /// The machine-readable report (`--format json`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema_version\": 1,\n  \"findings\": [\n");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"rule\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \
-                 \"line\": {}, \"baselined\": {}, \"message\": \"{}\"}}",
-                json_escape(d.rule),
-                d.severity.as_str(),
-                json_escape(&d.path),
-                d.line,
-                d.baselined,
-                json_escape(&d.message)
-            );
-            out.push_str(if i + 1 < self.diagnostics.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"rules\": {\n");
-        let active: Vec<_> = self.rules.iter().collect();
-        for (i, (rule, stats)) in active.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    \"{}\": {{\"fired\": {}, \"suppressed\": {}}}",
-                json_escape(rule),
-                stats.fired,
-                stats.suppressed
-            );
-            out.push_str(if i + 1 < active.len() { ",\n" } else { "\n" });
-        }
-        let _ = write!(
-            out,
-            "  }},\n  \"baseline\": {{\"entries\": {}, \"matched\": {}, \"stale\": {}}},\n",
-            self.baseline.entries, self.baseline.matched, self.baseline.stale
-        );
-        let _ = write!(
-            out,
-            "  \"summary\": {{\"total\": {}, \"deny_count\": {}, \"warn_count\": {}, \
-             \"baselined_count\": {}, \"blocking_count\": {}}}\n}}",
-            self.diagnostics.len(),
-            self.deny_count(),
-            self.warn_count(),
-            self.baselined_count(),
-            self.blocking_count()
-        );
-        out
-    }
-
-    /// GitHub workflow annotations (`--format github`): one
-    /// `::error` / `::warning` command per finding, which the Actions
-    /// runner turns into inline PR annotations.
+    /// GitHub workflow annotations (`--format github`): one `::error`
+    /// command per finding, which the Actions runner turns into inline
+    /// PR annotations.
     #[must_use]
     pub fn to_github(&self) -> String {
         let mut out = String::new();
         for d in &self.diagnostics {
-            let kind = match d.severity {
-                Severity::Deny => "error",
-                Severity::Warn => "warning",
-            };
-            let suffix = if d.baselined { " (baselined)" } else { "" };
             if d.line == 0 {
                 let _ = writeln!(
                     out,
-                    "::{kind} file={}::[{}] {}{suffix}",
+                    "::error file={}::[{}] {}",
                     d.path,
                     d.rule,
                     annotation_escape(&d.message)
@@ -201,7 +76,7 @@ impl LintReport {
             } else {
                 let _ = writeln!(
                     out,
-                    "::{kind} file={},line={}::[{}] {}{suffix}",
+                    "::error file={},line={}::[{}] {}",
                     d.path,
                     d.line,
                     d.rule,
@@ -211,26 +86,6 @@ impl LintReport {
         }
         out
     }
-}
-
-/// Escapes a string for a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Escapes a workflow-command message (`%`, newlines) per the GitHub

@@ -23,84 +23,6 @@ pub mod float_reduction;
 /// finding.
 pub mod stale_allow;
 
-/// `no-panic`: non-test library code must not contain panicking macros
-/// or panicking `Option`/`Result` extractors.
-pub mod no_panic {
-    use super::{source, Diagnostic};
-    use std::collections::BTreeMap;
-
-    /// The rule name used in diagnostics and `lint:allow(...)` entries.
-    pub const RULE: &str = "no-panic";
-
-    const PATTERNS: [&str; 6] = [
-        ".unwrap()",
-        ".expect(",
-        "panic!",
-        "unreachable!",
-        "todo!",
-        "unimplemented!",
-    ];
-
-    /// Checks one library source file. The pattern scan runs over a
-    /// whitespace-normalized view of the file so a method chain rustfmt
-    /// split across lines (`.\n    unwrap()`) is still seen; the
-    /// diagnostic lands on the line where the match begins.
-    #[must_use]
-    pub fn check(path: &str, text: &str) -> Vec<Diagnostic> {
-        let stripped = source::strip(text);
-        let mask = source::test_mask(&stripped);
-        let raw_lines: Vec<&str> = text.lines().collect();
-        let norm = source::Normalized::new(&stripped);
-        let mut out = Vec::new();
-
-        // An allowlist entry with no justification is itself flagged.
-        for (idx, raw) in raw_lines.iter().enumerate() {
-            if mask.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            if source::allow_missing_reason(raw, RULE) {
-                out.push(Diagnostic::new(
-                    RULE,
-                    path,
-                    idx + 1,
-                    "allowlist entry is missing its justification".to_string(),
-                ));
-            }
-        }
-
-        // One finding per line; earlier patterns take priority when two
-        // match on the same line (mirrors the historical per-line scan).
-        let mut by_line: BTreeMap<usize, Diagnostic> = BTreeMap::new();
-        for pat in PATTERNS {
-            for (_pos, line) in norm.find_all(pat) {
-                let idx = line - 1;
-                if mask.get(idx).copied().unwrap_or(false)
-                    || by_line.contains_key(&line)
-                    || source::is_allowed(&raw_lines, idx, RULE)
-                {
-                    continue;
-                }
-                by_line.insert(
-                    line,
-                    Diagnostic::new(
-                        RULE,
-                        path,
-                        line,
-                        format!(
-                            "`{}` in library code; return `pimgfx_types::Error` instead \
-                             (or justify with `// lint:allow({RULE}) — <reason>`)",
-                            pat.trim_matches(['.', '('])
-                        ),
-                    ),
-                );
-            }
-        }
-        out.extend(by_line.into_values());
-        out.sort_by_key(|d| d.line);
-        out
-    }
-}
-
 /// `unit-cast`: the raw value inside `ByteCount` / `Cycle` / `Duration` /
 /// `Radians` must not be cast straight into unit-less arithmetic outside
 /// the module that owns the newtype.
@@ -181,111 +103,6 @@ pub mod unit_cast {
                     break;
                 }
             }
-        }
-        out
-    }
-}
-
-/// `pub-docs`: public items in the foundation crate must carry rustdoc.
-///
-/// `#![deny(missing_docs)]` already enforces this at compile time (the
-/// lint wall), but only once rustc runs; this rule reports the same gap
-/// offline, file-by-file, with the workspace's diagnostic format and
-/// allowlist. It is wired to `crates/types/src` — the vocabulary crate
-/// every other crate builds on — where an undocumented public item is
-/// always a review blocker.
-pub mod pub_docs {
-    use super::{source, Diagnostic};
-
-    /// The rule name used in diagnostics and `lint:allow(...)` entries.
-    pub const RULE: &str = "pub-docs";
-
-    /// Item keywords that introduce a documentable public item.
-    const ITEMS: [&str; 9] = [
-        "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "union",
-    ];
-
-    /// The item keyword a (stripped) line declares publicly, if any.
-    /// `pub(crate)`/`pub(super)` items are not public API and `pub use`
-    /// re-exports inherit the original item's docs, so neither counts;
-    /// struct fields (`pub name: T`) are left to `deny(missing_docs)`.
-    fn public_item(stripped_line: &str) -> Option<&'static str> {
-        let rest = stripped_line.trim_start().strip_prefix("pub")?;
-        if rest.starts_with('(') {
-            return None;
-        }
-        // A `$metavariable` means this is a macro_rules! template; the
-        // expanded item takes its docs from the expansion site.
-        if rest.contains('$') {
-            return None;
-        }
-        let mut words = rest.split_whitespace();
-        let mut word = words.next()?;
-        while matches!(word, "unsafe" | "async" | "extern") {
-            word = words.next()?;
-        }
-        let word = word
-            .split(['<', '(', '{', ':', ';', '='])
-            .next()
-            .unwrap_or(word);
-        ITEMS.iter().find(|k| **k == word).copied()
-    }
-
-    /// Whether the item declared at `idx` has a doc comment, looking
-    /// upward past attribute lines (`#[derive(...)]`, `#[must_use]`, ...)
-    /// which legally sit between the docs and the declaration.
-    fn has_doc(raw_lines: &[&str], idx: usize) -> bool {
-        let mut i = idx;
-        while i > 0 {
-            i -= 1;
-            let t = raw_lines[i].trim_start();
-            if t.starts_with("#[doc") {
-                return true;
-            }
-            if t.starts_with("#[") || t.starts_with("#!") || t.starts_with(")]") {
-                continue;
-            }
-            return t.starts_with("///") || t.starts_with("/**");
-        }
-        false
-    }
-
-    /// Checks one library source file.
-    #[must_use]
-    pub fn check(path: &str, text: &str) -> Vec<Diagnostic> {
-        let stripped = source::strip(text);
-        let mask = source::test_mask(&stripped);
-        let raw_lines: Vec<&str> = text.lines().collect();
-        let mut out = Vec::new();
-
-        for (idx, line) in stripped.lines().enumerate() {
-            if mask.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            if source::allow_missing_reason(raw_lines.get(idx).unwrap_or(&""), RULE) {
-                out.push(Diagnostic::new(
-                    RULE,
-                    path,
-                    idx + 1,
-                    "allowlist entry is missing its justification".to_string(),
-                ));
-                continue;
-            }
-            let Some(kind) = public_item(line) else {
-                continue;
-            };
-            if has_doc(&raw_lines, idx) || source::is_allowed(&raw_lines, idx, RULE) {
-                continue;
-            }
-            out.push(Diagnostic::new(
-                RULE,
-                path,
-                idx + 1,
-                format!(
-                    "public `{kind}` has no rustdoc; document it with `///` \
-                     (or justify with `// lint:allow({RULE}) — <reason>`)"
-                ),
-            ));
         }
         out
     }
@@ -375,6 +192,12 @@ pub mod trace_stage {
 }
 
 /// `lint-wall`: every crate's `lib.rs` carries the canonical header.
+///
+/// The header is where the checks the compiler makes are switched on:
+/// `deny(missing_docs)` documents every public item, and the clippy
+/// denials keep library code free of `unwrap`/`expect`/`panic!` and
+/// friends (test code is exempt through the root `clippy.toml`) and
+/// make every `#[allow]`/`#[expect]` state its `reason`.
 pub mod lint_wall {
     use super::Diagnostic;
 
@@ -387,6 +210,15 @@ pub mod lint_wall {
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::dbg_macro, clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 ";
 
     /// Checks one `lib.rs`.
@@ -400,7 +232,7 @@ pub mod lint_wall {
              it is compared byte-for-byte"
         } else {
             "missing the canonical lint-wall header \
-             (`#![forbid(unsafe_code)]`, `#![deny(missing_docs)]`, clippy warns)"
+             (`#![forbid(unsafe_code)]`, `#![deny(missing_docs)]`, clippy warns and denies)"
         };
         vec![Diagnostic::new(RULE, path, 0, message.to_string())]
     }

@@ -1,4 +1,4 @@
-//! `float-reduction` (warn): reassociation-prone float accumulation
+//! `float-reduction`: reassociation-prone float accumulation
 //! must carry a `float:reassoc-ok — <ULP bound>` justification.
 //!
 //! Float addition is not associative, so the numeric value of a
@@ -21,9 +21,6 @@
 //! not provide one today, and any future addition must carry the
 //! `float:reassoc-ok` marker with its ULP bound (and a row in the
 //! `docs/PERFORMANCE.md` deviation table).
-//!
-//! This rule is **warn** severity: pre-existing findings live in the
-//! committed `lint.baseline` and do not block; new ones do.
 
 use crate::source;
 use crate::Diagnostic;

@@ -289,30 +289,6 @@ pub fn disarm(src: &str) -> String {
         .replace("float:reassoc-ok", "float:disarmed")
 }
 
-/// Byte offset where `raw_line`'s trailing `//` comment begins, if any.
-/// `stripped_line` must be the same line after [`strip`]: a real
-/// comment's `//` is blanked *and* blanks everything to the end of the
-/// line, which distinguishes it from `//` inside a string literal
-/// (where code resumes after the closing quote).
-#[must_use]
-pub fn comment_start(raw_line: &str, stripped_line: &str) -> Option<usize> {
-    let raw = raw_line.as_bytes();
-    let stripped = stripped_line.as_bytes();
-    let mut i = 0;
-    while i + 1 < raw.len() {
-        if raw[i] == b'/'
-            && raw[i + 1] == b'/'
-            && stripped
-                .get(i..)
-                .is_some_and(|rest| !rest.is_empty() && rest.iter().all(|b| *b == b' '))
-        {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
 /// The 0-based line carrying `marker` for a finding on line `idx`:
 /// the line itself, or any line of the contiguous block of standalone
 /// `//` comments directly above it (markers often share a wrapped
@@ -447,15 +423,15 @@ mod tests {
     #[test]
     fn allowlist_same_and_previous_line() {
         let lines = [
-            "// lint:allow(no-panic) — bounded queue, cannot fail",
-            "x.unwrap();",
-            "y.unwrap(); // lint:allow(no-panic) — invariant: nonempty",
-            "z.unwrap();",
+            "// lint:allow(unit-cast) — display percentage only",
+            "let a = b.get() as f64;",
+            "let c = d.get() as f64; // lint:allow(unit-cast) — display only",
+            "let e = f.get() as f64;",
         ];
-        assert!(is_allowed(&lines, 1, "no-panic"));
-        assert!(is_allowed(&lines, 2, "no-panic"));
-        assert!(!is_allowed(&lines, 3, "no-panic"));
-        assert!(!is_allowed(&lines, 1, "unit-cast"), "rule name must match");
+        assert!(is_allowed(&lines, 1, "unit-cast"));
+        assert!(is_allowed(&lines, 2, "unit-cast"));
+        assert!(!is_allowed(&lines, 3, "unit-cast"));
+        assert!(!is_allowed(&lines, 1, "lock-order"), "rule name must match");
     }
 
     #[test]
@@ -470,7 +446,7 @@ mod tests {
 
     #[test]
     fn disarm_neutralizes_suppressions_but_not_ranks() {
-        let src = "// lint:allow(no-panic) — x\n// det:boundary — y\n// float:reassoc-ok — z\n// lock:rank(10, a.b)\n";
+        let src = "// lint:allow(unit-cast) — x\n// det:boundary — y\n// float:reassoc-ok — z\n// lock:rank(10, a.b)\n";
         let out = disarm(src);
         assert!(!out.contains("lint:allow("));
         assert!(!out.contains("det:boundary"));
@@ -484,9 +460,10 @@ mod tests {
 
     #[test]
     fn strip_strings_keeps_comments_blanks_literals() {
-        let out = strip_strings("let s = \"lint:allow(no-panic)\"; // lint:allow(no-panic) — ok\n");
+        let out =
+            strip_strings("let s = \"lint:allow(unit-cast)\"; // lint:allow(unit-cast) — ok\n");
         let first = out.find("lint:allow").expect("comment tag survives");
-        assert!(out[first..].starts_with("lint:allow(no-panic) — ok"));
+        assert!(out[first..].starts_with("lint:allow(unit-cast) — ok"));
         assert_eq!(
             out.matches("lint:allow").count(),
             1,
@@ -512,14 +489,17 @@ mod tests {
 
     #[test]
     fn allowlist_requires_reason() {
-        assert!(allow_missing_reason("// lint:allow(no-panic)", "no-panic"));
         assert!(allow_missing_reason(
-            "// lint:allow(no-panic) — ",
-            "no-panic"
+            "// lint:allow(unit-cast)",
+            "unit-cast"
+        ));
+        assert!(allow_missing_reason(
+            "// lint:allow(unit-cast) — ",
+            "unit-cast"
         ));
         assert!(!allow_missing_reason(
-            "// lint:allow(no-panic) — heap peeked nonempty above",
-            "no-panic"
+            "// lint:allow(unit-cast) — display percentage only",
+            "unit-cast"
         ));
     }
 }
