@@ -67,7 +67,7 @@ pub mod stats;
 pub mod stream;
 #[cfg(test)]
 mod testkit;
-pub mod texpath;
+pub(crate) mod texpath;
 pub mod texunit;
 
 /// Convenience re-exports for typical simulator use.

@@ -12,12 +12,12 @@
 //! # Replay groups
 //!
 //! The backend replay walks a prebuilt fragment stream in two steps per
-//! texture quad (see [`crate::texpath`]): a functional step — phase-1
-//! records, cache probes, A-TFIM parent reuse, the image — and a timing
-//! step per design — texture units, memory, logic layer, shader windows,
-//! ROP. Configurations with equal [`SimConfig::replay_key`]s differ only
-//! in timing, so [`Simulator::render_replay_group`] replays them
-//! together: each quad's functional step runs once and feeds every
+//! texture quad (the crate's `texpath` module): a functional step —
+//! phase-1 records, cache probes, A-TFIM parent reuse, the image — and a
+//! timing step per design — texture units, memory, logic layer, shader
+//! windows, ROP. Configurations with equal [`SimConfig::replay_key`]s
+//! differ only in timing, so [`Simulator::render_replay_group`] replays
+//! them together: each quad's functional step runs once and feeds every
 //! member's timing step in lockstep. A solo replay is a group of one;
 //! there is one replay path.
 //!

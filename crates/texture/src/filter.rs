@@ -12,7 +12,7 @@
 //! property tests check it.
 //!
 //! Every kernel here is the fast form: interior footprints skip the wrap
-//! fold, texels unpack through the table of `PackedRgba::to_rgba_fast`,
+//! fold, texels unpack through the table of `PackedRgba::to_rgba`,
 //! and colors ride the four lanes of an [`F32x4`] with the exact scalar
 //! formula per channel. The scalar reference kernels they replaced live
 //! on as test oracles (`oracle`); the tests assert bit-identical colors
@@ -204,10 +204,10 @@ impl FetchSink for FetchSet {
 pub fn texel_at(tex: &MippedTexture, x: i64, y: i64, level: usize) -> Rgba {
     let img = tex.level(level);
     if x >= 0 && y >= 0 && x < i64::from(img.width()) && y < i64::from(img.height()) {
-        return img.texel_fast(x as u32, y as u32);
+        return img.texel(x as u32, y as u32);
     }
     let wrap = tex.wrap();
-    img.texel_fast(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
+    img.texel(wrap.wrap(x, img.width()), wrap.wrap(y, img.height()))
 }
 
 /// Bilinear 2×2 weights for a uv position (in texels of `level`).
@@ -242,7 +242,7 @@ pub fn point(tex: &MippedTexture, uv: Vec2, level: usize, fetches: &mut impl Fet
         y,
         level: level as u8,
     });
-    img.texel_fast(x, y)
+    img.texel(x, y)
 }
 
 /// Bilinear 2×2 filter on one level. `uv` is normalized [0,1) texture
@@ -273,7 +273,7 @@ pub fn bilinear_at(
             y: y + 1,
             level,
         });
-        img.gather2x2_fast(x, y)
+        img.gather2x2(x, y)
     } else {
         // Border: fold each axis once and derive the `+1` neighbor —
         // two `rem_euclid` divisions instead of eight.
@@ -286,7 +286,7 @@ pub fn bilinear_at(
                 y,
                 level: level8,
             });
-            img.texel_fast(x, y)
+            img.texel(x, y)
         };
         [tap(wx0, wy0), tap(wx1, wy0), tap(wx0, wy1), tap(wx1, wy1)]
     };

@@ -174,37 +174,36 @@ impl TextureImage {
         self.texels[(y * self.width + x) as usize].to_rgba()
     }
 
-    /// Reads the texel at in-range coordinates with the table-driven
-    /// unpack — bit-identical to [`TextureImage::texel`] (the lane
-    /// kernels' read; see `pimgfx_types::lanes`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x >= width` or `y >= height`.
-    #[inline]
-    pub fn texel_fast(&self, x: u32, y: u32) -> Rgba {
-        self.texels[(y * self.width + x) as usize].to_rgba_fast()
-    }
-
     /// Reads the 2×2 texel block anchored at `(x, y)` in row-major order
-    /// `[t00, t10, t01, t11]` with the table-driven unpack. The block
-    /// must be fully interior (`x + 1 < width`, `y + 1 < height`); the
-    /// lane bilinear kernel checks that before taking this path.
+    /// `[t00, t10, t01, t11]`. The block must be fully interior
+    /// (`x + 1 < width`, `y + 1 < height`); the bilinear kernel checks
+    /// that before taking this path.
     ///
     /// # Panics
     ///
     /// Panics if the block reaches outside the image.
     #[inline]
-    pub fn gather2x2_fast(&self, x: u32, y: u32) -> [Rgba; 4] {
+    pub fn gather2x2(&self, x: u32, y: u32) -> [Rgba; 4] {
         debug_assert!(x + 1 < self.width && y + 1 < self.height);
         let w = self.width as usize;
         let i = y as usize * w + x as usize;
         [
-            self.texels[i].to_rgba_fast(),
-            self.texels[i + 1].to_rgba_fast(),
-            self.texels[i + w].to_rgba_fast(),
-            self.texels[i + w + 1].to_rgba_fast(),
+            self.texels[i].to_rgba(),
+            self.texels[i + 1].to_rgba(),
+            self.texels[i + w].to_rgba(),
+            self.texels[i + w + 1].to_rgba(),
         ]
+    }
+
+    /// Row `y` of packed texels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y >= height`.
+    #[inline]
+    pub(crate) fn row(&self, y: u32) -> &[PackedRgba] {
+        let w = self.width as usize;
+        &self.texels[y as usize * w..][..w]
     }
 
     /// Reads a texel with signed coordinates folded by `wrap`.

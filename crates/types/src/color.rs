@@ -167,23 +167,11 @@ impl PackedRgba {
         Self { r, g, b, a }
     }
 
-    /// Unpacks to floating point channels in `[0, 1]`.
+    /// Unpacks to floating point channels in `[0, 1]`: each channel is
+    /// `v as f32 / 255.0`, read from a 256-entry table of exactly those
+    /// quotients (four L1-resident loads instead of four divisions).
     #[inline]
     pub fn to_rgba(self) -> Rgba {
-        Rgba::new(
-            f32::from(self.r) / 255.0,
-            f32::from(self.g) / 255.0,
-            f32::from(self.b) / 255.0,
-            f32::from(self.a) / 255.0,
-        )
-    }
-
-    /// Table-driven unpack used by the lane kernels: bit-identical to
-    /// [`PackedRgba::to_rgba`] for every possible channel value (the
-    /// table stores the same `v / 255.0` quotients), but replaces four
-    /// float divisions with four L1-resident loads.
-    #[inline]
-    pub fn to_rgba_fast(self) -> Rgba {
         Rgba::new(
             UNPACK[self.r as usize],
             UNPACK[self.g as usize],
@@ -274,12 +262,23 @@ mod tests {
         }
     }
 
+    /// The division form the unpack table replaced, kept as the oracle
+    /// the table is checked against.
+    fn to_rgba_oracle(p: PackedRgba) -> Rgba {
+        Rgba::new(
+            f32::from(p.r) / 255.0,
+            f32::from(p.g) / 255.0,
+            f32::from(p.b) / 255.0,
+            f32::from(p.a) / 255.0,
+        )
+    }
+
     #[test]
     fn fast_unpack_is_bit_identical_for_all_channel_values() {
         for v in 0..=255u8 {
             let p = PackedRgba::new(v, v.wrapping_add(1), v.wrapping_mul(3), 255 - v);
-            let slow = p.to_rgba();
-            let fast = p.to_rgba_fast();
+            let slow = to_rgba_oracle(p);
+            let fast = p.to_rgba();
             assert_eq!(slow.r.to_bits(), fast.r.to_bits());
             assert_eq!(slow.g.to_bits(), fast.g.to_bits());
             assert_eq!(slow.b.to_bits(), fast.b.to_bits());

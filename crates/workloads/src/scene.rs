@@ -10,10 +10,10 @@
 
 use crate::games::{Game, GameProfile, Resolution};
 use crate::mesh;
-use crate::procedural::{generate, TextureKind};
+use crate::procedural::{texture_set, TextureKind};
 use crate::synthetic::{synthesize, Workload};
 use pimgfx_raster::{Camera, Vertex};
-use pimgfx_texture::{MippedTexture, TextureImage};
+use pimgfx_texture::MippedTexture;
 use pimgfx_types::{FxHashMap, TextureId, Vec3};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -307,13 +307,12 @@ pub fn build_scene_unchecked(
     let tex_size = profile.texture_size;
     let _ = &resolution;
 
-    let textures: Vec<MippedTexture> = (0..profile.texture_count)
-        .map(|i| {
-            let kind = TextureKind::ALL[i as usize % TextureKind::ALL.len()];
-            let img: TextureImage = generate(kind, tex_size, profile.seed ^ u64::from(i));
-            MippedTexture::with_full_chain(img).with_id(TextureId::new(i))
-        })
-        .collect();
+    let textures = texture_set(
+        &TextureKind::ALL,
+        profile.texture_count,
+        tex_size,
+        profile.seed,
+    );
 
     let tex = |i: u32| TextureId::new(i % profile.texture_count);
     let q = profile.floor_quads;

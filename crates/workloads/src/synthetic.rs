@@ -19,10 +19,9 @@
 
 use crate::games::{Game, Resolution};
 use crate::mesh;
-use crate::procedural::{generate, TextureKind};
+use crate::procedural::{texture_set, TextureKind};
 use crate::scene::{DrawCall, SceneTrace};
 use pimgfx_raster::Camera;
-use pimgfx_texture::MippedTexture;
 use pimgfx_types::{ConfigError, TextureId, TinyRng, Vec3};
 use std::fmt;
 
@@ -280,14 +279,7 @@ pub fn synthesize(spec: &SyntheticSpec, resolution: Resolution, frames: usize) -
     let valid = spec.validate();
     assert!(valid.is_ok(), "invalid synthetic spec {spec}: {valid:?}");
 
-    let kinds = spec.kinds();
-    let textures: Vec<MippedTexture> = (0..spec.textures)
-        .map(|i| {
-            let kind = kinds[i as usize % kinds.len()];
-            let img = generate(kind, spec.texture_size, spec.seed ^ u64::from(i));
-            MippedTexture::with_full_chain(img).with_id(TextureId::new(i))
-        })
-        .collect();
+    let textures = texture_set(&spec.kinds(), spec.textures, spec.texture_size, spec.seed);
     let tex = |i: u32| TextureId::new(i % spec.textures);
 
     // Budget split: grazing sheets vs facing props, then across layers.
